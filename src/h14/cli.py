@@ -6,8 +6,9 @@ Subcommands: ``check-conditions``, ``verify <id>``, ``hilbert``,
 Reports are tab-separated tables preceded by ``#`` header lines echoing the
 configuration; bases are serialized in the canonical Laurent text form.
 
-Exit codes: 0 all checks pass, 1 a verified assertion fails, 2 usage or
-config error, 3 precondition error (singular matrix, non-pointed cone, ...).
+Exit codes: 0 all checks pass, 1 a check printed ``RESULT fail`` (or ``scan``
+found an implication violation), 2 usage or config error, 3 precondition
+error (singular matrix, non-pointed cone, ...).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 from . import __version__
 from .derivation import support_property_check
-from .errors import CheckFailure, ConfigError, PreconditionError, UsageError
+from .errors import ConfigError, PreconditionError, UsageError
 from .intersect import graded_intersection, kuroda_intersection_basis
 from .kuroda import (
     build_f0,
@@ -390,10 +391,6 @@ def build_parser():
     common.add_argument("--dmax", type=int, help="degree bound for bounded-degree computations")
     common.add_argument("--field", help="coefficient field: Q or Fp:<prime>")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    common.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes; current workloads are small and run sequentially",
-    )
     common.add_argument("--out", help="write the report to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("check-conditions", parents=[common],
@@ -413,8 +410,6 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.dmax is not None and args.dmax < 0:
         parser.error("--dmax must be >= 0")
     try:
@@ -427,9 +422,6 @@ def main(argv=None) -> int:
     except PreconditionError as ex:
         print(f"precondition error: {ex}", file=sys.stderr)
         return 3
-    except CheckFailure as ex:
-        print(f"check failed: {ex}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Two broad classes matter for the CLI exit-code contract: usage/config
-problems (exit 2) and violated mathematical preconditions (exit 3).
-A failed verification is reported as CheckFailure (exit 1).
+problems (exit 2) and violated mathematical preconditions (exit 3).  A failed
+verification is not an exception: the CLI prints ``RESULT fail`` and exits 1.
 """
 
 
@@ -56,7 +56,3 @@ class IndependenceError(PreconditionError):
 
 class ConditionError(PreconditionError):
     """A rational-inequality hypothesis fails (e.g. the ratio sum is >= 1)."""
-
-
-class CheckFailure(ToolkitError):
-    """A verification assertion did not hold."""

@@ -15,12 +15,12 @@ reports say so; nothing here decides (non-)finite generation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import GradingError, SingularMatrixError, UsageError
 from .kuroda import KurodaInstance
 from .lattice import coset_decomposition
-from .laurent import LaurentPoly, field_name, field_one
+from .laurent import LaurentPoly, _axpy, coeff_of
 from .linalg import SparseRREF, span_intersection, sparse_nullspace
 
 BOUND_NOTE = (
@@ -125,7 +125,7 @@ def graded_intersection(gensA, gensB, weights, dmax, maximum: int = 32):
         rows_a = [p.terms for p in _graded_products(gensA, degs_a, n, fld, d) if p.terms]
         rows_b = [p.terms for p in _graded_products(gensB, degs_b, n, fld, d) if p.terms]
         dim_a, dim_b, inter = span_intersection(rows_a, rows_b, fld)
-        basis = [LaurentPoly(n, fld, r) for r in inter]
+        basis = [LaurentPoly._trusted(n, fld, r) for r in inter]
         for b in basis:
             assert b.is_homogeneous(weights) and (d == 0 or _weighted_degree(b, weights) == d)
         ambient_a[d], ambient_b[d] = dim_a, dim_b
@@ -133,10 +133,7 @@ def graded_intersection(gensA, gensB, weights, dmax, maximum: int = 32):
     report = GradedIntersectionReport(
         weights, fld, dmax, ambient_a, ambient_b, dims, bases, ()
     )
-    return GradedIntersectionReport(
-        weights, fld, dmax, ambient_a, ambient_b, dims, bases,
-        tuple(minimal_generator_degrees(report)),
-    )
+    return replace(report, new_generators=tuple(minimal_generator_degrees(report)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +199,11 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int, maximum: int = 12
         basis, imgs = [], []
         for row in fresh.basis():
             seen.add(row)
-            basis.append(LaurentPoly(k, fld, row))
-            img = LaurentPoly.zero(inst.n, fld)
+            basis.append(LaurentPoly._trusted(k, fld, row))
+            terms = {}
             for beta, c in row.items():
-                img = img + images[beta] * c
+                _axpy(terms, c, images[beta].terms, fld)
+            img = LaurentPoly._trusted(inst.n, fld, terms)
             assert img.is_polynomial()
             imgs.append(img)
         ambient_a[d] = sum(1 for b in images if sum(b) == d)
@@ -215,10 +213,7 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int, maximum: int = 12
     report = GradedIntersectionReport(
         weights, fld, dmax, ambient_a, ambient_b, dims, bases, (), images=ximages
     )
-    return GradedIntersectionReport(
-        weights, fld, dmax, ambient_a, ambient_b, dims, bases,
-        tuple(minimal_generator_degrees(report)), images=ximages,
-    )
+    return replace(report, new_generators=tuple(minimal_generator_degrees(report)))
 
 
 def minimal_generator_degrees(report: GradedIntersectionReport):
@@ -234,7 +229,7 @@ def minimal_generator_degrees(report: GradedIntersectionReport):
     same or lower label, so its multiples are covered by theirs.
     """
     fld = report.field
-    one = field_one(fld)
+    one = coeff_of(fld, 1)
     degrees = sorted(report.bases)
     first = next(
         (report.bases[d][0] for d in degrees if report.bases[d]), None
@@ -330,7 +325,7 @@ def no_monomial_units_check(inst: KurodaInstance, dmax: int, maximum: int = 8) -
     for beta, img in sorted(_pi_monomial_images(inst, dmax).items()):
         span.add(img.terms)
         support.update(img.terms)
-    one = field_one(inst.field)
+    one = coeff_of(inst.field, 1)
     zero = (0,) * inst.n
     for e in sorted(support):
         if e != zero and span.contains({e: one}):

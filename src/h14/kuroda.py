@@ -45,7 +45,7 @@ class KurodaInstance:
 
 
 def _check_entry(name, value, minimum):
-    if not isinstance(value, int) or value < minimum:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -55,6 +55,8 @@ def build_instance(n, gamma, delta, field_tag=QQ) -> KurodaInstance:
     if n not in (3, 4):
         raise ValidationError(f"n must be 3 or 4, got {n}")
     _check_entry("gamma", gamma, 1)
+    if not isinstance(delta, list) or not all(isinstance(r, list) for r in delta):
+        raise ValidationError(f"delta must be a list of integer rows, got {delta!r}")
     rows = [list(r) for r in delta]
     if n == 4:
         if len(rows) != 3:
@@ -68,26 +70,14 @@ def build_instance(n, gamma, delta, field_tag=QQ) -> KurodaInstance:
                 _check_entry(f"delta[{i}][{j}]", r[j], 1)
             _check_entry(f"delta[{i}][3]", r[3], 0)
         dmat = tuple(tuple(r) for r in rows)
-        t_rows = []
-        y_vecs = []
-        for i in range(3):
-            vec = list(dmat[i])
-            vec[i] = -vec[i]
-            y_vecs.append(tuple(vec))
-            t_rows.append(tuple(vec[:3]))
-        t_matrix = IntMatrix(3, 3, tuple(t_rows))
+        y_vecs = _flip_diagonal(dmat)
+        t_matrix = IntMatrix(3, 3, tuple(v[:3] for v in y_vecs))
         y_images = tuple(
             [LaurentPoly.monomial(4, v, 1, fld) for v in y_vecs]
             + [LaurentPoly.monomial(4, (0, 0, 0, gamma), 1, fld)]
         )
         pis = tuple(y_images[3] - y_images[i] for i in range(3))
-        d = dmat
-        xi = (
-            Fraction(d[0][0], d[0][0] + min(d[1][0], d[2][0])),
-            Fraction(d[1][1], d[1][1] + min(d[2][1], d[0][1])),
-            Fraction(d[2][2], d[2][2] + min(d[0][2], d[1][2])),
-        )
-        return KurodaInstance(4, gamma, dmat, fld, t_matrix, xi, pis, y_images)
+        return KurodaInstance(4, gamma, dmat, fld, t_matrix, _xi(dmat), pis, y_images)
     # n == 3
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValidationError("delta must be a 2x2 matrix for n=3")
@@ -96,7 +86,7 @@ def build_instance(n, gamma, delta, field_tag=QQ) -> KurodaInstance:
             _check_entry(f"delta[{i}][{j}]", rows[i][j], 1)
     (d11, d12), (d21, d22) = rows
     dmat = ((d11, d12), (d21, d22))
-    t_matrix = IntMatrix(2, 2, ((-d11, d12), (d21, -d22)))
+    t_matrix = IntMatrix(2, 2, _flip_diagonal(dmat))
     mono = lambda e: LaurentPoly.monomial(3, e, 1, fld)
     a = mono((-d11, d12, 0))
     b = mono((d21, -d22, 0))
@@ -111,7 +101,7 @@ def check_star(inst: KurodaInstance):
     """Exact value of the three-ratio sum; holds iff it is < 1 (n=4)."""
     if inst.n != 4:
         raise UsageError("the three-ratio condition applies to the n=4 family")
-    value = sum(inst.xi, Fraction(0))
+    value = star_value(inst.delta)
     return value, value < 1
 
 
@@ -119,20 +109,32 @@ def check_starstar(inst: KurodaInstance):
     """Exact value of the two-ratio sum; holds iff it is < 1/2 (n=3)."""
     if inst.n != 3:
         raise UsageError("the two-ratio condition applies to the n=3 family")
-    (d11, d12), (d21, d22) = inst.delta
-    value = Fraction(d11, d11 + d21) + Fraction(d22, d22 + d12)
+    value = starstar_value(*inst.delta[0], *inst.delta[1])
     return value, value < Fraction(1, 2)
 
 
 def starstar_value(d11, d12, d21, d22):
+    """The two-ratio sum of an n=3 instance."""
     return Fraction(d11, d11 + d21) + Fraction(d22, d22 + d12)
 
 
+def _xi(rows):
+    """The three ratios xi_i = d_ii / (d_ii + min of the other rows' column i)."""
+    return tuple(
+        Fraction(rows[i][i], rows[i][i] + min(rows[(i + 1) % 3][i], rows[(i + 2) % 3][i]))
+        for i in range(3)
+    )
+
+
 def star_value(rows):
-    return (
-        Fraction(rows[0][0], rows[0][0] + min(rows[1][0], rows[2][0]))
-        + Fraction(rows[1][1], rows[1][1] + min(rows[2][1], rows[0][1]))
-        + Fraction(rows[2][2], rows[2][2] + min(rows[0][2], rows[1][2]))
+    """The three-ratio sum of an n=4 instance (delta rows)."""
+    return sum(_xi(rows))
+
+
+def _flip_diagonal(rows):
+    """Rows with the diagonal entries negated: the sign rule of T and the Y-images."""
+    return tuple(
+        tuple(-x if i == j else x for j, x in enumerate(row)) for i, row in enumerate(rows)
     )
 
 
@@ -176,15 +178,7 @@ def implication_scan(n: int, bound: int, maximum: int = 4) -> ScanReport:
             rows = (flat[0:3], flat[3:6], flat[6:9])
             value = star_value(rows)
             holds = value < 1
-            t = IntMatrix(
-                3,
-                3,
-                tuple(
-                    tuple(-rows[i][j] if i == j else rows[i][j] for j in range(3))
-                    for i in range(3)
-                ),
-            )
-            dt = det(t)
+            dt = det(IntMatrix(3, 3, _flip_diagonal(rows)))
             entry = {"delta": rows, "value": value, "det": dt}
             if holds and dt == 0:
                 violations.append(entry)
@@ -256,26 +250,24 @@ def build_f0(inst: KurodaInstance, p1: int, p2: int, p3: int) -> LaurentPoly:
 def f0_is_polynomial(inst: KurodaInstance, p1: int, p2: int, p3: int) -> bool:
     """Exact polynomiality check for the certificate product.
 
-    First bounds each X-exponent over the multinomial index box (the
-    exponent is affine-linear in the indices, so the minimum is attained at
-    a box corner); if every bound is >= 0 the product is a polynomial even
-    before cancellation.  Otherwise the full expansion decides.
+    Bounds each X-exponent over the multinomial index box: the exponent is
+    affine-linear in the indices, so the minimum is attained at a box corner.
+    The bound is exact.  By Ostrowski, Newt(fg) = Newt(f) + Newt(g) in the
+    Laurent ring over a field (an integral domain), so the least exponent of
+    a product is the sum of the factors' least exponents; each factor
+    Y_a - Y_b maps to a nonzero binomial, because the Y-images of a valid
+    instance are pairwise distinct.  :func:`build_f0` expands the product
+    and serves as the oracle of this check.
     """
     if inst.n != 4:
         raise UsageError("the certificate product is defined for the n=4 family")
     vecs = [next(iter(img.terms)) for img in inst.y_images[:3]]
-    ok = True
-    for c in range(4):
-        a0, a1, a2 = vecs[0][c], vecs[1][c], vecs[2][c]
+    for a0, a1, a2 in zip(*vecs):
         const = p3 * a1 + (p1 + p2) * a2
-        ci, cj, ck = a1 - a2, a0 - a2, a0 - a1
-        low = const + min(0, ci * p1) + min(0, cj * p2) + min(0, ck * p3)
+        low = const + min(0, (a1 - a2) * p1) + min(0, (a0 - a2) * p2) + min(0, (a0 - a1) * p3)
         if low < 0:
-            ok = False
-            break
-    if ok:
-        return True
-    return build_f0(inst, p1, p2, p3).is_polynomial()
+            return False
+    return True
 
 
 @dataclass(frozen=True)

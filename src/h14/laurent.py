@@ -1,11 +1,13 @@
 """Sparse multivariate Laurent polynomials over exact coefficient fields.
 
-Coefficients are either rationals (``fractions.Fraction``) or residues in a
-prime field F_p (:class:`GF`).  Exponent vectors are integer tuples of fixed
-length and may have negative entries.  Everything is exact; no floats.
-
-A field is tagged by ``"Q"`` or by the prime ``p`` (an int).  Mixed-field
-arithmetic is rejected rather than coerced.
+A field is tagged by ``"Q"`` or by the prime ``p`` (an int), and the tag is
+the only field object.  Coefficients are ``fractions.Fraction`` over Q and
+plain ints in ``range(p)`` over F_p, combined with native ``+ - *``; the
+field layer is :func:`coeff_of` (coercion of outside input), :func:`inverse`
+and the in-place :func:`_axpy`, which reduces mod p only over F_p.  Exponent
+vectors are integer tuples of fixed length and may have negative entries.
+Everything is exact; no floats.  Mixed-field polynomial arithmetic is
+rejected rather than coerced.
 """
 
 from __future__ import annotations
@@ -52,118 +54,35 @@ def field_name(field) -> str:
     return "Q" if field == QQ else f"Fp:{field}"
 
 
-class GF:
-    """A residue in the prime field F_p."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p: int, v: int):
-        self.p = p
-        self.v = v % p
-
-    def _check(self, other):
-        if isinstance(other, GF):
-            if other.p != self.p:
-                raise FieldMismatchError(f"mixed moduli {self.p} and {other.p}")
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        w = self._check(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return GF(self.p, self.v + w)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._check(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return GF(self.p, self.v - w)
-
-    def __rsub__(self, other):
-        w = self._check(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return GF(self.p, w - self.v)
-
-    def __mul__(self, other):
-        w = self._check(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return GF(self.p, self.v * w)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "GF":
-        if self.v == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return GF(self.p, pow(self.v, self.p - 2, self.p))
-
-    def __truediv__(self, other):
-        w = self._check(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return self * GF(self.p, w).inverse()
-
-    def __rtruediv__(self, other):
-        w = self._check(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return GF(self.p, w) * self.inverse()
-
-    def __pow__(self, k: int):
-        if k >= 0:
-            return GF(self.p, pow(self.v, k, self.p))
-        return self.inverse() ** (-k)
-
-    def __neg__(self):
-        return GF(self.p, -self.v)
-
-    def __eq__(self, other):
-        if isinstance(other, GF):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"GF({self.p}, {self.v})"
-
-    def __str__(self):
-        return str(self.v)
-
-
 def coeff_of(field, value):
-    """Coerce an int / Fraction / GF into the given field."""
-    if field == QQ:
-        if isinstance(value, GF):
-            raise FieldMismatchError("cannot place a prime-field residue in Q")
-        if isinstance(value, (int, Fraction)):
+    """Coerce an int or Fraction into the field (a Fraction, or an int mod p)."""
+    if isinstance(value, (int, Fraction)):
+        if field == QQ:
             return Fraction(value)
-        raise UsageError(f"unsupported coefficient {value!r}")
-    if isinstance(value, GF):
-        if value.p != field:
-            raise FieldMismatchError(f"residue mod {value.p} given for F_{field}")
-        return value
-    if isinstance(value, int):
-        return GF(field, value)
-    if isinstance(value, Fraction):
-        return GF(field, value.numerator) / GF(field, value.denominator)
+        if isinstance(value, int):
+            return value % field
+        return value.numerator * inverse(field, value.denominator % field) % field
     raise UsageError(f"unsupported coefficient {value!r}")
 
 
-def field_one(field):
-    return Fraction(1) if field == QQ else GF(field, 1)
+def inverse(field, c):
+    """Multiplicative inverse of a nonzero coefficient (a Fraction over Q)."""
+    if not c:
+        raise ZeroDivisionError(f"zero has no inverse in {field_name(field)}")
+    return 1 / Fraction(c) if field == QQ else pow(c, -1, field)
+
+
+def _axpy(terms: dict, c, row: dict, field):
+    """``terms += c * row`` in place, dropping zero sums; reduced mod p over F_p."""
+    p = 0 if field == QQ else field
+    for k, v in row.items():
+        s = terms.get(k, 0) + c * v
+        if p:
+            s %= p
+        if s:
+            terms[k] = s
+        else:
+            terms.pop(k, None)
 
 
 class LaurentPoly:
@@ -184,6 +103,14 @@ class LaurentPoly:
                 if c:
                     clean[exps] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n, field, terms):
+        """Wrap ``terms`` without copying or coercion: the keys must be length-n
+        tuples and the values nonzero coefficients of the parsed ``field``."""
+        poly = object.__new__(cls)
+        poly.n, poly.field, poly.terms = n, field, terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -244,55 +171,49 @@ class LaurentPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GF)):
+    def _plus(self, c, other):
+        """``self + c * other`` for a polynomial or scalar ``other``."""
+        if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(self.n, other, self.field)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._compat(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(self.n, self.field, out)
+        _axpy(out, c, other.terms, self.field)
+        return LaurentPoly._trusted(self.n, self.field, out)
+
+    def __add__(self, other):
+        return self._plus(1, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.n, self.field, {e: -c for e, c in self.terms.items()})
+        return self._scaled(-1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GF)):
-            other = LaurentPoly.constant(self.n, other, self.field)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(-1, other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, c):
+        out = {}
+        _axpy(out, c, self.terms, self.field)
+        return LaurentPoly._trusted(self.n, self.field, out)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GF)):
-            c0 = coeff_of(self.field, other)
-            return LaurentPoly(
-                self.n, self.field, {e: c * c0 for e, c in self.terms.items()}
-            )
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(coeff_of(self.field, other))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._compat(other)
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.n, self.field, out)
+            shifted = {
+                tuple(a + b for a, b in zip(e1, e2)): c2 for e2, c2 in other.terms.items()
+            }
+            _axpy(out, c1, shifted, self.field)
+        return LaurentPoly._trusted(self.n, self.field, out)
 
     __rmul__ = __mul__
 
@@ -350,33 +271,28 @@ class LaurentPoly:
             coefs.append(coef)
         if m is None:
             raise UsageError("substitute needs at least one image")
+        invs = [inverse(self.field, ci) for ci in coefs]
         out = {}
         for e, c in self.terms.items():
             vec = [0] * m
-            coef = c
-            for ei, v, ci in zip(e, vecs, coefs):
+            factor = 1
+            for ei, v, ci, inv in zip(e, vecs, coefs, invs):
                 if ei:
                     for j in range(m):
                         vec[j] += ei * v[j]
-                    coef = coef * (ci ** ei if ei >= 0 else _inv(ci) ** (-ei))
-            key = tuple(vec)
-            s = out.get(key, 0) + coef
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return LaurentPoly(m, self.field, out)
+                    factor = factor * (ci ** ei if ei > 0 else inv ** -ei)
+            _axpy(out, factor, {tuple(vec): c}, self.field)
+        return LaurentPoly._trusted(m, self.field, out)
 
     def partial_derivative(self, i: int) -> "LaurentPoly":
         """Term-wise derivative in variable ``i`` (exact in the field)."""
         out = {}
         for e, c in self.terms.items():
-            ci = c * coeff_of(self.field, e[i])
-            if ci:
+            if e[i]:
                 ne = list(e)
                 ne[i] -= 1
-                out[tuple(ne)] = out.get(tuple(ne), 0) + ci
-        return LaurentPoly(self.n, self.field, out)
+                _axpy(out, e[i], {tuple(ne): c}, self.field)
+        return LaurentPoly._trusted(self.n, self.field, out)
 
     def weighted_degree_of(self, exps, weights) -> int:
         return sum(e * w for e, w in zip(exps, weights))
@@ -389,7 +305,7 @@ class LaurentPoly:
         for e, c in self.terms.items():
             d = sum(x * w for x, w in zip(e, weights))
             parts.setdefault(d, {})[e] = c
-        return {d: LaurentPoly(self.n, self.field, t) for d, t in sorted(parts.items())}
+        return {d: LaurentPoly._trusted(self.n, self.field, t) for d, t in sorted(parts.items())}
 
     def is_homogeneous(self, weights):
         return len(self.grade_by(weights)) <= 1
@@ -403,7 +319,7 @@ class LaurentPoly:
         parts = []
         for e, c in self.sorted_terms():
             mono = " ".join(f"X{i + 1}^{x}" for i, x in enumerate(e))
-            parts.append(f"{_coef_text(c)} * {mono}")
+            parts.append(f"{c} * {mono}")
         return " + ".join(parts)
 
     @classmethod
@@ -427,16 +343,12 @@ class LaurentPoly:
                 if idx != len(exps) + 1:
                     raise UsageError(f"variables out of order near {atom!r}")
                 exps.append(e)
-            if n is not None and len(exps) != n:
+            if n is None:
+                n = len(exps)
+            if len(exps) != n:
                 raise UsageError(f"term has {len(exps)} variables, expected {n}")
-            if field == QQ:
-                coef = Fraction(coef_s)
-            else:
-                coef = GF(field, int(coef_s))
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0) + coef
-        nn = n if n is not None else len(next(iter(terms)))
-        return cls(nn, field, terms)
+            _axpy(terms, coeff_of(field, Fraction(coef_s)), {tuple(exps): 1}, field)
+        return cls._trusted(n, field, terms)
 
     def __repr__(self):
         return f"LaurentPoly({self.n}, {field_name(self.field)}, {self.to_text()!r})"
@@ -444,14 +356,3 @@ class LaurentPoly:
     def __str__(self):
         return self.to_text()
 
-
-def _inv(c):
-    if isinstance(c, Fraction):
-        return 1 / c
-    return c.inverse()
-
-
-def _coef_text(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c)
-    return str(c.v)

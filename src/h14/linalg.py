@@ -2,8 +2,9 @@
 
 Dense routines work over Q with ``fractions.Fraction`` entries and are used
 for small systems (extreme rays, unit-row solves, rank checks).  The sparse
-reduced-row-echelon machinery works over any coefficient field (Fraction or
-GF residues) with sortable keys, and backs the graded-intersection and
+reduced-row-echelon machinery works over either coefficient field (Fraction
+entries over Q, ints in ``range(p)`` over F_p) through the field layer of
+:mod:`h14.laurent`, with sortable keys, and backs the graded-intersection and
 derivation-kernel computations.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .laurent import field_one
+from .laurent import _axpy, coeff_of, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +97,8 @@ def rational_solve(rows, rhs):
 
 
 def primitive_vector(vec):
-    """Clear denominators and divide by the content; first nonzero entry > 0 ... no:
-    sign is normalized so the first nonzero entry is positive."""
+    """Clear denominators and divide by the content; the sign is normalized so
+    that the first nonzero entry is positive."""
     fracs = [Fraction(x) for x in vec]
     den = 1
     for f in fracs:
@@ -143,7 +144,7 @@ class SparseRREF:
             if not hits:
                 return out
             k = min(hits)
-            _axpy(out, -out[k], self.rows[k])
+            _axpy(out, -out[k], self.rows[k], self.field)
 
     def add(self, vec):
         """Insert ``vec``; returns its pivot key, or None if dependent."""
@@ -151,13 +152,13 @@ class SparseRREF:
         if not res:
             return None
         k = min(res)
-        inv = field_one(self.field) / res[k]
-        row = {kk: c * inv for kk, c in res.items()}
+        row = {}
+        _axpy(row, inverse(self.field, res[k]), res, self.field)
         # back-substitute into existing rows for full RREF
-        for pk, prow in self.rows.items():
+        for prow in self.rows.values():
             c = prow.get(k)
             if c:
-                _axpy(prow, -c, row)
+                _axpy(prow, -c, row, self.field)
         self.rows[k] = row
         return k
 
@@ -167,15 +168,6 @@ class SparseRREF:
     def basis(self):
         """Canonical basis rows sorted by pivot key."""
         return [dict(self.rows[k]) for k in sorted(self.rows)]
-
-
-def _axpy(target: dict, c, row: dict):
-    for k, v in row.items():
-        s = target.get(k, 0) + c * v
-        if s:
-            target[k] = s
-        else:
-            target.pop(k, None)
 
 
 def sparse_nullspace(constraints, variables, field):
@@ -192,7 +184,7 @@ def sparse_nullspace(constraints, variables, field):
             rr.add(row)
     pivots = set(rr.rows)
     basis = []
-    one = field_one(field)
+    one = coeff_of(field, 1)
     for f in sorted(variables):
         if f in pivots:
             continue
@@ -200,7 +192,7 @@ def sparse_nullspace(constraints, variables, field):
         for p, row in rr.rows.items():
             c = row.get(f)
             if c:
-                vec[p] = -c
+                vec[p] = coeff_of(field, -c)
         basis.append(vec)
     return basis
 
@@ -223,7 +215,7 @@ def span_intersection(rows_a, rows_b, field):
     # relations among the residues yield intersection elements.
     tagged = SparseRREF(field)
     inter = SparseRREF(field)
-    one = field_one(field)
+    one = coeff_of(field, 1)
     for i, arow in enumerate(basis_a):
         res = rb.reduce({("m", k): v for k, v in arow.items()})
         res[("t", i)] = one
@@ -236,7 +228,7 @@ def span_intersection(rows_a, rows_b, field):
         for (kind, i), c in combo.items():
             if kind != "t":
                 continue
-            _axpy(elem, c, basis_a[i])
+            _axpy(elem, c, basis_a[i], field)
         if elem:
             inter.add(elem)
     return ra.rank, rb.rank, inter.basis()

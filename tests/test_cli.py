@@ -46,6 +46,25 @@ class TestCheckConditions:
         assert code == 2
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 4, "gamma": 1, "delta": [1, 2, 3]},
+            {"n": 4, "gamma": True, "delta": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]},
+            {"n": 3, "gamma": 1, "delta": [[3, True], [1, 1]]},
+        ],
+    )
+    def test_malformed_instance_is_a_config_error(self, capsys, tmp_path, data):
+        cfg = write_config(tmp_path, data)
+        code, _, err = run(capsys, "check-conditions", "--config", cfg)
+        assert code == 2
+        assert "gamma" in err or "delta" in err
+
+    def test_jobs_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-conditions", "--jobs", "2"])
+        assert exc.value.code == 2
+
 
 class TestHilbert:
     def test_worked_example(self, capsys, tmp_path):

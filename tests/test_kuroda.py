@@ -150,10 +150,34 @@ class TestCertificates:
 
     def test_fast_bound_agrees_with_expansion(self):
         rng = random.Random(13)
-        for _ in range(30):
-            inst = random_instance(rng, 4, 3)
-            ps = tuple(rng.randint(0, 3) for _ in range(3))
+        for _ in range(60):
+            inst = random_instance(rng, 4, 3, rng.choice(["Q", "Fp:2", "Fp:5"]))
+            ps = tuple(rng.randint(0, 6) for _ in range(3))
             assert f0_is_polynomial(inst, *ps) == build_f0(inst, *ps).is_polynomial()
+
+    def test_fast_bound_agrees_on_mutated_certificates(self):
+        """The lowered-p1 cases of the certificate box scan, against expansion."""
+        import itertools
+        import math
+
+        from h14.kuroda import star_value
+
+        disagreements, non_polynomial = [], 0
+        for flat in itertools.product(range(1, 4), repeat=9):
+            rows = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
+            if star_value(rows) >= 1:
+                continue
+            inst = build_instance(4, 1, rows)
+            p, p1, p2, p3 = lemma31_find_p(inst.xi)
+            bad_p1 = math.ceil(p * inst.xi[0]) - 1
+            if bad_p1 < 0:
+                continue
+            fast = f0_is_polynomial(inst, bad_p1, p2, p3)
+            non_polynomial += not fast
+            if fast != build_f0(inst, bad_p1, p2, p3).is_polynomial():
+                disagreements.append(rows)
+        assert disagreements == []
+        assert non_polynomial > 0
 
     def test_box_scan_certificates(self):
         import itertools

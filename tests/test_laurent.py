@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h14.errors import FieldMismatchError, UsageError
-from h14.laurent import GF, QQ, LaurentPoly, parse_field
+from h14.laurent import QQ, LaurentPoly, coeff_of, inverse, parse_field
+from h14.linalg import sparse_nullspace
 
 
 def mono(n, e, c=1, field=QQ):
@@ -26,14 +27,30 @@ class TestFieldTags:
         with pytest.raises(UsageError):
             parse_field(1)
 
-    def test_gf_arithmetic(self):
-        a = GF(7, 3)
-        assert a + 5 == GF(7, 1)
-        assert a * a == GF(7, 2)
-        assert (a / GF(7, 2)) * GF(7, 2) == a
-        assert a ** -1 * a == GF(7, 1)
-        with pytest.raises(FieldMismatchError):
-            a + GF(5, 1)
+    def test_prime_field_arithmetic(self):
+        a, b = coeff_of(7, 3), coeff_of(7, 2)
+        assert coeff_of(7, a + 5) == 1
+        assert coeff_of(7, a * a) == 2
+        assert coeff_of(7, a * inverse(7, b) * b) == a
+        assert coeff_of(7, inverse(7, a) * a) == 1
+        assert coeff_of(7, Fraction(3, 2)) * 2 % 7 == 3
+        assert coeff_of(7, -1) == 6
+        with pytest.raises(ZeroDivisionError):
+            inverse(7, coeff_of(7, 14))
+
+    def test_coefficient_types(self):
+        assert type(coeff_of(QQ, 3)) is Fraction
+        assert type(coeff_of(5, 8)) is int
+        assert inverse(QQ, 4) == Fraction(1, 4) and type(inverse(QQ, 4)) is Fraction
+        with pytest.raises(ZeroDivisionError):
+            inverse(QQ, Fraction(0))
+        with pytest.raises(UsageError):
+            coeff_of(QQ, 0.5)
+
+    def test_int_rows_give_fraction_nullspace(self):
+        basis = sparse_nullspace([{0: 1, 1: 1}], [0, 1, 2], "Q")
+        assert basis == [{1: 1, 0: -1}, {2: 1}]
+        assert all(type(c) is Fraction for vec in basis for c in vec.values())
 
 
 class TestRingOps:
@@ -116,6 +133,36 @@ class TestSubstitute:
     def test_homomorphism(self, f, g):
         images = [mono(2, (1, -1)), mono(2, (2, 1))]
         assert (f * g).substitute(images) == f.substitute(images) * g.substitute(images)
+
+
+int_polys = st.lists(
+    st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-9, 9)),
+    max_size=4,
+)
+
+
+def _reduced(f, p):
+    """The Q polynomial ``f`` (integer coefficients) with each coefficient mod p."""
+    return LaurentPoly(f.n, p, {e: int(c) % p for e, c in f.terms.items()})
+
+
+class TestPrimeFieldAgainstQ:
+    """Over F_p, ring operations on integer polynomials commute with reduction."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(int_polys, int_polys, st.sampled_from([2, 3, 5, 7, 32003]), st.integers(0, 3))
+    def test_reduction_is_a_ring_map(self, ta, tb, p, k):
+        f, g = LaurentPoly(2, QQ, dict(ta)), LaurentPoly(2, QQ, dict(tb))
+        fp, gp = LaurentPoly(2, p, dict(ta)), LaurentPoly(2, p, dict(tb))
+        images = [mono(2, (1, -1)), mono(2, (2, 1), -1)]
+        images_p = [mono(2, (1, -1), field=p), mono(2, (2, 1), -1, p)]
+        assert fp + gp == _reduced(f + g, p)
+        assert fp - gp == _reduced(f - g, p)
+        assert fp * gp == _reduced(f * g, p)
+        assert fp ** k == _reduced(f ** k, p)
+        assert fp.substitute(images_p) == _reduced(f.substitute(images), p)
+        assert LaurentPoly.from_text(fp.to_text(), p, 2) == fp
+        assert all(type(c) is int and 0 < c < p for c in (fp * gp).terms.values())
 
 
 class TestSupportAndGrading:
