@@ -214,6 +214,12 @@ def lemma31_find_p(xi):
     return p, p1, p2, p3
 
 
+def _check_exponents(**exponents):
+    for name, v in exponents.items():
+        if not isinstance(v, int) or v < 0:
+            raise UsageError(f"{name} must be a nonnegative integer")
+
+
 def build_f0(inst: KurodaInstance, p1: int, p2: int, p3: int) -> LaurentPoly:
     """The certificate product expanded and pushed down to the X-variables.
 
@@ -223,9 +229,7 @@ def build_f0(inst: KurodaInstance, p1: int, p2: int, p3: int) -> LaurentPoly:
     """
     if inst.n != 4:
         raise UsageError("the certificate product is defined for the n=4 family")
-    for name, v in (("p1", p1), ("p2", p2), ("p3", p3)):
-        if not isinstance(v, int) or v < 0:
-            raise UsageError(f"{name} must be a nonnegative integer")
+    _check_exponents(p1=p1, p2=p2, p3=p3)
     c1 = [math.comb(p1, i) for i in range(p1 + 1)]
     c2 = [math.comb(p2, j) for j in range(p2 + 1)]
     c3 = [math.comb(p3, k) for k in range(p3 + 1)]
@@ -261,10 +265,12 @@ def f0_is_polynomial(inst: KurodaInstance, p1: int, p2: int, p3: int) -> bool:
     """
     if inst.n != 4:
         raise UsageError("the certificate product is defined for the n=4 family")
+    _check_exponents(p1=p1, p2=p2, p3=p3)
     vecs = [next(iter(img.terms)) for img in inst.y_images[:3]]
     for a0, a1, a2 in zip(*vecs):
         const = p3 * a1 + (p1 + p2) * a2
-        low = const + min(0, (a1 - a2) * p1) + min(0, (a0 - a2) * p2) + min(0, (a0 - a1) * p3)
+        ci, cj, ck = a1 - a2, a0 - a2, a0 - a1
+        low = const + min(0, ci * p1) + min(0, cj * p2) + min(0, ck * p3)
         if low < 0:
             return False
     return True
@@ -283,9 +289,7 @@ def build_G(inst: KurodaInstance, s: int, p2bar: int, p3bar: int, e: int) -> GPr
     """
     if inst.n != 4:
         raise UsageError("defined for the n=4 family")
-    for name, v in (("s", s), ("p2bar", p2bar), ("p3bar", p3bar), ("e", e)):
-        if not isinstance(v, int) or v < 0:
-            raise UsageError(f"{name} must be a nonnegative integer")
+    _check_exponents(s=s, p2bar=p2bar, p3bar=p3bar, e=e)
     y = [LaurentPoly.variable(4, i, inst.field) for i in range(4)]
     g = (y[2] - y[1]) ** s * (y[2] - y[0]) ** p2bar * (y[1] - y[0]) ** p3bar
     g = g * (y[3] - y[0]) ** e

@@ -76,7 +76,10 @@ def _axpy(terms: dict, c, row: dict, field):
     """``terms += c * row`` in place, dropping zero sums; reduced mod p over F_p."""
     p = 0 if field == QQ else field
     for k, v in row.items():
-        s = terms.get(k, 0) + c * v
+        s = c * v
+        old = terms.get(k)
+        if old is not None:  # a new key skips adding 0, a Fraction op over Q
+            s = old + s
         if p:
             s %= p
         if s:

@@ -147,6 +147,8 @@ class TestCertificates:
         inst = build_instance(4, 1, [[1, 1, 1]] * 3)
         assert not f0_is_polynomial(inst, 1, 1, 1)
         assert not build_f0(inst, 1, 1, 1).is_polynomial()
+        with pytest.raises(UsageError):
+            f0_is_polynomial(inst, 1, -1, 1)
 
     def test_fast_bound_agrees_with_expansion(self):
         rng = random.Random(13)
