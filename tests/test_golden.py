@@ -22,6 +22,7 @@ CASES = {
     "check-conditions-n3": ["check-conditions", "--config", "n3.json"],
     "verify-t2.14-seed3": ["verify", "t2.14", "--seed", "3"],
     "verify-t2.8": ["verify", "t2.8"],
+    "verify-t2.5i": ["verify", "t2.5i"],
     "verify-r2.16": ["verify", "r2.16"],
     "verify-l2.15-d8-q": ["verify", "l2.15", "--dmax", "8"],
     "verify-l2.15-d8-fp5": ["verify", "l2.15", "--dmax", "8", "--field", "Fp:5"],
