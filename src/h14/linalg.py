@@ -1,11 +1,14 @@
-"""Exact linear algebra helpers.
+"""Exact linear algebra.
 
-Dense routines work over Q with ``fractions.Fraction`` entries and are used
-for small systems (extreme rays, unit-row solves, rank checks).  The sparse
-reduced-row-echelon machinery works over either coefficient field (Fraction
-entries over Q, ints in ``range(p)`` over F_p) through the field layer of
-:mod:`h14.laurent`, with sortable keys, and backs the graded-intersection and
-derivation-kernel computations.
+``SparseRREF`` is the one elimination engine: an incremental reduced row
+echelon form on sparse rows with sortable keys, over either coefficient field
+(Fraction entries over Q, ints in ``range(p)`` over F_p) through the field
+layer of :mod:`h14.laurent`.  It backs the graded-intersection and
+derivation-kernel computations directly.  ``row_reduce``,
+``rational_nullspace`` and ``rational_solve`` are thin adapters that feed it
+dense rows over Q, keyed by column index, for the small systems of the monoid
+and lattice code (extreme rays, unit-row solves, rank checks); their outputs
+are ``Fraction`` lists.
 """
 
 from __future__ import annotations
@@ -13,50 +16,26 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .laurent import _axpy, coeff_of, inverse
+from .laurent import QQ, _axpy, coeff_of, inverse
+
+_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
-# dense rational routines
+# dense rows over Q
 # ---------------------------------------------------------------------------
 
 
-def _as_fraction_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def row_reduce(rows) -> SparseRREF:
+    """Reduced row echelon form over Q of dense rows, keyed by column index."""
+    rr = SparseRREF(QQ)
+    for row in rows:
+        rr.add({j: x for j, x in enumerate(row) if x})
+    return rr
 
 
-def row_reduce(rows):
-    """Reduced row echelon form over Q.
-
-    Returns ``(mat, pivots)`` where pivots is a list of column indices,
-    one per nonzero row of ``mat``.
-    """
-    mat = _as_fraction_matrix(rows)
-    if not mat:
-        return mat, []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def rational_rank(rows) -> int:
-    return len(row_reduce(rows)[1])
+def _dense(vecs, ncols):
+    return [[v.get(j, _ZERO) for j in range(ncols)] for v in vecs]
 
 
 def rational_nullspace(rows, ncols=None):
@@ -65,35 +44,26 @@ def rational_nullspace(rows, ncols=None):
         ncols = len(rows[0])
     elif ncols is None:
         raise ValueError("need ncols for an empty matrix")
-    mat, pivots = row_reduce(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -mat[r][f]
-        basis.append(vec)
-    return basis
+    return _dense(row_reduce(rows).null_basis(range(ncols)), ncols)
 
 
 def rational_solve(rows, rhs):
     """Solve ``A x = b`` exactly.
 
     Returns ``(particular, nullspace_basis)`` with free variables set to 0,
-    or ``None`` when the system is inconsistent.
+    or ``None`` when the system is inconsistent.  One reduction of [A | b]
+    gives both: the rhs column has the largest key, so it is a pivot only
+    when the system is inconsistent, and otherwise the reduced rows cut to
+    the columns of A are the reduced row echelon form of A.
     """
     if not rows:
-        return [ ], []
+        return [], []
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    mat, pivots = row_reduce(aug)
-    if ncols in pivots:
+    rr = row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in rr.rows:
         return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = mat[r][ncols]
-    return x, rational_nullspace(rows, ncols)
+    x = [rr.rows.get(j, {}).get(ncols, _ZERO) for j in range(ncols)]
+    return x, _dense(rr.null_basis(range(ncols)), ncols)
 
 
 def primitive_vector(vec):
@@ -137,14 +107,18 @@ class SparseRREF:
         return len(self.rows)
 
     def reduce(self, vec) -> dict:
-        """Residue of ``vec`` after reduction by the current rows (a copy)."""
+        """Residue of ``vec`` after reduction by the current rows (a copy).
+
+        Every stored row vanishes at every other pivot, so one pass that
+        subtracts ``vec[k]`` times the row of each pivot key ``k`` of ``vec``
+        leaves the unique residue.
+        """
         out = dict(vec)
-        while True:
-            hits = [k for k in out if k in self.rows]
-            if not hits:
-                return out
-            k = min(hits)
-            _axpy(out, -out[k], self.rows[k], self.field)
+        for k, c in vec.items():
+            row = self.rows.get(k)
+            if row is not None:
+                _axpy(out, -c, row, self.field)
+        return out
 
     def add(self, vec):
         """Insert ``vec``; returns its pivot key, or None if dependent."""
@@ -169,6 +143,20 @@ class SparseRREF:
         """Canonical basis rows sorted by pivot key."""
         return [dict(self.rows[k]) for k in sorted(self.rows)]
 
+    def null_basis(self, variables):
+        """Canonical basis of the solutions of the stored rows, read as
+        homogeneous equations in ``variables``: one vector per free variable,
+        in ascending order, with 1 there and minus each pivot row's entry
+        there at that row's pivot."""
+        one = coeff_of(self.field, 1)
+        basis = {f: {f: one} for f in sorted(variables) if f not in self.rows}
+        for p, row in self.rows.items():
+            for f, c in row.items():
+                vec = basis.get(f)
+                if vec is not None:
+                    vec[p] = coeff_of(self.field, -c)
+        return list(basis.values())
+
 
 def sparse_nullspace(constraints, variables, field):
     """Nullspace of a sparse constraint system.
@@ -182,19 +170,7 @@ def sparse_nullspace(constraints, variables, field):
     for row in constraints:
         if row:
             rr.add(row)
-    pivots = set(rr.rows)
-    basis = []
-    one = coeff_of(field, 1)
-    for f in sorted(variables):
-        if f in pivots:
-            continue
-        vec = {f: one}
-        for p, row in rr.rows.items():
-            c = row.get(f)
-            if c:
-                vec[p] = coeff_of(field, -c)
-        basis.append(vec)
-    return basis
+    return rr.null_basis(variables)
 
 
 def span_intersection(rows_a, rows_b, field):

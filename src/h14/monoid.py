@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import IndependenceError, LinealityError, ShapeError, UsageError
 from .lattice import IntMatrix, row_times_matrix
-from .linalg import primitive_vector, rational_nullspace, rational_rank, rational_solve
+from .linalg import primitive_vector, rational_nullspace, rational_solve, row_reduce
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def monomial_membership(gens: SubalgebraGens, target):
 
 def alg_independence(gens: SubalgebraGens) -> bool:
     """True iff the exponent matrix has full row rank over Q."""
-    return rational_rank([list(r) for r in gens.matrix.entries]) == gens.t
+    return row_reduce(gens.matrix.entries).rank == gens.t
 
 
 def intersection_generators(gens: SubalgebraGens):
