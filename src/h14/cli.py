@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .derivation import support_property_check
-from .errors import ConfigError, PreconditionError, UsageError
+from .errors import ConfigError, PreconditionError, UsageError, is_int
 from .intersect import graded_intersection, kuroda_intersection_basis
 from .kuroda import (
     build_f0,
@@ -100,6 +100,14 @@ def load_config(path):
     return data
 
 
+def _n4_instance(args):
+    """The instance of a check that concerns the n=4 family only."""
+    inst = _instance(args, DEFAULT_N4)
+    if inst.n != 4:
+        raise ConfigError(f"verify {args.check_id} concerns the n=4 family, got n={inst.n}")
+    return inst
+
+
 def _instance(args, default):
     cfg = load_config(args.config) or dict(default)
     if "U" in cfg:
@@ -146,6 +154,9 @@ def cmd_hilbert(args):
     u_rows = cfg["U"]
     if not u_rows or not all(isinstance(r, list) and r for r in u_rows):
         raise ConfigError("U must be a nonempty matrix")
+    bad = [x for r in u_rows for x in r if not is_int(x)]
+    if bad:
+        raise ConfigError(f"U entries must be integers, got {bad[0]!r}")
     field = args.field or cfg.get("field", "Q")
     gens = SubalgebraGens.of(len(u_rows[0]), u_rows)
     hb = hilbert_basis(gens.matrix)
@@ -195,7 +206,7 @@ def cmd_scan(args):
 
 
 def _verify_t25i(args, rep):
-    inst = _instance(args, DEFAULT_N4)
+    inst = _n4_instance(args)
     ok = True
     for i in range(inst.n - 1):
         m, s = solve_unit_row(inst.t_matrix, i)
@@ -222,7 +233,7 @@ def _verify_t25ii(args, rep):
 def _verify_p26(args, rep):
     from .intersect import no_monomial_units_check
 
-    inst = _instance(args, DEFAULT_N4)
+    inst = _n4_instance(args)
     dmax = args.dmax if args.dmax is not None else 4
     ok = no_monomial_units_check(inst, dmax)
     rep.row("degree_bound", dmax)
@@ -330,7 +341,7 @@ def _verify_l31(args, rep):
 
 
 def _verify_l32(args, rep):
-    inst = _instance(args, DEFAULT_N4)
+    inst = _n4_instance(args)
     dmax = args.dmax if args.dmax is not None else 6
     report = kuroda_intersection_basis(inst, dmax)
     ok = True

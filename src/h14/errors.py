@@ -1,9 +1,15 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the integer check of input
+validation.
 
 Two broad classes matter for the CLI exit-code contract: usage/config
 problems (exit 2) and violated mathematical preconditions (exit 3).  A failed
 verification is not an exception: the CLI prints ``RESULT fail`` and exits 1.
 """
+
+
+def is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``: booleans are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class ToolkitError(Exception):

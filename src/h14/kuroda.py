@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import ConditionError, UsageError, ValidationError
+from .errors import ConditionError, UsageError, ValidationError, is_int
 from .laurent import QQ, LaurentPoly, parse_field
 from .lattice import IntMatrix, det
 
@@ -45,7 +45,7 @@ class KurodaInstance:
 
 
 def _check_entry(name, value, minimum):
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    if not is_int(value) or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -216,7 +216,7 @@ def lemma31_find_p(xi):
 
 def _check_exponents(**exponents):
     for name, v in exponents.items():
-        if not isinstance(v, int) or v < 0:
+        if not is_int(v) or v < 0:
             raise UsageError(f"{name} must be a nonnegative integer")
 
 

@@ -91,6 +91,14 @@ class TestHilbert:
         code, _, _ = run(capsys, "hilbert", "--config", cfg)
         assert code == 2
 
+    @pytest.mark.parametrize("entry", ["a", 1.7, True])
+    def test_non_integer_entry_is_a_config_error(self, capsys, tmp_path, entry):
+        cfg = write_config(tmp_path, {"U": [[1, entry], [1, -1]]})
+        code, out, err = run(capsys, "hilbert", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "U entries must be integers" in err
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -111,6 +119,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "l2.15", "--field", "Fp:5", "--dmax", "8")
         assert code == 0
         assert "RESULT\tpass" in out
+
+    @pytest.mark.parametrize(
+        "check_id, work",
+        [
+            ("t2.5i", "h14.cli.solve_unit_row"),
+            ("p2.6", "h14.intersect.no_monomial_units_check"),
+            ("l3.2", "h14.cli.kuroda_intersection_basis"),
+        ],
+    )
+    def test_n4_checks_reject_n3_config_up_front(self, capsys, tmp_path, monkeypatch, check_id, work):
+        def no_work(*_args):
+            raise AssertionError("the check ran before the config was rejected")
+
+        monkeypatch.setattr(work, no_work)
+        cfg = write_config(tmp_path, {"n": 3, "gamma": 1, "delta": [[3, 1], [1, 1]]})
+        code, out, err = run(capsys, "verify", check_id, "--config", cfg)
+        assert code == 2
+        assert "RESULT" not in out
+        assert "n=4 family" in err
 
     def test_bad_field(self, capsys):
         code, _, err = run(capsys, "verify", "l2.15", "--field", "Fp:9")

@@ -149,6 +149,8 @@ class TestCertificates:
         assert not build_f0(inst, 1, 1, 1).is_polynomial()
         with pytest.raises(UsageError):
             f0_is_polynomial(inst, 1, -1, 1)
+        with pytest.raises(UsageError):  # booleans are not exponents
+            f0_is_polynomial(inst, True, 1, 1)
 
     def test_fast_bound_agrees_with_expansion(self):
         rng = random.Random(13)
