@@ -190,6 +190,12 @@ def cmd_intersect(args):
 
 
 def cmd_scan(args):
+    given = [
+        opt for opt, value in (("--config", args.config), ("--field", args.field), ("--dmax", args.dmax))
+        if value is not None
+    ]
+    if given:
+        raise UsageError(f"scan takes no {', '.join(given)}: its boxes are fixed and it builds no polynomials")
     rep = Report()
     _header(rep, args)
     rep.row("n", "bound", "instances", "implication_violations", "converse_witnesses")

@@ -12,6 +12,16 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def int_vector(values, what) -> tuple:
+    """``tuple(values)``, or a ``ValidationError`` naming ``what`` if an entry
+    fails :func:`is_int` (no truncation of floats, no booleans)."""
+    vec = tuple(values)
+    for x in vec:
+        if not is_int(x):
+            raise ValidationError(f"{what} entries must be integers, got {x!r}")
+    return vec
+
+
 class ToolkitError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -6,7 +6,11 @@ all products of its generators of the given weighted degree, and the two
 coefficient spaces are intersected exactly.  ``kuroda_intersection_basis``
 works in the pi-coordinates of an instance: it looks for combinations of
 pi-monomials whose X-substitution has no negative exponents, one exact
-cancellation constraint per offending X-monomial.
+cancellation constraint per offending X-monomial.  Over Q it eliminates
+modulo the prime P = 2^61 - 1, lifts every basis entry by rational
+reconstruction and verifies every lifted vector exactly through its integer
+X-image; the same loop over Q with Fractions is the fallback.  Its reports
+equal those of the Fraction loop byte for byte.
 
 Both computations are complete only up to their degree bound, and the
 reports say so; nothing here decides (non-)finite generation.
@@ -15,13 +19,19 @@ reports say so; nothing here decides (non-)finite generation.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from math import lcm
 
 from .errors import GradingError, SingularMatrixError, UsageError
 from .kuroda import KurodaInstance
 from .lattice import coset_decomposition
-from .laurent import LaurentPoly, _axpy, coeff_of
-from .linalg import SparseRREF, span_intersection, sparse_nullspace
+from .laurent import QQ, LaurentPoly, coeff_of
+from .linalg import SparseRREF, rational_reconstruction, span_intersection, sparse_nullspace
+
+# The prime of the modular pi-engine over Q (a Mersenne prime, 2^61 - 1).
+P = 2**61 - 1
 
 BOUND_NOTE = (
     "new-generator counts use subalgebra spans up to the report's own degree "
@@ -156,14 +166,112 @@ def _pi_monomial_images(inst: KurodaInstance, dmax: int):
     return images
 
 
+def _integer_images(images):
+    """Each pi-monomial image as (common denominator, integer numerators)."""
+    out = {}
+    for beta, img in images.items():
+        den = lcm(*(c.denominator for c in img.terms.values()))
+        out[beta] = (den, {e: c.numerator * (den // c.denominator) for e, c in img.terms.items()})
+    return out
+
+
+def _x_image(row, ints, fld):
+    """X-image of the pi-combination ``row``, summed in integers.
+
+    The entries are put over their common denominator D (1 over F_p, whose
+    ints have denominator 1), so every X-coefficient is one integer sum s:
+    ``Fraction(s, D)`` over Q, ``s mod p`` over F_p.
+    """
+    dens = {beta: c.denominator * ints[beta][0] for beta, c in row.items()}
+    big = lcm(*dens.values())
+    sums = {}
+    for beta, c in row.items():
+        m = c.numerator * (big // dens[beta])
+        for e, v in ints[beta][1].items():
+            sums[e] = sums.get(e, 0) + m * v
+    if fld == QQ:
+        return {e: Fraction(s, big) for e, s in sums.items() if s}
+    return {e: r for e, s in sums.items() if (r := s % fld)}
+
+
+def _degree_bases(constraints, variables, dmax, fld):
+    """The per-degree loop: one nullspace solve per degree d <= dmax.
+
+    Returns degree -> the canonical rows that are new at that degree: the
+    RREF of the degree-d solutions that vanish at the pivots of all earlier
+    rows.  A reduced row echelon form is unique, so the rows depend only on
+    the solution spaces, not on the order of the work.
+    """
+    seen = SparseRREF(fld)
+    bases = {}
+    for d in range(dmax + 1):
+        rows = []
+        for e in sorted(constraints):
+            row = {b: c for b, c in constraints[e].items() if sum(b) <= d}
+            if row:
+                rows.append(row)
+        null = sparse_nullspace(rows, [b for b in variables if sum(b) <= d], fld)
+        fresh = SparseRREF(fld)
+        for vec in null:
+            res = seen.reduce(vec)
+            if res:
+                fresh.add(res)
+        bases[d] = fresh.basis()
+        for row in bases[d]:
+            seen.add(row)
+    return bases
+
+
+def _lift(bases):
+    """Rational reconstruction of every entry mod P; None if one fails."""
+    out = {}
+    for d, rows in bases.items():
+        out[d] = []
+        for row in rows:
+            lifted = {}
+            for b, c in row.items():
+                lifted[b] = rational_reconstruction(c, P)
+                if lifted[b] is None:
+                    return None
+            out[d].append(lifted)
+    return out
+
+
+def _certified_images(bases, images, fld):
+    """X-images of every basis row, or None if one is not a polynomial.
+
+    The negative-exponent coefficients of a row's image are exactly its
+    cancellation constraints, so a polynomial image proves A_d v = 0.
+    """
+    ints = _integer_images({b: images[b] for rows in bases.values() for row in rows for b in row})
+    out = {}
+    for d, rows in bases.items():
+        out[d] = []
+        for row in rows:
+            img = _x_image(row, ints, fld)
+            if any(min(e) < 0 for e in img):
+                return None
+            out[d].append(img)
+    return out
+
+
 def kuroda_intersection_basis(inst: KurodaInstance, dmax: int, maximum: int = 12):
     """Basis of the polynomial part of the bounded-degree pi-span.
 
     At each degree d this finds all combinations of pi-monomials of total
     degree <= d whose X-substitution is a genuine polynomial; each negative-
     exponent X-monomial contributes one exact linear cancellation constraint
-    and the null space is solved over the coefficient field.  The report is
-    graded by the first bound d at which an element appears.
+    and the null space is solved.  The report is graded by the first bound d
+    at which an element appears.
+
+    Over Q the constraints are reduced mod the prime P and solved over F_P;
+    every entry of every basis row is lifted back by rational reconstruction
+    and every lifted row is certified by its exact X-image.  The nullspace
+    over F_P is never smaller than over Q, and the certified lifts lie in the
+    one over Q and are independent (their residues are), so the dimensions
+    agree; lifting keeps zeros and ones, so the lifted rows are the unique
+    RREF the same loop computes over Q.  If a lift or a certificate fails,
+    that loop runs over Q with Fractions.
     """
     if inst.det_t == 0:
         raise SingularMatrixError("exponent matrix is singular; the pis are dependent")
@@ -180,38 +288,31 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int, maximum: int = 12
         for e, c in img.terms.items():
             if min(e) < 0:
                 constraints.setdefault(e, {})[beta] = c
+    # a constraint counts from the lowest degree of its pi-monomials on
+    first = Counter(min(sum(b) for b in row) for row in constraints.values())
 
-    seen = SparseRREF(fld)
-    ambient_a, ambient_b, dims, bases, ximages = {}, {}, {}, {}, {}
-    for d in range(dmax + 1):
-        variables = [b for b in images if sum(b) <= d]
-        rows = []
-        for e in sorted(constraints):
-            row = {b: c for b, c in constraints[e].items() if sum(b) <= d}
-            if row:
-                rows.append(row)
-        null = sparse_nullspace(rows, variables, fld)
-        fresh = SparseRREF(fld)
-        for vec in null:
-            res = seen.reduce(vec)
-            if res:
-                fresh.add(res)
-        basis, imgs = [], []
-        for row in fresh.basis():
-            seen.add(row)
-            basis.append(LaurentPoly._trusted(k, fld, row))
-            terms = {}
-            for beta, c in row.items():
-                _axpy(terms, c, images[beta].terms, fld)
-            img = LaurentPoly._trusted(inst.n, fld, terms)
-            assert img.is_polynomial()
-            imgs.append(img)
-        ambient_a[d] = sum(1 for b in images if sum(b) == d)
-        ambient_b[d] = len(rows)
-        dims[d], bases[d], ximages[d] = len(basis), basis, imgs
-    weights = (1,) * k
+    bases = ximages = None
+    if fld == QQ:
+        residues = {
+            e: {b: r for b, c in row.items() if (r := coeff_of(P, c))}
+            for e, row in constraints.items()
+        }
+        bases = _lift(_degree_bases(residues, images, dmax, P))
+        if bases is not None:
+            ximages = _certified_images(bases, images, fld)
+    if ximages is None:
+        bases = _degree_bases(constraints, images, dmax, fld)
+        ximages = _certified_images(bases, images, fld)
+        if ximages is None:
+            raise ArithmeticError("a nullspace vector has a non-polynomial X-image")
     report = GradedIntersectionReport(
-        weights, fld, dmax, ambient_a, ambient_b, dims, bases, (), images=ximages
+        (1,) * k, fld, dmax,
+        {d: sum(1 for b in images if sum(b) == d) for d in bases},
+        dict(enumerate(itertools.accumulate(first[d] for d in bases))),
+        {d: len(rows) for d, rows in bases.items()},
+        {d: [LaurentPoly._trusted(k, fld, r) for r in rows] for d, rows in bases.items()},
+        (),
+        images={d: [LaurentPoly._trusted(inst.n, fld, t) for t in imgs] for d, imgs in ximages.items()},
     )
     return replace(report, new_generators=tuple(minimal_generator_degrees(report)))
 

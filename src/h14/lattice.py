@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import ShapeError, SingularMatrixError, UsageError
+from .errors import ShapeError, SingularMatrixError, UsageError, int_vector
 from .linalg import rational_solve
 
 
@@ -25,7 +25,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows):
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [int_vector(r, "matrix") for r in rows]
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -306,7 +306,7 @@ class CosetDecomposition:
 
 def coset_decomposition(generators, ambient: int) -> CosetDecomposition:
     """Coset structure of the subgroup of Z^ambient spanned by the generators."""
-    gens = [tuple(int(x) for x in g) for g in generators]
+    gens = [int_vector(g, "generator") for g in generators]
     for g in gens:
         if len(g) != ambient:
             raise ShapeError(f"generator {g} has length != {ambient}")

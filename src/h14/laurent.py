@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import FieldMismatchError, UsageError
 
@@ -22,14 +23,34 @@ QQ = "Q"
 _FIELD_RE = re.compile(r"F(?:p:)?([0-9]+)")
 
 
+# Miller-Rabin with the first 13 prime bases is exact below _MR_LIMIT, the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+@lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test for ``p < _MR_LIMIT``; cached, because
+    every public ``LaurentPoly`` construction re-parses its field."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -38,6 +59,8 @@ def parse_field(tag):
     if tag == QQ:
         return QQ
     if isinstance(tag, int):
+        if tag >= _MR_LIMIT:
+            raise UsageError(f"field modulus {tag} is too large (must be below {_MR_LIMIT})")
         if not _is_prime(tag):
             raise UsageError(f"field modulus {tag} is not prime")
         return tag

@@ -8,13 +8,14 @@ derivation-kernel computations directly.  ``row_reduce``,
 ``rational_nullspace`` and ``rational_solve`` are thin adapters that feed it
 dense rows over Q, keyed by column index, for the small systems of the monoid
 and lattice code (extreme rays, unit-row solves, rank checks); their outputs
-are ``Fraction`` lists.
+are ``Fraction`` lists.  ``rational_reconstruction`` lifts a residue mod m
+back to the small fraction it came from, for elimination done modulo a prime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .laurent import QQ, _axpy, coeff_of, inverse
 
@@ -83,6 +84,26 @@ def primitive_vector(vec):
     if lead < 0:
         ints = [-x for x in ints]
     return tuple(ints)
+
+
+def rational_reconstruction(u, m):
+    """The fraction n/d with n = d*u (mod m), |n| <= N and 0 < d <= N for
+    N = isqrt(m // 2), or None if there is none (Wang's algorithm).
+
+    For an odd m, 2*N*N < m, so such a fraction is unique when it exists.
+    The extended Euclidean algorithm on (m, u) stops at the first remainder
+    r <= N; its cofactor s gives the only candidate r/s.
+    """
+    bound = isqrt(m // 2)
+    r0, r1 = m, u % m
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if not 0 < abs(s1) <= bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IndependenceError, LinealityError, ShapeError, UsageError
+from .errors import IndependenceError, LinealityError, ShapeError, UsageError, int_vector
 from .lattice import IntMatrix, row_times_matrix
 from .linalg import primitive_vector, rational_nullspace, rational_solve, row_reduce
 
@@ -28,7 +28,7 @@ class SubalgebraGens:
 
     @classmethod
     def of(cls, n, vectors):
-        vecs = [tuple(int(x) for x in v) for v in vectors]
+        vecs = [int_vector(v, "generator") for v in vectors]
         for v in vecs:
             if len(v) != n:
                 raise ShapeError(f"generator {v} has length != {n}")
@@ -138,7 +138,7 @@ def monomial_membership(gens: SubalgebraGens, target):
     B = sum |target| * max(1, max |U entry|); a None answer is exhaustive
     within that documented bound.
     """
-    target = tuple(int(x) for x in target)
+    target = int_vector(target, "target")
     if len(target) != gens.n:
         raise ShapeError(f"target {target} has length != {gens.n}")
     u = gens.matrix

@@ -143,6 +143,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "l2.15", "--field", "Fp:9")
         assert code == 2
 
+    def test_thirty_digit_modulus_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "intersect", "--field", "Fp:" + "1" * 30)
+        assert code == 2
+        assert out == ""
+        assert "too large" in err
+
 
 class TestIntersectAndScan:
     def test_intersect_report(self, capsys):
@@ -158,6 +164,22 @@ class TestIntersectAndScan:
         assert lines[0].split("\t") == ["n", "bound", "instances", "implication_violations", "converse_witnesses"]
         assert lines[1].split("\t")[:4] == ["3", "4", "256", "0"]
         assert lines[2].split("\t")[:4] == ["4", "2", "512", "0"]
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--config", "instance.json"), ("--field", "Fp:5"), ("--dmax", "3")],
+    )
+    def test_scan_rejects_options_it_would_ignore(self, capsys, tmp_path, monkeypatch, option, value):
+        def no_work(*_args):
+            raise AssertionError("the scan ran before the option was rejected")
+
+        monkeypatch.setattr("h14.cli.implication_scan", no_work)
+        if option == "--config":
+            value = write_config(tmp_path, {"n": 4, "gamma": 1, "delta": [[1, 1, 1]] * 3})
+        code, out, err = run(capsys, "scan", option, value)
+        assert code == 2
+        assert out == ""
+        assert option in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.tsv"

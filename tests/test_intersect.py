@@ -1,9 +1,12 @@
 """Bounded-degree intersection algebras and structural instance checks."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
+from h14 import intersect
 from h14.derivation import support_property_check
 from h14.errors import GradingError, SingularMatrixError, UsageError
 from h14.intersect import (
@@ -13,7 +16,7 @@ from h14.intersect import (
     minimal_generator_degrees,
     no_monomial_units_check,
 )
-from h14.kuroda import build_f0, build_instance, lemma31_find_p
+from h14.kuroda import build_f0, build_instance, lemma31_find_p, star_value
 from h14.laurent import QQ, LaurentPoly
 from h14.linalg import SparseRREF
 
@@ -160,6 +163,97 @@ class TestKurodaIntersectionBasis:
         inst = build_instance(3, 1, [[1, 1], [1, 1]])  # det 0
         with pytest.raises(SingularMatrixError):
             kuroda_intersection_basis(inst, 2)
+
+
+def seeded_n4(count, seed, star):
+    """Nonsingular n=4 instances with delta entries in 1..4; with ``star``,
+    only those meeting the three-ratio condition, whose pi-spans contain
+    polynomials of positive degree."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rows = [[rng.randint(1, 4) for _ in range(3)] for _ in range(3)]
+        inst = build_instance(4, rng.randint(1, 2), rows)
+        if inst.det_t and (star_value(rows) < 1 or not star):
+            out.append(inst)
+    return out
+
+
+DIFFERENTIAL_CASES = (
+    [(OFF3, 8), (ONES, 8)]
+    + [(inst, 6) for inst in seeded_n4(5, 14, star=True)]
+    + [(inst, 8) for inst in seeded_n4(2, 41, star=True)]
+    + [(inst, 6) for inst in seeded_n4(3, 7, star=False)]
+    + [(build_instance(3, g, rows), 6)
+       for g, rows in ((1, [[3, 1], [1, 1]]), (2, [[1, 2], [3, 1]]), (1, [[2, 1], [1, 3]]))]
+)
+
+
+def report_contents(rep):
+    """Everything a report states, with coefficients and their text form."""
+    return (
+        rep.dims, rep.ambient_a, rep.ambient_b, rep.new_generators,
+        {d: [(b.terms, b.to_text()) for b in bs] for d, bs in rep.bases.items()},
+        {d: [(i.terms, i.to_text()) for i in ims] for d, ims in rep.images.items()},
+    )
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = intersect.sparse_nullspace
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(intersect, "sparse_nullspace", counted)
+    return calls
+
+
+class TestModularPiEngine:
+    """The Q pi-engine solves mod P; the Fraction loop (reached by failing
+    every lift) is its oracle, byte for byte."""
+
+    def fraction_path(self, monkeypatch, inst, dmax):
+        with monkeypatch.context() as m:
+            m.setattr(intersect, "_lift", lambda bases: None)
+            return kuroda_intersection_basis(inst, dmax)
+
+    @pytest.mark.parametrize("case", range(len(DIFFERENTIAL_CASES)))
+    def test_real_prime_matches_fraction_path(self, monkeypatch, case):
+        inst, dmax = DIFFERENTIAL_CASES[case]
+        expected = report_contents(self.fraction_path(monkeypatch, inst, dmax))
+        calls = count_solves(monkeypatch)
+        rep = kuroda_intersection_basis(inst, dmax)
+        assert len(calls) == dmax + 1  # one solve per degree, no fallback
+        assert report_contents(rep) == expected
+        for d in rep.bases:
+            for poly in rep.bases[d] + rep.images[d]:
+                assert all(type(c) is Fraction for c in poly.terms.values())
+
+    @pytest.mark.parametrize("prime", [3, 5])
+    @pytest.mark.parametrize("case", range(len(DIFFERENTIAL_CASES)))
+    def test_tiny_prime_falls_back(self, monkeypatch, case, prime):
+        # mod 3 every residue lifts to 0 or +-1, so only the exact image check
+        # can reject a wrong lift; mod 5 the lifts of 2 and 3 fail
+        inst, dmax = DIFFERENTIAL_CASES[case]
+        expected = report_contents(self.fraction_path(monkeypatch, inst, dmax))
+        monkeypatch.setattr(intersect, "P", prime)
+        assert report_contents(kuroda_intersection_basis(inst, dmax)) == expected
+
+    def test_tiny_prime_really_falls_back_on_off3(self, monkeypatch):
+        monkeypatch.setattr(intersect, "P", 3)
+        calls = count_solves(monkeypatch)
+        kuroda_intersection_basis(OFF3, 6)
+        assert len(calls) == 2 * 7
+
+    def test_fp_field_unchanged(self):
+        # over F_p the loop runs in the instance's own field, one solve per degree
+        off3_p = build_instance(4, 1, [[1, 3, 3], [3, 1, 3], [3, 3, 1]], "Fp:32003")
+        rep_p = kuroda_intersection_basis(off3_p, 8)
+        assert rep_p.dims == kuroda_intersection_basis(OFF3, 8).dims
+        assert all(isinstance(c, int) for ims in rep_p.images.values()
+                   for i in ims for c in i.terms.values())
 
 
 class TestFreenessCosetCheck:

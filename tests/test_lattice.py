@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from h14.errors import ShapeError, SingularMatrixError
+from h14.errors import ShapeError, SingularMatrixError, ValidationError
 from h14.lattice import (
     IntMatrix,
     coset_decomposition,
@@ -139,6 +139,20 @@ class TestSmithForm:
     def test_known_diagonal(self):
         sf = smith_normal_form(IntMatrix.from_rows([[2, 4], [4, 2]]))
         assert sf.invariants == (2, 6)
+
+
+class TestIntegerInput:
+    """Non-integer entries are rejected, never truncated by ``int()``."""
+
+    @pytest.mark.parametrize("rows", [[[1.9, 2], [0, 1]], [[True, 0], [0, 1]]])
+    def test_matrix_rows(self, rows):
+        with pytest.raises(ValidationError):
+            IntMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("gen", [(2.0, 0), (False, 1)])
+    def test_coset_generators(self, gen):
+        with pytest.raises(ValidationError):
+            coset_decomposition([gen, (0, 2)], 2)
 
 
 class TestCosets:

@@ -1,12 +1,13 @@
 """Laurent polynomial arithmetic, substitution, grading, serialization."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from h14.errors import FieldMismatchError, UsageError
-from h14.laurent import QQ, LaurentPoly, coeff_of, inverse, parse_field
+from h14.laurent import QQ, LaurentPoly, _is_prime, coeff_of, inverse, parse_field
 from h14.linalg import sparse_nullspace
 
 
@@ -26,6 +27,31 @@ class TestFieldTags:
             parse_field("Fp:9")
         with pytest.raises(UsageError):
             parse_field(1)
+
+    def test_large_prime_accepted_quickly(self):
+        start = time.perf_counter()
+        assert parse_field("Fp:2305843009213693951") == 2**61 - 1
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", [561, 2**61 + 1, 318665857834031151167461])
+    def test_composites_rejected(self, n):
+        # 561 is a Carmichael number; the last is the least strong pseudoprime
+        # to the twelve prime bases 2..37, which base 41 exposes
+        with pytest.raises(UsageError, match="not prime"):
+            parse_field(n)
+
+    def test_modulus_beyond_the_exact_range_rejected(self):
+        with pytest.raises(UsageError, match="too large"):
+            parse_field(10**29 + 7)
+
+    def test_primality_agrees_with_trial_division(self):
+        limit = 10**5
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for d in range(2, 317):
+            if sieve[d]:
+                sieve[d * d::d] = bytearray(len(range(d * d, limit, d)))
+        assert all(_is_prime.__wrapped__(n) == bool(sieve[n]) for n in range(limit))
 
     def test_prime_field_arithmetic(self):
         a, b = coeff_of(7, 3), coeff_of(7, 2)

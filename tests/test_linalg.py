@@ -2,18 +2,25 @@
 
 Oracles are independent of the engine: the residue of the rescanning
 reduction, ranks read from the largest nonvanishing minor (Bareiss
-determinants of ``lattice.det``), and direct matrix-vector products.
+determinants of ``lattice.det``), direct matrix-vector products, and for
+rational reconstruction a search over every fraction in the bound.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, isqrt, lcm
 
 from hypothesis import given, settings, strategies as st
 
 from h14.lattice import IntMatrix, det
 from h14.laurent import QQ, _axpy, coeff_of
-from h14.linalg import SparseRREF, rational_nullspace, rational_solve, row_reduce
+from h14.linalg import (
+    SparseRREF,
+    rational_nullspace,
+    rational_reconstruction,
+    rational_solve,
+    row_reduce,
+)
 
 FIELDS = [QQ, 2, 3, 5, 32003]
 NCOLS = 5
@@ -129,3 +136,45 @@ class TestDenseAdapters:
     def test_empty_matrix(self):
         assert rational_nullspace([], ncols=2) == [[1, 0], [0, 1]]
         assert row_reduce([]).rank == 0
+
+
+ODD_PRIMES = [p for p in range(3, 200) if all(p % q for q in range(2, p))]
+MERSENNE_61 = 2**61 - 1
+
+
+def in_bound_preimages(u, m):
+    """Every n/d with |n|, d <= isqrt(m // 2) and n = d*u (mod m)."""
+    bound = isqrt(m // 2)
+    return {
+        Fraction(n, d)
+        for d in range(1, bound + 1)
+        for n in range(-bound, bound + 1)
+        if gcd(n, d) == 1 and (n - d * u) % m == 0
+    }
+
+
+class TestRationalReconstruction:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ODD_PRIMES), st.data())
+    def test_matches_exhaustive_search(self, m, data):
+        u = data.draw(st.integers(0, m - 1))
+        found = in_bound_preimages(u, m)
+        assert len(found) <= 1
+        assert rational_reconstruction(u, m) == (found.pop() if found else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-isqrt(MERSENNE_61 // 2), isqrt(MERSENNE_61 // 2)),
+           st.integers(1, isqrt(MERSENNE_61 // 2)))
+    def test_inverts_in_bound_fractions(self, n, d):
+        u = n * pow(d, -1, MERSENNE_61) % MERSENNE_61
+        assert rational_reconstruction(u, MERSENNE_61) == Fraction(n, d)
+
+    def test_failures_return_none(self):
+        # 2 and 3 mod 5 have no preimage with |n|, d <= 1
+        assert rational_reconstruction(2, 5) is None
+        assert rational_reconstruction(3, 5) is None
+        # a residue of a fraction just past the bound
+        bound = isqrt(MERSENNE_61 // 2)
+        u = pow(bound + 1, -1, MERSENNE_61)
+        assert rational_reconstruction(u, MERSENNE_61) is None
+        assert rational_reconstruction(0, 5) == 0 and rational_reconstruction(1, 5) == 1

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from h14.errors import IndependenceError, LinealityError, UsageError
+from h14.errors import IndependenceError, LinealityError, UsageError, ValidationError
 from h14.lattice import IntMatrix, row_times_matrix
 from h14.monoid import (
     SubalgebraGens,
@@ -141,6 +141,21 @@ class TestMonomialMembership:
         assert monomial_membership(gens, (2, 2, 2)) == (1, 1, 1)
         assert monomial_membership(gens, (0, 0, 0)) == (0, 0, 0)
         assert monomial_membership(gens, (2, 0, 0)) is None
+
+
+class TestIntegerInput:
+    """Non-integer entries are rejected, never truncated by ``int()``."""
+
+    @pytest.mark.parametrize("bad", [(1, 1.7), (1, True)])
+    def test_generators(self, bad):
+        with pytest.raises(ValidationError):
+            SubalgebraGens.of(2, [bad, (1, -1)])
+
+    @pytest.mark.parametrize("target", [(2.6, 0), (True, 0)])
+    def test_membership_target(self, target):
+        gens = SubalgebraGens.of(2, [(1, 1), (1, -1)])
+        with pytest.raises(ValidationError):
+            monomial_membership(gens, target)
 
 
 class TestIndependence:
