@@ -8,7 +8,8 @@ configuration; bases are serialized in the canonical Laurent text form.
 
 Exit codes: 0 all checks pass, 1 a check printed ``RESULT fail`` (or ``scan``
 found an implication violation), 2 usage or config error, 3 precondition
-error (singular matrix, non-pointed cone, ...).
+error (singular matrix, non-pointed cone, ...), 4 internal error (an
+unexpected exception; no report is printed).
 """
 
 from __future__ import annotations
@@ -69,13 +70,21 @@ class Report:
             sys.stdout.write(text)
 
 
-def _header(rep: Report, args, extra=()):
+def _header(rep: Report, args, field=None, dmax=None, extra=()):
+    """The ``#`` lines that open a report.
+
+    ``field`` (parsed) and ``dmax`` are the effective values of a command
+    that resolves them from its config or its own defaults; a command that
+    does not passes neither, and the options are echoed as given.
+    """
     rep.comment(f"h14 {__version__}")
     rep.comment(f"command: {args.command}" + (f" {args.check_id}" if getattr(args, "check_id", None) else ""))
     rep.comment(f"config: {args.config or 'default'}")
-    rep.comment(f"field: {args.field or 'Q'}")
-    if args.dmax is not None:
-        rep.comment(f"dmax: {args.dmax}")
+    rep.comment(f"field: {field_name(field) if field is not None else args.field or 'Q'}")
+    if dmax is None:
+        dmax = args.dmax
+    if dmax is not None:
+        rep.comment(f"dmax: {dmax}")
     rep.comment(f"seed: {args.seed}")
     for line in extra:
         rep.comment(line)
@@ -127,7 +136,7 @@ def _instance(args, default):
 def cmd_check_conditions(args):
     inst = _instance(args, DEFAULT_N4)
     rep = Report()
-    _header(rep, args)
+    _header(rep, args, inst.field)
     rep.row("quantity", "value")
     if inst.n == 4:
         value, holds = check_star(inst)
@@ -157,16 +166,15 @@ def cmd_hilbert(args):
     bad = [x for r in u_rows for x in r if not is_int(x)]
     if bad:
         raise ConfigError(f"U entries must be integers, got {bad[0]!r}")
-    field = args.field or cfg.get("field", "Q")
+    field = parse_field(args.field or cfg.get("field", "Q"))
     gens = SubalgebraGens.of(len(u_rows[0]), u_rows)
     hb = hilbert_basis(gens.matrix)
-    monos = intersection_generators(gens)
     rep = Report()
-    _header(rep, args)
+    _header(rep, args, field)
     rep.comment("hilbert basis vectors (beta), then generator monomials")
     for beta in hb.vectors:
         rep.row("beta", *beta)
-    for m in monos:
+    for m in hb.monomials:
         rep.row("monomial", LaurentPoly.monomial(gens.n, m, 1, field).to_text())
     rep.emit(args.out)
     return 0
@@ -177,7 +185,7 @@ def cmd_intersect(args):
     dmax = args.dmax if args.dmax is not None else 6
     report = kuroda_intersection_basis(inst, dmax)
     rep = Report()
-    _header(rep, args, extra=[report.note])
+    _header(rep, args, inst.field, dmax, extra=[report.note])
     rep.row("degree", "pi_monomials", "constraints", "dim", "new_generators")
     for row in report.table_rows():
         rep.row(*row)
@@ -213,6 +221,7 @@ def cmd_scan(args):
 
 def _verify_t25i(args, rep):
     inst = _n4_instance(args)
+    _header(rep, args, inst.field)
     ok = True
     for i in range(inst.n - 1):
         m, s = solve_unit_row(inst.t_matrix, i)
@@ -230,6 +239,7 @@ def _verify_t25ii(args, rep):
     from .intersect import freeness_coset_check
 
     inst = _instance(args, DEFAULT_N4)
+    _header(rep, args, inst.field)
     ok = freeness_coset_check(inst, 5)
     rep.row("coset_box_bound", 5)
     rep.row("free_decomposition", "ok" if ok else "FAIL")
@@ -241,6 +251,7 @@ def _verify_p26(args, rep):
 
     inst = _n4_instance(args)
     dmax = args.dmax if args.dmax is not None else 4
+    _header(rep, args, inst.field, dmax)
     ok = no_monomial_units_check(inst, dmax)
     rep.row("degree_bound", dmax)
     rep.row("no_nonconstant_monomials", "ok" if ok else "FAIL")
@@ -248,6 +259,7 @@ def _verify_p26(args, rep):
 
 
 def _verify_t28(args, rep):
+    _header(rep, args)
     gens = SubalgebraGens.of(2, [(1, 1), (1, -1)])
     monos = intersection_generators(gens)
     expected = [(0, 2), (1, 1), (2, 0)]
@@ -273,6 +285,7 @@ def _verify_t28(args, rep):
 
 def _verify_t214(args, rep):
     inst = _instance(args, DEFAULT_N3)
+    _header(rep, args, inst.field)
     ok = verify_t214(inst)
     rep.row("default_instance", "ok" if ok else "FAIL")
     rng = random.Random(args.seed)
@@ -297,6 +310,7 @@ def _l215_generators(field):
 def _verify_l215(args, rep):
     field = parse_field(args.field or "Q")
     dmax = args.dmax if args.dmax is not None else (16 if field == QQ else 12)
+    _header(rep, args, field, dmax)
     gens_a, gens_b = _l215_generators(field)
     report = graded_intersection(gens_a, gens_b, (1, 1, 1, 2), dmax)
     if field == 3:
@@ -315,6 +329,7 @@ def _verify_r216(args, rep):
     field = parse_field(args.field or 2)
     if field != 2:
         raise UsageError("this check concerns characteristic 2 (use --field Fp:2)")
+    _header(rep, args, field)
     gens_a, gens_b = _l215_generators(2)
     report = graded_intersection(gens_a, gens_b, (1, 1, 1, 2), 4)
     mono = lambda e: LaurentPoly.monomial(4, e, 1, 2)
@@ -329,6 +344,7 @@ def _verify_r216(args, rep):
 
 
 def _verify_l31(args, rep):
+    _header(rep, args, QQ)
     total = 0
     ok = True
     for flat in itertools.product(range(1, 4), repeat=9):
@@ -349,6 +365,7 @@ def _verify_l31(args, rep):
 def _verify_l32(args, rep):
     inst = _n4_instance(args)
     dmax = args.dmax if args.dmax is not None else 6
+    _header(rep, args, inst.field, dmax)
     report = kuroda_intersection_basis(inst, dmax)
     ok = True
     checked = 0
@@ -385,7 +402,6 @@ def cmd_verify(args):
         valid = ", ".join(sorted(VERIFY_DISPATCH) + sorted(VERIFY_ALIASES))
         raise UsageError(f"unknown check id {args.check_id!r}; valid ids: {valid}")
     rep = Report()
-    _header(rep, args)
     ok = VERIFY_DISPATCH[check_id](args, rep)
     rep.row("RESULT", "pass" if ok else "fail")
     rep.emit(args.out)
@@ -439,6 +455,9 @@ def main(argv=None) -> int:
     except PreconditionError as ex:
         print(f"precondition error: {ex}", file=sys.stderr)
         return 3
+    except Exception as ex:  # a crash must not look like a failed verification (exit 1)
+        print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ validation.
 Two broad classes matter for the CLI exit-code contract: usage/config
 problems (exit 2) and violated mathematical preconditions (exit 3).  A failed
 verification is not an exception: the CLI prints ``RESULT fail`` and exits 1.
+Any other exception, such as an ``ArithmeticError`` from a failed internal
+consistency check, is reported as an internal error (exit 4).
 """
 
 

@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 
 from .errors import GradingError, SingularMatrixError, UsageError
 from .kuroda import KurodaInstance
@@ -137,7 +138,8 @@ def graded_intersection(gensA, gensB, weights, dmax, maximum: int = 32):
         dim_a, dim_b, inter = span_intersection(rows_a, rows_b, fld)
         basis = [LaurentPoly._trusted(n, fld, r) for r in inter]
         for b in basis:
-            assert b.is_homogeneous(weights) and (d == 0 or _weighted_degree(b, weights) == d)
+            if not b.is_homogeneous(weights) or (d and _weighted_degree(b, weights) != d):
+                raise ArithmeticError(f"a degree-{d} intersection basis element is not homogeneous of degree {d}")
         ambient_a[d], ambient_b[d] = dim_a, dim_b
         dims[d], bases[d] = len(basis), basis
     report = GradedIntersectionReport(
@@ -396,13 +398,13 @@ def freeness_coset_check(inst: KurodaInstance, box_bound: int) -> bool:
     cd = coset_decomposition(gens, n)
     for v in itertools.product(range(-box_bound, box_bound + 1), repeat=n):
         r = cd.representative(v)
-        h = tuple(x - y for x, y in zip(v, r))
+        h = tuple(map(sub, v, r))
         if not cd.contains(h):
             return False
         if cd.representative(r) != r:
             return False
         for g in gens:
-            if cd.representative(tuple(x + y for x, y in zip(v, g))) != r:
+            if cd.representative(tuple(map(add, v, g))) != r:
                 return False
     return True
 

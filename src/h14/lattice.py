@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
+from operator import mul
 
 from .errors import ShapeError, SingularMatrixError, UsageError, int_vector
 from .linalg import rational_solve
@@ -41,8 +43,12 @@ class IntMatrix:
     def row(self, i):
         return self.entries[i]
 
-    def col(self, j):
-        return tuple(r[j] for r in self.entries)
+    @cached_property
+    def columns(self):
+        """The columns as tuples, computed once (a cached value, not a field)."""
+        if not self.rows:
+            return ((),) * self.cols
+        return tuple(zip(*self.entries))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -52,27 +58,12 @@ class IntMatrix:
     def is_square(self):
         return self.rows == self.cols
 
-    def transpose(self):
-        return IntMatrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return IntMatrix(
-            self.rows,
-            other.cols,
-            tuple(
-                tuple(
-                    sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                )
-                for i in range(self.rows)
-            ),
-        )
+        return IntMatrix(self.rows, other.cols, tuple(row_times_matrix(r, other) for r in self.entries))
 
     def to_lists(self):
         return [list(r) for r in self.entries]
@@ -81,9 +72,7 @@ class IntMatrix:
 def row_times_matrix(vec, m: IntMatrix):
     if len(vec) != m.rows:
         raise ShapeError(f"row of length {len(vec)} times {m.rows}x{m.cols} matrix")
-    return tuple(
-        sum(vec[i] * m.entries[i][j] for i in range(m.rows)) for j in range(m.cols)
-    )
+    return tuple([sum(map(mul, vec, col)) for col in m.columns])
 
 
 def det(m: IntMatrix) -> int:
@@ -127,8 +116,9 @@ def solve_unit_row(t: IntMatrix, i: int):
         raise SingularMatrixError("matrix is singular")
     # x . t = e_i  <=>  t^T x^T = e_i^T
     rhs = [Fraction(int(j == i)) for j in range(n)]
-    sol = rational_solve(t.transpose().to_lists(), rhs)
-    assert sol is not None
+    sol = rational_solve([list(c) for c in t.columns], rhs)
+    if sol is None:
+        raise ArithmeticError("a nonsingular system has no rational solution")
     x, _ = sol
     m = 1
     for f in x:
@@ -151,7 +141,7 @@ class SmithForm:
     v: IntMatrix
     v_inv: IntMatrix
 
-    @property
+    @cached_property
     def invariants(self):
         r = min(self.d.rows, self.d.cols)
         return tuple(self.d.entries[i][i] for i in range(r) if self.d.entries[i][i] != 0)
@@ -274,30 +264,47 @@ class CosetDecomposition:
     generators: IntMatrix
     smith: SmithForm
 
-    def _transformed(self, vec):
-        return row_times_matrix(vec, self.smith.v)
+    @cached_property
+    def _reduction(self):
+        """The Smith data that coset queries need, computed once.
+
+        Coordinate j of v V is reduced modulo the j-th invariant d_j and must
+        vanish past the rank.  Coordinates with d_j = 1 always reduce to 0,
+        so only the others are kept: (V columns, moduli) of the torsion
+        coordinates, V columns of the free coordinates, and the columns of
+        V^-1 restricted to the rows of the kept coordinates.
+        """
+        inv = self.smith.invariants
+        r = len(inv)
+        kept = [j for j, d in enumerate(inv) if d != 1]
+        v_cols = self.smith.v.columns
+        back_rows = tuple(self.smith.v_inv.entries[j] for j in kept + list(range(r, self.ambient)))
+        return (
+            tuple(v_cols[j] for j in kept),
+            tuple(inv[j] for j in kept),
+            v_cols[r:],
+            IntMatrix(len(back_rows), self.ambient, back_rows).columns,
+        )
 
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient:
             raise ShapeError(f"vector of length {len(vec)} in Z^{self.ambient}")
-        w = self._transformed(vec)
-        r = len(self.smith.invariants)
-        for j, x in enumerate(w):
-            if j < r:
-                if x % self.smith.d.entries[j][j] != 0:
-                    return False
-            elif x != 0:
+        torsion_cols, moduli, free_cols, _ = self._reduction
+        for col, d in zip(torsion_cols, moduli):
+            if sum(map(mul, vec, col)) % d:
+                return False
+        for col in free_cols:
+            if sum(map(mul, vec, col)):
                 return False
         return True
 
     def representative(self, vec):
         if len(vec) != self.ambient:
             raise ShapeError(f"vector of length {len(vec)} in Z^{self.ambient}")
-        w = list(self._transformed(vec))
-        r = len(self.smith.invariants)
-        for j in range(r):
-            w[j] %= self.smith.d.entries[j][j]
-        return row_times_matrix(w, self.smith.v_inv)
+        torsion_cols, moduli, free_cols, back_cols = self._reduction
+        w = [sum(map(mul, vec, col)) % d for col, d in zip(torsion_cols, moduli)]
+        w += [sum(map(mul, vec, col)) for col in free_cols]
+        return tuple([sum(map(mul, w, col)) for col in back_cols])
 
     @property
     def rank(self) -> int:

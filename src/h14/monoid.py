@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import ge
 
 from .errors import IndependenceError, LinealityError, ShapeError, UsageError, int_vector
 from .lattice import IntMatrix, row_times_matrix
@@ -45,12 +47,38 @@ class SubalgebraGens:
         return IntMatrix(self.t, self.n, self.vectors)
 
 
+# Largest box of lattice points an exhaustive enumeration may visit.  Every
+# box in the tests and the benchmark is far smaller (at most 12 000 points).
+# Time and memory grow with the box, so a larger one is refused as a usage
+# error up front instead of running for minutes.
+ENUMERATION_BUDGET = 2_000_000
+
+
+def _check_budget(what, points):
+    if points > ENUMERATION_BUDGET:
+        raise UsageError(
+            f"{what} has {points} lattice points, above the enumeration budget of {ENUMERATION_BUDGET}"
+        )
+
+
 @dataclass(frozen=True)
 class HilbertBasis:
-    """Minimal generating set of S = {beta : beta U >= 0}, lex-sorted."""
+    """Minimal generating set of S = {beta : beta U >= 0}, lex-sorted, with
+    the image beta U of each vector in the same order."""
 
     u: IntMatrix
     vectors: tuple
+    images: tuple
+
+    @property
+    def monomials(self):
+        """The generator monomials: the images beta U, sorted and deduplicated.
+
+        Every image is a genuine polynomial monomial (all exponents >= 0).
+        """
+        if any(min(img, default=0) < 0 for img in self.images):
+            raise ArithmeticError("a Hilbert basis vector has an image with a negative exponent")
+        return sorted(set(self.images))
 
 
 def cone_membership(u: IntMatrix, beta) -> bool:
@@ -60,7 +88,7 @@ def cone_membership(u: IntMatrix, beta) -> bool:
 
 def _extreme_rays(u: IntMatrix):
     t, n = u.rows, u.cols
-    cols = [[u.entries[i][j] for i in range(t)] for j in range(n)]
+    cols = u.columns
 
     def feasible(d):
         return all(sum(x * c for x, c in zip(d, col)) >= 0 for col in cols)
@@ -94,34 +122,31 @@ def hilbert_basis(u: IntMatrix) -> HilbertBasis:
     greedily in increasing order of the additive level sum(beta U).
     """
     t = u.rows
-    lineal = rational_nullspace([list(col) for col in zip(*u.entries)] if u.entries else [], ncols=t)
     # rows of the system are columns of U: beta U = 0
+    lineal = rational_nullspace(list(u.columns), ncols=t)
     if lineal:
         raise LinealityError(primitive_vector(lineal[0]))
     rays = _extreme_rays(u)
     if not rays:
-        return HilbertBasis(u, ())
+        return HilbertBasis(u, (), ())
     lo = [sum(min(r[j], 0) for r in rays) for j in range(t)]
     hi = [sum(max(r[j], 0) for r in rays) for j in range(t)]
+    _check_budget("the ray box", prod(b - a + 1 for a, b in zip(lo, hi)))
     cands = []
     for beta in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         img = row_times_matrix(beta, u)
         if min(img) >= 0 and any(beta):
             cands.append((sum(img), beta, img))
     cands.sort()
+    # Candidates come in increasing level, so every earlier basis vector b has
+    # a level no higher; beta - b lies in S exactly when its image
+    # img - bimg >= 0, and beta U = b U forces beta = b (S is pointed).
     basis = []
-    for level, beta, img in cands:
-        reducible = False
-        for blevel, b, bimg in basis:
-            if blevel > level or b == beta:
-                continue
-            rest = tuple(x - y for x, y in zip(beta, b))
-            if any(rest) and all(x - y >= 0 for x, y in zip(img, bimg)):
-                reducible = True
-                break
-        if not reducible:
-            basis.append((level, beta, img))
-    return HilbertBasis(u, tuple(sorted(b for _, b, _ in basis)))
+    for _, beta, img in cands:
+        if not any(all(map(ge, img, bimg)) for _, bimg in basis):
+            basis.append((beta, img))
+    basis.sort()
+    return HilbertBasis(u, tuple(b for b, _ in basis), tuple(img for _, img in basis))
 
 
 def triangle_criterion(i: int, j: int, k: int) -> bool:
@@ -157,6 +182,7 @@ def monomial_membership(gens: SubalgebraGens, target):
         return None
     maxu = max((abs(e) for row in u.entries for e in row), default=1)
     bound = sum(abs(x_) for x_ in target) * max(1, maxu)
+    _check_budget("the membership search box", (bound + 1) ** t)
     for beta in itertools.product(range(bound + 1), repeat=t):
         if row_times_matrix(beta, u) == target:
             return beta
@@ -176,10 +202,4 @@ def intersection_generators(gens: SubalgebraGens):
     """
     if not alg_independence(gens):
         raise IndependenceError("generators are algebraically dependent")
-    hb = hilbert_basis(gens.matrix)
-    out = []
-    for beta in hb.vectors:
-        mono = row_times_matrix(beta, gens.matrix)
-        assert min(mono, default=0) >= 0
-        out.append(mono)
-    return sorted(set(out))
+    return hilbert_basis(gens.matrix).monomials

@@ -1,10 +1,18 @@
 """Command-line interface: subcommands, reports, exit-code contract."""
 
 import json
+import random
+import time
 
 import pytest
 
+import h14.cli
+import h14.intersect
+import h14.monoid
 from h14.cli import main
+from h14.errors import IndependenceError, LinealityError
+from h14.laurent import LaurentPoly
+from h14.monoid import SubalgebraGens, intersection_generators
 
 
 def run(capsys, *argv):
@@ -100,6 +108,48 @@ class TestHilbert:
         assert "U entries must be integers" in err
 
 
+    def test_one_hilbert_basis_per_run(self, capsys, tmp_path, monkeypatch):
+        rng = random.Random(8)
+        calls = []
+        original = h14.monoid.hilbert_basis
+
+        def counted(u):
+            calls.append(u)
+            return original(u)
+
+        checked = 0
+        while checked < 15:
+            t = rng.randint(1, 3)
+            u = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(t)]
+            if len({tuple(r) for r in u}) != t:
+                continue
+            gens = SubalgebraGens.of(3, u)
+            try:
+                expected = [LaurentPoly.monomial(3, m).to_text() for m in intersection_generators(gens)]
+            except (IndependenceError, LinealityError):
+                continue
+            checked += 1
+            cfg = write_config(tmp_path, {"U": u})
+            with monkeypatch.context() as m:
+                m.setattr(h14.cli, "hilbert_basis", counted)
+                m.setattr(h14.monoid, "hilbert_basis", counted)
+                calls.clear()
+                code, out, _ = run(capsys, "hilbert", "--config", cfg)
+            assert code == 0
+            assert len(calls) == 1
+            monos = [line.split("\t")[1] for line in out.splitlines() if line.startswith("monomial\t")]
+            assert monos == expected
+
+    def test_cone_past_the_enumeration_budget_exits_2_quickly(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {"U": [[20, 1, 0], [0, 20, 1], [1, 0, 20]]})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hilbert", "--config", cfg)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "enumeration budget" in err
+
+
 class TestVerify:
     @pytest.mark.parametrize(
         "check_id",
@@ -138,6 +188,29 @@ class TestVerify:
         assert code == 2
         assert "RESULT" not in out
         assert "n=4 family" in err
+
+    def test_crash_is_exit_4_not_a_failed_verification(self, capsys, monkeypatch):
+        def crash(_args, _rep):
+            raise RuntimeError("worker crashed")
+
+        monkeypatch.setitem(h14.cli.VERIFY_DISPATCH, "t2.8", crash)
+        code, out, err = run(capsys, "verify", "t2.8")
+        assert code == 4
+        assert "RESULT" not in out
+        assert err == "internal error: RuntimeError: worker crashed\n"
+
+    def test_non_homogeneous_basis_is_an_internal_error(self, capsys, monkeypatch):
+        real = h14.intersect.span_intersection
+
+        def corrupt(rows_a, rows_b, field):
+            dim_a, dim_b, inter = real(rows_a, rows_b, field)
+            return dim_a, dim_b, inter + [{(1, 0, 0, 0): 1, (0, 0, 0, 1): 1}]
+
+        monkeypatch.setattr(h14.intersect, "span_intersection", corrupt)
+        code, out, err = run(capsys, "verify", "l2.15", "--field", "Fp:5", "--dmax", "2")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: ArithmeticError: ")
 
     def test_bad_field(self, capsys):
         code, _, err = run(capsys, "verify", "l2.15", "--field", "Fp:9")
@@ -193,6 +266,26 @@ class TestIntersectAndScan:
         header = [l for l in out.splitlines() if l.startswith("#")]
         assert any("h14" in l for l in header)
         assert any("seed: 7" in l for l in header)
+
+    @pytest.mark.parametrize(
+        "argv, config_field, expected",
+        [
+            (["verify", "r2.16"], None, ["# field: Fp:2"]),
+            (["verify", "p2.6"], None, ["# field: Q", "# dmax: 4"]),
+            (["verify", "l2.15", "--field", "Fp:5"], None, ["# field: Fp:5", "# dmax: 12"]),
+            (["intersect"], "Fp:5", ["# field: Fp:5", "# dmax: 6"]),
+            (["check-conditions"], "Fp:7", ["# field: Fp:7"]),
+            (["verify", "l3.2", "--dmax", "3"], "F5", ["# field: Fp:5", "# dmax: 3"]),
+        ],
+    )
+    def test_header_states_effective_field_and_bound(self, capsys, tmp_path, argv, config_field, expected):
+        if config_field is not None:
+            data = {"n": 4, "gamma": 1, "delta": [[1, 3, 3], [3, 1, 3], [3, 3, 1]], "field": config_field}
+            argv = argv + ["--config", write_config(tmp_path, data)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        header = [line for line in out.splitlines() if line.startswith("# field:") or line.startswith("# dmax:")]
+        assert header == expected
 
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "verify", "t2.14", "--seed", "3")

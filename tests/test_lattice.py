@@ -36,6 +36,55 @@ def det_oracle(rows):
     return total
 
 
+def naive_product(a_rows, b_rows, inner, ncols):
+    """Triple-loop matrix product, the reference for the column kernel."""
+    return tuple(
+        tuple(sum(row[k] * b_rows[k][j] for k in range(inner)) for j in range(ncols))
+        for row in a_rows
+    )
+
+
+def shaped_rows(nrows, ncols):
+    return st.lists(
+        st.lists(st.integers(min_value=-50, max_value=50), min_size=ncols, max_size=ncols),
+        min_size=nrows,
+        max_size=nrows,
+    )
+
+
+# (k, m, n) shapes with every dimension allowed to be 0, then A (k x m), B (m x n)
+product_operands = st.tuples(*[st.integers(min_value=0, max_value=4)] * 3).flatmap(
+    lambda kmn: st.tuples(st.just(kmn), shaped_rows(kmn[0], kmn[1]), shaped_rows(kmn[1], kmn[2]))
+)
+
+
+class TestProductKernel:
+    """``row_times_matrix`` and ``IntMatrix.__mul__`` against a triple loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_operands)
+    def test_against_triple_loop(self, operands):
+        (k, m, n), a_rows, b_rows = operands
+        a = IntMatrix(k, m, tuple(map(tuple, a_rows)))
+        b = IntMatrix(m, n, tuple(map(tuple, b_rows)))
+        expected = naive_product(a_rows, b_rows, m, n)
+        assert (a * b).entries == expected
+        assert ((a * b).rows, (a * b).cols) == (k, n)
+        for row, want in zip(a_rows, expected):
+            assert row_times_matrix(row, b) == want
+        # the cached columns are no field: equality and hashing ignore them
+        fresh = IntMatrix(m, n, tuple(map(tuple, b_rows)))
+        assert b == fresh and hash(b) == hash(fresh)
+        assert len(b.columns) == n and all(len(c) == m for c in b.columns)
+
+    def test_wrong_lengths_rejected(self):
+        b = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
+        with pytest.raises(ShapeError):
+            row_times_matrix((1, 2), b)
+        with pytest.raises(ShapeError):
+            IntMatrix.from_rows([[1, 2]]) * b
+
+
 class TestDet:
     def test_singular_symmetric(self):
         assert det(IntMatrix.from_rows([[-1, 1], [1, -1]])) == 0
@@ -189,6 +238,48 @@ class TestCosets:
                 for g in gens:
                     shifted = tuple(a + b for a, b in zip(v, g))
                     assert cd.representative(shifted) == r
+
+    @staticmethod
+    def reference(cd, vec):
+        """The unreduced formula: rep(v) = (v V mod D) V^-1, and v in H iff
+        every coordinate of v V is divisible by its invariant and vanishes
+        past the rank."""
+        sf = cd.smith
+        r = len(sf.invariants)
+        w = [sum(vec[i] * sf.v[i, j] for i in range(cd.ambient)) for j in range(cd.ambient)]
+        member = all(w[j] % sf.d[j, j] == 0 for j in range(r)) and not any(w[r:])
+        for j in range(r):
+            w[j] %= sf.d[j, j]
+        rep = tuple(sum(w[i] * sf.v_inv[i, j] for i in range(cd.ambient)) for j in range(cd.ambient))
+        return rep, member
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=n + 1),
+                st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=8),
+            )
+        )
+    )
+    def test_queries_match_reference_formula(self, data):
+        gens, vectors = data
+        n = len(vectors[0])
+        cd = coset_decomposition(gens, n)
+        for v in vectors:
+            rep, member = self.reference(cd, v)
+            assert cd.representative(v) == rep
+            assert cd.contains(v) == member
+        for g in gens:
+            assert cd.contains(g)
+
+    def test_wrong_length_rejected(self):
+        cd = coset_decomposition([(2, 0), (0, 3)], 2)
+        for vec in [(1,), (1, 2, 3)]:
+            with pytest.raises(ShapeError):
+                cd.representative(vec)
+            with pytest.raises(ShapeError):
+                cd.contains(vec)
 
     def test_synthetic_four_cosets(self):
         cd = coset_decomposition([(2, 0), (0, 2)], 2)

@@ -7,7 +7,9 @@ import pytest
 
 from h14.errors import IndependenceError, LinealityError, UsageError, ValidationError
 from h14.lattice import IntMatrix, row_times_matrix
+from h14 import monoid
 from h14.monoid import (
+    HilbertBasis,
     SubalgebraGens,
     alg_independence,
     cone_membership,
@@ -120,6 +122,54 @@ class TestHilbertBasis:
             for leave_out, removed in enumerate(hb.vectors):
                 rest = [v for i, v in enumerate(hb.vectors) if i != leave_out]
                 assert not make_representable(rest, u)(removed)
+
+
+    def test_images_and_monomials(self):
+        rng = random.Random(31)
+        checked = 0
+        while checked < 30:
+            t = rng.randint(1, 3)
+            u = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(3)] for _ in range(t)])
+            try:
+                hb = hilbert_basis(u)
+            except LinealityError:
+                continue
+            checked += 1
+            assert hb.images == tuple(row_times_matrix(b, u) for b in hb.vectors)
+            assert hb.monomials == sorted(set(hb.images))
+
+    def test_negative_image_is_an_arithmetic_error(self):
+        hb = HilbertBasis(IntMatrix.from_rows([[1]]), ((1,),), ((-1,),))
+        with pytest.raises(ArithmeticError):
+            hb.monomials
+
+
+class TestEnumerationBudget:
+    """Exponential enumerations are sized first and refused past the budget."""
+
+    def test_ray_box_past_budget(self):
+        u = IntMatrix.from_rows([[20, 1, 0], [0, 20, 1], [1, 0, 20]])
+        with pytest.raises(UsageError, match=f"ray box has [0-9]+ lattice points.*{monoid.ENUMERATION_BUDGET}"):
+            hilbert_basis(u)
+
+    def test_ray_box_size_is_the_enumerated_box(self, monkeypatch):
+        u = IntMatrix.identity(2)  # rays e1, e2: the box [0, 1]^2 has 4 points
+        monkeypatch.setattr(monoid, "ENUMERATION_BUDGET", 4)
+        assert set(hilbert_basis(u).vectors) == {(1, 0), (0, 1)}
+        monkeypatch.setattr(monoid, "ENUMERATION_BUDGET", 3)
+        with pytest.raises(UsageError, match="4 lattice points"):
+            hilbert_basis(u)
+
+    def test_membership_search_past_budget(self):
+        # dependent generators force the exhaustive search; B = 400, (B + 1)^3 points
+        gens = SubalgebraGens.of(2, [(1, 0), (0, 1), (1, 1)])
+        with pytest.raises(UsageError, match=f"{401 ** 3} lattice points"):
+            monomial_membership(gens, (200, 200))
+
+    def test_membership_search_within_budget(self):
+        gens = SubalgebraGens.of(2, [(1, 0), (0, 1), (1, 1)])
+        beta = monomial_membership(gens, (2, 1))
+        assert row_times_matrix(beta, gens.matrix) == (2, 1) and min(beta) >= 0
 
 
 class TestTriangleCriterion:
