@@ -107,7 +107,6 @@ class TestHilbert:
         assert out == ""
         assert "U entries must be integers" in err
 
-
     def test_one_hilbert_basis_per_run(self, capsys, tmp_path, monkeypatch):
         rng = random.Random(8)
         calls = []

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
+from h14 import monoid
 from h14.errors import IndependenceError, LinealityError, UsageError, ValidationError
 from h14.lattice import IntMatrix, row_times_matrix
-from h14 import monoid
 from h14.monoid import (
     HilbertBasis,
     SubalgebraGens,
@@ -122,7 +122,6 @@ class TestHilbertBasis:
             for leave_out, removed in enumerate(hb.vectors):
                 rest = [v for i, v in enumerate(hb.vectors) if i != leave_out]
                 assert not make_representable(rest, u)(removed)
-
 
     def test_images_and_monomials(self):
         rng = random.Random(31)
