@@ -25,6 +25,7 @@ CASES = {
     "verify-t2.5i": ["verify", "t2.5i"],
     "verify-r2.16": ["verify", "r2.16"],
     "verify-l2.15-d8-q": ["verify", "l2.15", "--dmax", "8"],
+    "verify-l2.15-d16-q": ["verify", "l2.15"],
     "verify-l2.15-d8-fp5": ["verify", "l2.15", "--dmax", "8", "--field", "Fp:5"],
     "intersect-d8-q": ["intersect", "--dmax", "8"],
     "intersect-d8-fp32003": ["intersect", "--dmax", "8", "--field", "Fp:32003"],
