@@ -15,6 +15,7 @@ unexpected exception; no report is printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -161,7 +162,7 @@ def cmd_hilbert(args):
     if extra:
         raise ConfigError(f"unexpected config keys for hilbert: {', '.join(extra)}")
     u_rows = cfg["U"]
-    if not u_rows or not all(isinstance(r, list) and r for r in u_rows):
+    if not isinstance(u_rows, list) or not u_rows or not all(isinstance(r, list) and r for r in u_rows):
         raise ConfigError("U must be a nonempty matrix")
     bad = [x for r in u_rows for x in r if not is_int(x)]
     if bad:
@@ -413,7 +414,10 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: ``parse_args`` fills a fresh namespace
+    on every call, so one parser serves every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="h14",
         description="Exact verification toolkit for Laurent-monomial subalgebra constructions.",

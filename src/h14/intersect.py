@@ -1,16 +1,22 @@
 """Bounded-degree intersection algebras by exact linear algebra.
 
-Two engines share one report type.  ``graded_intersection`` works degree by
-degree under a weight grading: each side of the intersection is spanned by
-all products of its generators of the given weighted degree, and the two
-coefficient spaces are intersected exactly.  ``kuroda_intersection_basis``
-works in the pi-coordinates of an instance: it looks for combinations of
-pi-monomials whose X-substitution has no negative exponents, one exact
-cancellation constraint per offending X-monomial.  Over Q it eliminates
-modulo the prime P = 2^61 - 1, lifts every basis entry by rational
-reconstruction and verifies every lifted vector exactly through its integer
-X-image; the same loop over Q with Fractions is the fallback.  Its reports
-equal those of the Fraction loop byte for byte.
+Two engines share one report type, and over Q both eliminate modulo the
+prime P = 2^61 - 1 of :mod:`h14.linalg`, certify the result exactly and fall
+back to the same computation with Fractions when a lift or a check fails;
+their reports equal those of the Fraction path byte for byte.
+
+``graded_intersection`` works degree by degree under a weight grading: each
+side of the intersection is spanned by all products of its generators of the
+given weighted degree, and the two coefficient spaces are intersected by
+``linalg.span_intersection``.  Over Q the generators are scaled to integer
+coefficients (which changes no span) and multiplied in integers; the ranks
+mod P are certified by independence, and dim_Q(A & B) <= dim A + dim B -
+rank_P(A + B) = m_P, so m_P = 0 proves a zero intersection without any lift.
+``kuroda_intersection_basis`` works in the pi-coordinates of an instance: it
+looks for combinations of pi-monomials whose X-substitution has no negative
+exponents, one exact cancellation constraint per offending X-monomial.  Over
+Q it lifts every basis entry by rational reconstruction and verifies every
+lifted vector exactly through its integer X-image.
 
 Both computations are complete only up to their degree bound, and the
 reports say so; nothing here decides (non-)finite generation.
@@ -25,14 +31,12 @@ from fractions import Fraction
 from math import lcm
 from operator import add, sub
 
-from .errors import GradingError, SingularMatrixError, UsageError
+from . import linalg
+from .errors import GradingError, SingularMatrixError, UsageError, int_vector
 from .kuroda import KurodaInstance
 from .lattice import coset_decomposition
 from .laurent import QQ, LaurentPoly, coeff_of
-from .linalg import SparseRREF, rational_reconstruction, span_intersection, sparse_nullspace
-
-# The prime of the modular pi-engine over Q (a Mersenne prime, 2^61 - 1).
-P = 2**61 - 1
+from .linalg import SparseRREF, span_intersection, sparse_nullspace
 
 BOUND_NOTE = (
     "new-generator counts use subalgebra spans up to the report's own degree "
@@ -87,8 +91,15 @@ def _graded_products(gens, degs, n, field, d):
                 break
             cur = cur * gens[i]
 
-    rec(0, d, LaurentPoly.constant(n, 1, field))
+    rec(0, d, LaurentPoly._trusted(n, field, {(0,) * n: 1}))
     return out
+
+
+def _integer_scaled(gens):
+    """Each generator over Q times its common denominator: int coefficients,
+    so its products stay in integers, and the same spans."""
+    ints = _integer_images(dict(enumerate(gens)))
+    return [LaurentPoly._trusted(g.n, g.field, ints[i][1]) for i, g in enumerate(gens)]
 
 
 def _validate_gens(label, gens, weights):
@@ -113,7 +124,9 @@ def graded_intersection(gensA, gensB, weights, dmax, maximum: int = 32):
     For each degree d <= dmax the slice of either algebra is spanned by all
     products of its generators of total weighted degree d; the intersection
     of the two spans is computed exactly and returned in canonical (RREF,
-    lexicographic pivot) form.
+    lexicographic pivot) form.  Over Q the products are built from the
+    integer-scaled generators, so ``span_intersection`` gets exact integer
+    rows to reduce mod P and to certify with; its bases hold Fractions.
     """
     if not isinstance(dmax, int) or dmax < 0:
         raise UsageError("degree bound must be a nonnegative integer")
@@ -125,11 +138,13 @@ def graded_intersection(gensA, gensB, weights, dmax, maximum: int = 32):
     n, fld = all_gens[0].n, all_gens[0].field
     for g in all_gens:
         g._compat(all_gens[0])
-    weights = tuple(int(w) for w in weights)
+    weights = int_vector(weights, "weights")
     if len(weights) != n:
         raise UsageError(f"need {n} weights, got {len(weights)}")
     degs_a = _validate_gens("A", gensA, weights)
     degs_b = _validate_gens("B", gensB, weights)
+    if fld == QQ:
+        gensA, gensB = _integer_scaled(gensA), _integer_scaled(gensB)
 
     ambient_a, ambient_b, dims, bases = {}, {}, {}, {}
     for d in range(dmax + 1):
@@ -224,21 +239,6 @@ def _degree_bases(constraints, variables, dmax, fld):
     return bases
 
 
-def _lift(bases):
-    """Rational reconstruction of every entry mod P; None if one fails."""
-    out = {}
-    for d, rows in bases.items():
-        out[d] = []
-        for row in rows:
-            lifted = {}
-            for b, c in row.items():
-                lifted[b] = rational_reconstruction(c, P)
-                if lifted[b] is None:
-                    return None
-            out[d].append(lifted)
-    return out
-
-
 def _certified_images(bases, images, fld):
     """X-images of every basis row, or None if one is not a polynomial.
 
@@ -294,13 +294,13 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int, maximum: int = 12
     first = Counter(min(sum(b) for b in row) for row in constraints.values())
 
     bases = ximages = None
-    if fld == QQ:
-        residues = {
-            e: {b: r for b, c in row.items() if (r := coeff_of(P, c))}
-            for e, row in constraints.items()
+    residues = linalg.residues(constraints.values()) if fld == QQ else None
+    if residues is not None:
+        bases = {
+            d: linalg.lift(rows)
+            for d, rows in _degree_bases(dict(zip(constraints, residues)), images, dmax, linalg.P).items()
         }
-        bases = _lift(_degree_bases(residues, images, dmax, P))
-        if bases is not None:
+        if None not in bases.values():
             ximages = _certified_images(bases, images, fld)
     if ximages is None:
         bases = _degree_bases(constraints, images, dmax, fld)

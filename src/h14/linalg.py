@@ -8,8 +8,14 @@ derivation-kernel computations directly.  ``row_reduce``,
 ``rational_nullspace`` and ``rational_solve`` are thin adapters that feed it
 dense rows over Q, keyed by column index, for the small systems of the monoid
 and lattice code (extreme rays, unit-row solves, rank checks); their outputs
-are ``Fraction`` lists.  ``rational_reconstruction`` lifts a residue mod m
-back to the small fraction it came from, for elimination done modulo a prime.
+are ``Fraction`` lists.
+
+Modular layer over Q: ``residues`` reduces rows modulo the prime ``P`` =
+2^61 - 1, the elimination runs over F_P, ``lift`` takes its rows back to Q by
+rational reconstruction (Wang's algorithm, ``rational_reconstruction``), and
+the caller certifies the lifted rows exactly, falling back to ``Fraction``
+elimination when a residue, a lift or a check fails.  The pi-engine of
+:mod:`h14.intersect` and ``span_intersection`` over Q both work this way.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from math import gcd, isqrt
 from .laurent import QQ, _axpy, coeff_of, inverse
 
 _ZERO = Fraction(0)
+
+# The prime of modular elimination over Q (a Mersenne prime, 2^61 - 1).
+P = 2**61 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +113,28 @@ def rational_reconstruction(u, m):
     if not 0 < abs(s1) <= bound or gcd(r1, s1) != 1:
         return None
     return Fraction(r1, s1)
+
+
+def residues(rows):
+    """Every row mod P, zeros dropped; None if a denominator is divisible by P."""
+    try:
+        return [{k: r for k, c in row.items() if (r := coeff_of(P, c))} for row in rows]
+    except ZeroDivisionError:
+        return None
+
+
+def lift(rows):
+    """Rational reconstruction mod P of every entry of every row; None if one
+    fails."""
+    out = []
+    for row in rows:
+        lifted = {}
+        for k, c in row.items():
+            lifted[k] = rational_reconstruction(c, P)
+            if lifted[k] is None:
+                return None
+        out.append(lifted)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +229,35 @@ def span_intersection(rows_a, rows_b, field):
     """Intersection of two spans of sparse vectors.
 
     Returns ``(dim_a, dim_b, inter_basis)`` where ``inter_basis`` is a
-    canonical (RREF) basis of span(rows_a) & span(rows_b).
+    canonical (RREF) basis of span(rows_a) & span(rows_b).  Over Q the
+    elimination runs mod P first (see ``_modular_intersection``) and falls
+    back to ``Fraction``s only when its certificate fails.
     """
+    if field == QQ:
+        out = _modular_intersection(rows_a, rows_b)
+        if out is not None:
+            return out
+    ra, rb, inter = _intersection(rows_a, rows_b, field)
+    return ra.rank, rb.rank, inter
+
+
+def _intersection(rows_a, rows_b, field):
+    """The RREFs of both spans and the RREF basis of their intersection."""
     ra = SparseRREF(field)
     for r in rows_a:
         ra.add(r)
-    # B is stored over the same ("m", key)-wrapped coordinates used below
     rb = SparseRREF(field)
     for r in rows_b:
-        rb.add({("m", k): v for k, v in r.items()})
+        rb.add(r)
     basis_a = ra.basis()
     # Zassenhaus-style: reduce A's basis by B, tag with indicator coordinates;
-    # relations among the residues yield intersection elements.
+    # relations among the residues yield intersection elements.  Residue keys
+    # are wrapped as ("m", key) so that they sort before every ("t", i) tag.
     tagged = SparseRREF(field)
     inter = SparseRREF(field)
     one = coeff_of(field, 1)
     for i, arow in enumerate(basis_a):
-        res = rb.reduce({("m", k): v for k, v in arow.items()})
+        res = {("m", k): v for k, v in rb.reduce(arow).items()}
         res[("t", i)] = one
         tagged.add(res)
     for pk in sorted(tagged.rows):
@@ -228,4 +271,46 @@ def span_intersection(rows_a, rows_b, field):
             _axpy(elem, c, basis_a[i], field)
         if elem:
             inter.add(elem)
-    return ra.rank, rb.rank, inter.basis()
+    return ra, rb, inter.basis()
+
+
+def _certified_lift(rr, rows):
+    """The lift of ``rr``, an RREF of ``rows`` mod P, as a ``SparseRREF`` over
+    Q, or None unless every row r equals the sum of r[k] * L_k over the
+    lifted rows L_k and their pivots k.  Rows independent mod P are
+    independent over Q, so then the lifted rows are the RREF of ``rows``."""
+    lifted = lift(rr.rows.values())
+    if lifted is None:
+        return None
+    span = SparseRREF(QQ)
+    span.rows = dict(zip(rr.rows, lifted))
+    return None if any(span.reduce(r) for r in rows) else span
+
+
+def _modular_intersection(rows_a, rows_b):
+    """``span_intersection`` over Q by elimination mod P, certified exactly;
+    None if a denominator is divisible by P or a lift or check fails.
+
+    Ranks: rows that stay independent mod P are independent over Q, so
+    dim_Q >= r_P, with equality when no row drops mod P and otherwise by
+    ``_certified_lift``.  Intersection: with both ranks certified,
+    dim_Q(A & B) = dim A + dim B - rank_Q(A + B) <= dim A + dim B -
+    rank_P(A + B) = m_P, the dimension found mod P.  So m_P = 0 proves the
+    intersection zero without a lift; otherwise the m_P lifted rows are
+    checked to lie in both lifted spans, and being in RREF they are
+    independent, hence the unique RREF basis over Q.
+    """
+    res_a, res_b = residues(rows_a), residues(rows_b)
+    if res_a is None or res_b is None:
+        return None
+    ra, rb, inter = _intersection(res_a, res_b, P)
+    if not inter and ra.rank == len(rows_a) and rb.rank == len(rows_b):
+        return ra.rank, rb.rank, []
+    span_a = _certified_lift(ra, rows_a)
+    span_b = _certified_lift(rb, rows_b)
+    basis = lift(inter)
+    if span_a is None or span_b is None or basis is None:
+        return None
+    if any(span_a.reduce(v) or span_b.reduce(v) for v in basis):
+        return None
+    return ra.rank, rb.rank, basis

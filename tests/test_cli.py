@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, reports, exit-code contract."""
 
+import io
 import json
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import h14.cli
 import h14.intersect
@@ -106,6 +109,15 @@ class TestHilbert:
         assert code == 2
         assert out == ""
         assert "U entries must be integers" in err
+
+    @pytest.mark.parametrize("u", [True, 3, "ab", []])
+    def test_u_that_is_not_a_matrix_is_a_config_error(self, capsys, tmp_path, u):
+        # a U that is not a list of lists is refused before it is iterated
+        cfg = write_config(tmp_path, {"U": u})
+        code, out, err = run(capsys, "hilbert", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "U must be a nonempty matrix" in err
 
     def test_one_hilbert_basis_per_run(self, capsys, tmp_path, monkeypatch):
         rng = random.Random(8)
@@ -290,3 +302,94 @@ class TestIntersectAndScan:
         _, out1, _ = run(capsys, "verify", "t2.14", "--seed", "3")
         _, out2, _ = run(capsys, "verify", "t2.14", "--seed", "3")
         assert out1 == out2
+
+
+class TestParser:
+    def test_built_once(self):
+        assert h14.cli.build_parser() is h14.cli.build_parser()
+
+    def test_options_do_not_leak_between_calls(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {"n": 4, "gamma": 1, "delta": [[1, 1, 1]] * 3, "field": "Fp:7"})
+        code, out, _ = run(capsys, "verify", "l2.15", "--dmax", "3", "--field", "Fp:5")
+        assert code == 0 and "# field: Fp:5" in out and "# dmax: 3" in out
+        code, out, _ = run(capsys, "verify", "l2.15")
+        assert code == 0 and "# field: Q" in out and "# dmax: 16" in out
+        code, out, _ = run(capsys, "check-conditions", "--config", cfg, "--seed", "5")
+        assert code == 0 and f"# config: {cfg}" in out and "# field: Fp:7" in out
+        code, out, _ = run(capsys, "check-conditions")
+        assert code == 0
+        assert "# config: default" in out and "# field: Q" in out and "# seed: 0" in out
+
+
+# -- exit-code contract under generated input ---------------------------------
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.sampled_from([10**20, -(10**20)]), st.lists(st.integers(-2, 2), max_size=2),
+)
+
+
+def matrix(k, entries):
+    return st.lists(st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k)
+
+
+FIELDS = st.sampled_from(["Q", "Fp:2", "Fp:3", "F5", "Fp:4", "Fp:0", "x", 7, 9]) | JUNK
+# well-formed instances reach the checks (a singular one is a precondition error)
+INSTANCES = st.sampled_from([3, 4]).flatmap(lambda n: st.fixed_dictionaries(
+    {"n": st.just(n), "gamma": st.integers(1, 2), "delta": matrix(n - 1, st.integers(1, 4))},
+    optional={"field": st.sampled_from(["Q", "Fp:2", "Fp:5", "F7"])},
+))
+MALFORMED_INSTANCES = st.fixed_dictionaries(
+    {"n": st.sampled_from([2, 3, 4, 5]) | JUNK, "gamma": st.integers(-1, 3) | JUNK,
+     "delta": matrix(2, st.integers(-1, 4) | JUNK) | matrix(3, st.integers(-1, 4) | JUNK) | JUNK},
+    optional={"field": FIELDS, "U": matrix(2, st.integers(-2, 2)), "junk": JUNK},
+)
+CONES = st.fixed_dictionaries(
+    {"U": st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=3), min_size=1, max_size=3)},
+    optional={"field": FIELDS},
+)
+MALFORMED_CONES = st.fixed_dictionaries(
+    {"U": st.lists(st.lists(st.integers(-2, 2) | JUNK, min_size=1, max_size=3), max_size=3) | JUNK},
+    optional={"field": FIELDS, "n": JUNK},
+)
+CONFIG_TEXTS = st.one_of(
+    INSTANCES.map(json.dumps), CONES.map(json.dumps),
+    (MALFORMED_INSTANCES | MALFORMED_CONES | JUNK).map(json.dumps), st.text(max_size=8),
+)
+# every command but verify t2.5ii and l3.1, whose fixed sweeps take 0.4-0.5 s
+COMMANDS = st.sampled_from(
+    [["check-conditions"], ["hilbert"], ["intersect"], ["scan"]]
+    + [["verify", c] for c in ("t2.5i", "p2.6", "t2.8", "t2.14", "l2.13", "l2.15", "r2.16", "l3.2", "x")]
+)
+
+
+class TestExitCodeContract:
+    """0 pass, 1 only with a printed ``RESULT fail``, 2 usage or config error,
+    3 precondition error; a crash (4) never happens on any input."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        command=COMMANDS,
+        config=st.none() | CONFIG_TEXTS,
+        dmax=st.sampled_from([None, None, "0", "1", "2", "3", "-1", "x"]),
+        field=st.sampled_from([None, None, None, "Q", "Fp:2", "Fp:3", "F5", "Fp:9", "y"]),
+        seed=st.sampled_from([None, None, "0", "3", "-2", "z"]),
+    )
+    def test_generated_configs_and_options(self, tmp_path_factory, command, config, dmax, field, seed):
+        argv = list(command)
+        if config is not None:
+            path = tmp_path_factory.mktemp("fuzz") / "config.json"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        for option, value in (("--dmax", dmax), ("--field", field), ("--seed", seed)):
+            if value is not None:
+                argv += [option, value]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as ex:  # argparse rejects the options
+                code = ex.code
+        assert code in (0, 1, 2, 3), (argv, config, err.getvalue())
+        if code == 1:
+            assert "RESULT\tfail" in out.getvalue(), (argv, config)

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from h14 import intersect
+from h14 import intersect, linalg
 from h14.derivation import support_property_check
-from h14.errors import GradingError, SingularMatrixError, UsageError
+from h14.errors import GradingError, SingularMatrixError, UsageError, ValidationError
 from h14.intersect import (
     freeness_coset_check,
     graded_intersection,
@@ -108,6 +108,12 @@ class TestGradedIntersection:
         rep1 = graded_intersection(gens, gens, (1, 1), 8)
         rep2 = graded_intersection(gens[::-1], gens[::-1], (1, 1), 8)
         assert all(rep1.bases[d] == rep2.bases[d] for d in range(9))
+
+    @pytest.mark.parametrize("weights", [(1.7, True), (1, 1.0), ("1", 1), (True, 1)])
+    def test_weights_are_validated_not_truncated(self, weights):
+        m = lambda e: LaurentPoly.monomial(2, e)
+        with pytest.raises(ValidationError, match="weights"):
+            graded_intersection([m((1, 1))], [m((1, 1))], weights, 4)
 
     def test_basis_elements_homogeneous(self):
         gens_a, gens_b = pairwise_products_data(2)
@@ -216,7 +222,7 @@ class TestModularPiEngine:
 
     def fraction_path(self, monkeypatch, inst, dmax):
         with monkeypatch.context() as m:
-            m.setattr(intersect, "_lift", lambda bases: None)
+            m.setattr(linalg, "lift", lambda rows: None)
             return kuroda_intersection_basis(inst, dmax)
 
     @pytest.mark.parametrize("case", range(len(DIFFERENTIAL_CASES)))
@@ -238,11 +244,11 @@ class TestModularPiEngine:
         # can reject a wrong lift; mod 5 the lifts of 2 and 3 fail
         inst, dmax = DIFFERENTIAL_CASES[case]
         expected = report_contents(self.fraction_path(monkeypatch, inst, dmax))
-        monkeypatch.setattr(intersect, "P", prime)
+        monkeypatch.setattr(linalg, "P", prime)
         assert report_contents(kuroda_intersection_basis(inst, dmax)) == expected
 
     def test_tiny_prime_really_falls_back_on_off3(self, monkeypatch):
-        monkeypatch.setattr(intersect, "P", 3)
+        monkeypatch.setattr(linalg, "P", 3)
         calls = count_solves(monkeypatch)
         kuroda_intersection_basis(OFF3, 6)
         assert len(calls) == 2 * 7
@@ -254,6 +260,155 @@ class TestModularPiEngine:
         assert rep_p.dims == kuroda_intersection_basis(OFF3, 8).dims
         assert all(isinstance(c, int) for ims in rep_p.images.values()
                    for i in ims for c in i.terms.values())
+
+
+def seeded_graded(count, seed):
+    """Seeded generator sets in three variables under the weights (1, 1, 2):
+    each generator is a combination of one to three monomials of one weighted
+    degree 1-3, with integer and fractional coefficients.  B shares A's first
+    generator, so the intersections are not all zero."""
+    rng = random.Random(seed)
+    coeffs = [1, -1, 2, 3, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)]
+
+    def gen():
+        deg = rng.randint(1, 3)
+        monos = [e for e in itertools.product(range(deg + 1), repeat=3) if e[0] + e[1] + 2 * e[2] == deg]
+        support = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+        return LaurentPoly(3, QQ, {e: rng.choice(coeffs) for e in support})
+
+    out = []
+    for _ in range(count):
+        gens_a = [gen() for _ in range(rng.randint(2, 3))]
+        gens_b = [gens_a[0]] + [gen() for _ in range(rng.randint(1, 2))]
+        out.append((gens_a, gens_b, (1, 1, 2), 7))
+    return out
+
+
+def monomial_algebra_case():
+    m = lambda e: LaurentPoly.monomial(2, e)
+    gens = [m((1, 1)), m((2, 0)), m((0, 2))]
+    return gens, gens, (1, 1), 10
+
+
+def fractional_case():
+    # B has fractional coefficients; the intersection is spanned by the
+    # powers of B's third generator, with fractional RREF entries (-4/9, 4/81)
+    gens_a, gens_b = pairwise_products_data(QQ)
+    x = mono((0, 0, 0, 1))
+    gens_b = [x - Fraction(1, 3) * mono((2, 0, 0, 0)), x - Fraction(5, 2) * mono((0, 2, 0, 0)),
+              Fraction(2, 3) * mono((1, 1, 0, 0)) - 3 * mono((0, 1, 1, 0))]
+    return gens_a, gens_b, WEIGHTS, 8
+
+
+def wrong_lift_cases():
+    # pivots are the smallest exponent keys, so d, c, b come first; the
+    # spans' RREFs have entries 0 and +-1 only and lift correctly mod 3, but
+    # their intersection d + c + 2b does not (2 lifts to -1), and d + c - b
+    # lies in span(d, c, b) but in neither span of the other side
+    a, b, c, d = (LaurentPoly.variable(4, i) for i in range(4))
+    side = [d + b + a, c + b - a]
+    return [([d + b, c + b], side, (1, 1, 1, 1), 3), ([d, c, b], side, (1, 1, 1, 1), 3),
+            (side, [d, c, b], (1, 1, 1, 1), 3)]
+
+
+GRADED_CASES = (
+    [(*pairwise_products_data(QQ), WEIGHTS, 10), monomial_algebra_case(), fractional_case()]
+    + wrong_lift_cases() + seeded_graded(5, 15)
+)
+
+
+def graded_contents(rep):
+    """Everything a graded report states, with coefficients and their text."""
+    return (
+        rep.dims, rep.ambient_a, rep.ambient_b, rep.new_generators,
+        {d: [(b.terms, b.to_text()) for b in bs] for d, bs in rep.bases.items()},
+    )
+
+
+def product_count(gens, weights, d):
+    degs = intersect._validate_gens("A", gens, weights)
+    return len(intersect._graded_products(gens, degs, gens[0].n, QQ, d))
+
+
+def count_fallbacks(monkeypatch):
+    """Wrap the modular intersection; the list collects one entry per call,
+    True when it failed and span_intersection fell back to Fractions."""
+    calls = []
+    modular = linalg._modular_intersection
+
+    def counted(*args):
+        out = modular(*args)
+        calls.append(out is None)
+        return out
+
+    monkeypatch.setattr(linalg, "_modular_intersection", counted)
+    return calls
+
+
+class TestModularGradedIntersection:
+    """Over Q, span_intersection eliminates mod P and certifies; the Fraction
+    path is its oracle.  It is forced by disabling the modular attempt: a lift
+    that fails is not enough, since a zero intersection needs no lift."""
+
+    def fraction_path(self, monkeypatch, case):
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_modular_intersection", lambda rows_a, rows_b: None)
+            return graded_intersection(*case)
+
+    def test_cases_have_dropped_rows_and_intersections(self, monkeypatch):
+        # the certificate branches are all exercised by the cases below
+        reps = [self.fraction_path(monkeypatch, case) for case in GRADED_CASES]
+        assert sum(any(r.dims[d] for d in r.dims if d) for r in reps) >= 4
+        assert any(r.ambient_a[d] < product_count(case[0], case[2], d)
+                   for r, case in zip(reps, GRADED_CASES) for d in r.dims)
+
+    @pytest.mark.parametrize("case", range(len(GRADED_CASES)))
+    def test_real_prime_matches_fraction_path(self, monkeypatch, case):
+        expected = graded_contents(self.fraction_path(monkeypatch, GRADED_CASES[case]))
+        rep = graded_intersection(*GRADED_CASES[case])
+        assert graded_contents(rep) == expected
+        for bs in rep.bases.values():
+            for b in bs:
+                assert all(type(c) is Fraction for c in b.terms.values())
+
+    def test_real_prime_fallbacks(self, monkeypatch):
+        # one degree of seeded case 9 falls back: the RREF of A's degree-6
+        # span has an entry whose numerator or denominator exceeds
+        # isqrt(P // 2) = 2^30 - 1, its lift is wrong and the exact check of
+        # A's rows rejects it
+        per_case = []
+        for case in GRADED_CASES:
+            fallbacks = count_fallbacks(monkeypatch)
+            graded_intersection(*case)
+            per_case.append(sum(fallbacks))
+        assert per_case == [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0]
+
+    @pytest.mark.parametrize("prime", [3, 5])
+    @pytest.mark.parametrize("case", range(len(GRADED_CASES)))
+    def test_tiny_prime_matches_fraction_path(self, monkeypatch, case, prime):
+        expected = graded_contents(self.fraction_path(monkeypatch, GRADED_CASES[case]))
+        monkeypatch.setattr(linalg, "P", prime)
+        assert graded_contents(graded_intersection(*GRADED_CASES[case])) == expected
+
+    def test_tiny_prime_really_falls_back(self, monkeypatch):
+        monkeypatch.setattr(linalg, "P", 3)
+        fallbacks = count_fallbacks(monkeypatch)
+        graded_intersection(*fractional_case())
+        assert any(fallbacks)
+
+    def test_l215_needs_no_fallback(self, monkeypatch):
+        fallbacks = count_fallbacks(monkeypatch)
+        rep = graded_intersection(*pairwise_products_data(QQ), WEIGHTS, 16)
+        assert len(fallbacks) == 17 and not any(fallbacks)
+        assert all(rep.dims[d] == 0 for d in range(1, 17))
+
+    def test_denominator_divisible_by_p_falls_back(self, monkeypatch):
+        monkeypatch.setattr(linalg, "P", 3)
+        fallbacks = count_fallbacks(monkeypatch)
+        rows_a = [{(1, 0): Fraction(1, 3)}, {(0, 1): 1}]
+        rows_b = [{(1, 0): 1, (0, 1): Fraction(2, 9)}]
+        assert linalg.span_intersection(rows_a, rows_b, QQ) == (2, 1, [{(0, 1): 1, (1, 0): Fraction(9, 2)}])
+        assert fallbacks == [True]
 
 
 class TestFreenessCosetCheck:

@@ -12,6 +12,7 @@ from math import gcd, isqrt, lcm
 
 from hypothesis import given, settings, strategies as st
 
+from h14 import linalg
 from h14.lattice import IntMatrix, det
 from h14.laurent import QQ, _axpy, coeff_of
 from h14.linalg import (
@@ -178,3 +179,11 @@ class TestRationalReconstruction:
         u = pow(bound + 1, -1, MERSENNE_61)
         assert rational_reconstruction(u, MERSENNE_61) is None
         assert rational_reconstruction(0, 5) == 0 and rational_reconstruction(1, 5) == 1
+
+    def test_lift_rows(self):
+        assert MERSENNE_61 == linalg.P
+        half = pow(2, -1, MERSENNE_61)
+        assert linalg.lift([{"a": 1, "b": half}, {"c": MERSENNE_61 - 3}]) == [
+            {"a": 1, "b": Fraction(1, 2)}, {"c": Fraction(-3)}]
+        bound = isqrt(MERSENNE_61 // 2)
+        assert linalg.lift([{"a": 1}, {"b": 1, "c": pow(bound + 1, -1, MERSENNE_61)}]) is None
