@@ -15,6 +15,9 @@ from .errors import PreconditionError, UsageError
 from .laurent import QQ, LaurentPoly
 from .linalg import sparse_nullspace
 
+# Resource guard on the degree bound of kernel_degree_basis.
+MAX_DEGREE = 8
+
 
 def apply_E(f: LaurentPoly) -> LaurentPoly:
     """Sum of the partial derivatives in all variables."""
@@ -35,7 +38,7 @@ def kernel_generators(nvars: int = 4, field=QQ):
     return [y[-1] - y[i] for i in range(nvars - 1)]
 
 
-def kernel_degree_basis(d: int, nvars: int = 4, field=QQ, maximum: int = 8):
+def kernel_degree_basis(d: int, nvars: int = 4, field=QQ):
     """Basis of the kernel within polynomials of total degree <= d.
 
     Solved as exact linear algebra over Q on monomial coefficients; the
@@ -45,8 +48,8 @@ def kernel_degree_basis(d: int, nvars: int = 4, field=QQ, maximum: int = 8):
         raise UsageError("kernel degree bases are computed over Q (characteristic 0)")
     if d < 0:
         raise UsageError("degree bound must be >= 0")
-    if d > maximum:
-        raise UsageError(f"degree bound {d} exceeds the configured maximum {maximum}")
+    if d > MAX_DEGREE:
+        raise UsageError(f"degree bound {d} exceeds the configured maximum {MAX_DEGREE}")
     monomials = [
         e
         for e in itertools.product(range(d + 1), repeat=nvars)

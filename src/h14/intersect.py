@@ -1,22 +1,27 @@
 """Bounded-degree intersection algebras by exact linear algebra.
 
-Two engines share one report type, and over Q both eliminate modulo the
-prime P = 2^61 - 1 of :mod:`h14.linalg`, certify the result exactly and fall
-back to the same computation with Fractions when a lift or a check fails;
-their reports equal those of the Fraction path byte for byte.
+Two engines share one report type and one product table: every product of a
+generator list up to a weighted degree bound, keyed by its exponent vector
+and built with one multiplication each (``_product_table``).  Over Q both
+feed it generators with integer coefficients, so the products are integers;
+both eliminate modulo the prime P = 2^61 - 1 of :mod:`h14.linalg`, certify
+the result exactly and fall back to the same computation with Fractions when
+a lift or a check fails; their reports equal those of the Fraction path byte
+for byte.
 
 ``graded_intersection`` works degree by degree under a weight grading: each
 side of the intersection is spanned by all products of its generators of the
 given weighted degree, and the two coefficient spaces are intersected by
 ``linalg.span_intersection``.  Over Q the generators are scaled to integer
-coefficients (which changes no span) and multiplied in integers; the ranks
-mod P are certified by independence, and dim_Q(A & B) <= dim A + dim B -
-rank_P(A + B) = m_P, so m_P = 0 proves a zero intersection without any lift.
+coefficients (which changes no span); the ranks mod P are certified by
+independence, and dim_Q(A & B) <= dim A + dim B - rank_P(A + B) = m_P, so
+m_P = 0 proves a zero intersection without any lift.
 ``kuroda_intersection_basis`` works in the pi-coordinates of an instance: it
 looks for combinations of pi-monomials whose X-substitution has no negative
-exponents, one exact cancellation constraint per offending X-monomial.  Over
-Q it lifts every basis entry by rational reconstruction and verifies every
-lifted vector exactly through its integer X-image.
+exponents, one exact cancellation constraint per offending X-monomial.  The
+pis have integer coefficients, so over Q the constraints reduce mod P without
+an inverse.  It lifts every basis entry by rational reconstruction and
+verifies every lifted vector exactly through its integer X-image.
 
 Both computations are complete only up to their degree bound, and the
 reports say so; nothing here decides (non-)finite generation.
@@ -29,14 +34,19 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from . import linalg
-from .errors import GradingError, SingularMatrixError, UsageError, int_vector
+from .errors import GradingError, PreconditionError, SingularMatrixError, UsageError, int_vector
 from .kuroda import KurodaInstance
 from .lattice import coset_decomposition
 from .laurent import QQ, LaurentPoly, coeff_of
 from .linalg import SparseRREF, span_intersection, sparse_nullspace
+
+# Resource guards on the degree bounds, not correctness bounds.
+GRADED_MAX_DEGREE = 32
+PI_MAX_DEGREE = 12
+UNITS_MAX_DEGREE = 8
 
 BOUND_NOTE = (
     "new-generator counts use subalgebra spans up to the report's own degree "
@@ -68,48 +78,55 @@ class GradedIntersectionReport:
         ]
 
 
-def _weighted_degree(poly: LaurentPoly, weights):
-    e = next(iter(poly.terms))
-    return sum(x * w for x, w in zip(e, weights))
+def _check_dmax(dmax, maximum):
+    if not isinstance(dmax, int) or dmax < 0:
+        raise UsageError("degree bound must be a nonnegative integer")
+    if dmax > maximum:
+        raise UsageError(f"degree bound {dmax} exceeds the configured maximum {maximum}")
 
 
-def _graded_products(gens, degs, n, field, d):
-    """All products of the generators with total weighted degree exactly d."""
-    out = []
-
-    def rec(i, r, acc):
-        if i == len(gens):
-            if r == 0:
-                out.append(acc)
-            return
-        cur = acc
-        c = 0
-        while True:
-            rec(i + 1, r - c * degs[i], cur)
-            c += 1
-            if c * degs[i] > r:
-                break
-            cur = cur * gens[i]
-
-    rec(0, d, LaurentPoly._trusted(n, field, {(0,) * n: 1}))
-    return out
+def _check_nonsingular(inst: KurodaInstance, message="exponent matrix is singular"):
+    if inst.det_t == 0:
+        raise SingularMatrixError(message)
 
 
-def _integer_scaled(gens):
-    """Each generator over Q times its common denominator: int coefficients,
-    so its products stay in integers, and the same spans."""
-    ints = _integer_images(dict(enumerate(gens)))
-    return [LaurentPoly._trusted(g.n, g.field, ints[i][1]) for i, g in enumerate(gens)]
+def _product_table(gens, degs, dmax, n, field):
+    """Every product of ``gens`` of weighted degree <= dmax, keyed by its
+    exponent vector beta; generator i has degree degs[i] > 0.
+
+    Each product is one multiplication: the entry of beta - e_i times
+    gens[i], for the first nonzero index i of beta.  So the parent of beta
+    has no nonzero index below i, and beta extends it at indices <= i only.
+    """
+    k = len(gens)
+    zero = (0,) * k
+    table = {zero: LaurentPoly._trusted(n, field, {(0,) * n: 1})}
+    todo = [(zero, 0, k)]  # (beta, its degree, its first nonzero index or k)
+    for beta, deg, first in todo:  # extended while it is walked
+        for i in range(min(first + 1, k)):
+            if deg + degs[i] <= dmax:
+                child = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                table[child] = table[beta] * gens[i]
+                todo.append((child, deg + degs[i], i))
+    return table
+
+
+def _integer_scaled(g: LaurentPoly) -> LaurentPoly:
+    """``g`` over Q times its common denominator: int coefficients, so its
+    products stay in integers, and the same span."""
+    den = lcm(*(c.denominator for c in g.terms.values()))
+    return LaurentPoly._trusted(g.n, g.field, {e: c.numerator * (den // c.denominator) for e, c in g.terms.items()})
 
 
 def _validate_gens(label, gens, weights):
     degs = []
     for idx, g in enumerate(gens):
-        if g.is_zero() or not g.is_homogeneous(weights):
+        parts = g.grade_by(weights)
+        if len(parts) != 1:
             raise GradingError(
                 f"generator {label}[{idx}] = {g} is not homogeneous for weights {weights}"
             )
-        deg = _weighted_degree(g, weights)
+        (deg,) = parts
         if deg <= 0:
             raise GradingError(
                 f"generator {label}[{idx}] = {g} has non-positive weighted degree {deg}"
@@ -118,7 +135,15 @@ def _validate_gens(label, gens, weights):
     return degs
 
 
-def graded_intersection(gensA, gensB, weights, dmax, maximum: int = 32):
+def _rows_by_degree(gens, degs, dmax, n, field):
+    """The product table's coefficient rows, grouped by weighted degree."""
+    rows = {d: [] for d in range(dmax + 1)}
+    for beta, p in _product_table(gens, degs, dmax, n, field).items():
+        rows[sum(map(mul, beta, degs))].append(p.terms)
+    return rows
+
+
+def graded_intersection(gensA, gensB, weights, dmax):
     """Degree-by-degree intersection of the two generated algebras.
 
     For each degree d <= dmax the slice of either algebra is spanned by all
@@ -128,10 +153,7 @@ def graded_intersection(gensA, gensB, weights, dmax, maximum: int = 32):
     integer-scaled generators, so ``span_intersection`` gets exact integer
     rows to reduce mod P and to certify with; its bases hold Fractions.
     """
-    if not isinstance(dmax, int) or dmax < 0:
-        raise UsageError("degree bound must be a nonnegative integer")
-    if dmax > maximum:
-        raise UsageError(f"degree bound {dmax} exceeds the configured maximum {maximum}")
+    _check_dmax(dmax, GRADED_MAX_DEGREE)
     all_gens = list(gensA) + list(gensB)
     if not all_gens:
         raise UsageError("need at least one generator")
@@ -144,16 +166,16 @@ def graded_intersection(gensA, gensB, weights, dmax, maximum: int = 32):
     degs_a = _validate_gens("A", gensA, weights)
     degs_b = _validate_gens("B", gensB, weights)
     if fld == QQ:
-        gensA, gensB = _integer_scaled(gensA), _integer_scaled(gensB)
+        gensA, gensB = [_integer_scaled(g) for g in gensA], [_integer_scaled(g) for g in gensB]
+    slices_a = _rows_by_degree(gensA, degs_a, dmax, n, fld)
+    slices_b = _rows_by_degree(gensB, degs_b, dmax, n, fld)
 
     ambient_a, ambient_b, dims, bases = {}, {}, {}, {}
     for d in range(dmax + 1):
-        rows_a = [p.terms for p in _graded_products(gensA, degs_a, n, fld, d) if p.terms]
-        rows_b = [p.terms for p in _graded_products(gensB, degs_b, n, fld, d) if p.terms]
-        dim_a, dim_b, inter = span_intersection(rows_a, rows_b, fld)
+        dim_a, dim_b, inter = span_intersection(slices_a[d], slices_b[d], fld)
         basis = [LaurentPoly._trusted(n, fld, r) for r in inter]
         for b in basis:
-            if not b.is_homogeneous(weights) or (d and _weighted_degree(b, weights) != d):
+            if list(b.grade_by(weights)) != [d]:
                 raise ArithmeticError(f"a degree-{d} intersection basis element is not homogeneous of degree {d}")
         ambient_a[d], ambient_b[d] = dim_a, dim_b
         dims[d], bases[d] = len(basis), basis
@@ -168,43 +190,33 @@ def graded_intersection(gensA, gensB, weights, dmax, maximum: int = 32):
 # ---------------------------------------------------------------------------
 
 
+def _integral(poly: LaurentPoly) -> LaurentPoly:
+    """``poly`` over Q with ``int`` coefficients; a non-integral coefficient
+    raises, since scaling would change the reported basis."""
+    if any(c.denominator != 1 for c in poly.terms.values()):
+        raise PreconditionError(f"pi {poly} has a non-integral coefficient")
+    return LaurentPoly._trusted(poly.n, poly.field, {e: c.numerator for e, c in poly.terms.items()})
+
+
 def _pi_monomial_images(inst: KurodaInstance, dmax: int):
-    """X-substituted pi-monomials, keyed by exponent vector, degree <= dmax."""
-    k = len(inst.pis)
-    images = {(0,) * k: LaurentPoly.constant(inst.n, 1, inst.field)}
-    for d in range(1, dmax + 1):
-        for beta in itertools.product(range(d + 1), repeat=k):
-            if sum(beta) != d:
-                continue
-            i = next(j for j in range(k) if beta[j])
-            prev = list(beta)
-            prev[i] -= 1
-            images[beta] = images[tuple(prev)] * inst.pis[i]
-    return images
+    """X-substituted pi-monomials, keyed by exponent vector, degree <= dmax;
+    over Q with ``int`` coefficients."""
+    pis = [_integral(pi) for pi in inst.pis] if inst.field == QQ else inst.pis
+    return _product_table(pis, (1,) * len(pis), dmax, inst.n, inst.field)
 
 
-def _integer_images(images):
-    """Each pi-monomial image as (common denominator, integer numerators)."""
-    out = {}
-    for beta, img in images.items():
-        den = lcm(*(c.denominator for c in img.terms.values()))
-        out[beta] = (den, {e: c.numerator * (den // c.denominator) for e, c in img.terms.items()})
-    return out
-
-
-def _x_image(row, ints, fld):
+def _x_image(row, images, fld):
     """X-image of the pi-combination ``row``, summed in integers.
 
-    The entries are put over their common denominator D (1 over F_p, whose
-    ints have denominator 1), so every X-coefficient is one integer sum s:
-    ``Fraction(s, D)`` over Q, ``s mod p`` over F_p.
+    The images have integer coefficients and the entries are put over their
+    common denominator D (1 over F_p), so every X-coefficient is one integer
+    sum s: ``Fraction(s, D)`` over Q, ``s mod p`` over F_p.
     """
-    dens = {beta: c.denominator * ints[beta][0] for beta, c in row.items()}
-    big = lcm(*dens.values())
+    big = lcm(*(c.denominator for c in row.values()))
     sums = {}
     for beta, c in row.items():
-        m = c.numerator * (big // dens[beta])
-        for e, v in ints[beta][1].items():
+        m = c.numerator * (big // c.denominator)
+        for e, v in images[beta].terms.items():
             sums[e] = sums.get(e, 0) + m * v
     if fld == QQ:
         return {e: Fraction(s, big) for e, s in sums.items() if s}
@@ -245,19 +257,18 @@ def _certified_images(bases, images, fld):
     The negative-exponent coefficients of a row's image are exactly its
     cancellation constraints, so a polynomial image proves A_d v = 0.
     """
-    ints = _integer_images({b: images[b] for rows in bases.values() for row in rows for b in row})
     out = {}
     for d, rows in bases.items():
         out[d] = []
         for row in rows:
-            img = _x_image(row, ints, fld)
+            img = _x_image(row, images, fld)
             if any(min(e) < 0 for e in img):
                 return None
             out[d].append(img)
     return out
 
 
-def kuroda_intersection_basis(inst: KurodaInstance, dmax: int, maximum: int = 12):
+def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
     """Basis of the polynomial part of the bounded-degree pi-span.
 
     At each degree d this finds all combinations of pi-monomials of total
@@ -275,12 +286,8 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int, maximum: int = 12
     RREF the same loop computes over Q.  If a lift or a certificate fails,
     that loop runs over Q with Fractions.
     """
-    if inst.det_t == 0:
-        raise SingularMatrixError("exponent matrix is singular; the pis are dependent")
-    if not isinstance(dmax, int) or dmax < 0:
-        raise UsageError("degree bound must be a nonnegative integer")
-    if dmax > maximum:
-        raise UsageError(f"degree bound {dmax} exceeds the configured maximum {maximum}")
+    _check_nonsingular(inst, "exponent matrix is singular; the pis are dependent")
+    _check_dmax(dmax, PI_MAX_DEGREE)
     k = len(inst.pis)
     fld = inst.field
     images = _pi_monomial_images(inst, dmax)
@@ -390,8 +397,7 @@ def freeness_coset_check(inst: KurodaInstance, box_bound: int) -> bool:
     decompose as rep(v) + h with h in H, with the representative canonical
     (idempotent and invariant under shifts by generators of H).
     """
-    if inst.det_t == 0:
-        raise SingularMatrixError("exponent matrix is singular")
+    _check_nonsingular(inst)
     n = inst.n
     gens = [tuple(row) + (0,) for row in inst.t_matrix.entries]
     gens.append((0,) * (n - 1) + (1,))
@@ -409,7 +415,7 @@ def freeness_coset_check(inst: KurodaInstance, box_bound: int) -> bool:
     return True
 
 
-def no_monomial_units_check(inst: KurodaInstance, dmax: int, maximum: int = 8) -> bool:
+def no_monomial_units_check(inst: KurodaInstance, dmax: int) -> bool:
     """No nonconstant Laurent monomial lies in the bounded-degree pi-span.
 
     Reduces each candidate X-monomial against the exact span of the
@@ -417,12 +423,8 @@ def no_monomial_units_check(inst: KurodaInstance, dmax: int, maximum: int = 8) -
     span's support can possibly belong, so the check is complete for the
     bound.
     """
-    if inst.det_t == 0:
-        raise SingularMatrixError("exponent matrix is singular")
-    if not isinstance(dmax, int) or dmax < 0:
-        raise UsageError("degree bound must be a nonnegative integer")
-    if dmax > maximum:
-        raise UsageError(f"degree bound {dmax} exceeds the configured maximum {maximum}")
+    _check_nonsingular(inst)
+    _check_dmax(dmax, UNITS_MAX_DEGREE)
     span = SparseRREF(inst.field)
     support = set()
     for beta, img in sorted(_pi_monomial_images(inst, dmax).items()):

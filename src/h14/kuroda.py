@@ -27,6 +27,9 @@ from .errors import ConditionError, UsageError, ValidationError, is_int
 from .laurent import QQ, LaurentPoly, parse_field
 from .lattice import IntMatrix, det
 
+# Resource guard on the delta-box bound of implication_scan.
+SCAN_MAX_BOUND = 4
+
 
 @dataclass(frozen=True)
 class KurodaInstance:
@@ -147,14 +150,14 @@ class ScanReport:
     converse_witnesses: tuple      # det T != 0 but condition fails
 
 
-def implication_scan(n: int, bound: int, maximum: int = 4) -> ScanReport:
+def implication_scan(n: int, bound: int) -> ScanReport:
     """Exhaustive delta-box scan of condition => det T != 0.
 
     Entries run over [1, bound].  Collects all converse counterexamples
     (nonzero determinant with the condition failing).
     """
-    if bound > maximum:
-        raise UsageError(f"bound {bound} exceeds the configured maximum {maximum}")
+    if bound > SCAN_MAX_BOUND:
+        raise UsageError(f"bound {bound} exceeds the configured maximum {SCAN_MAX_BOUND}")
     if bound < 1:
         raise UsageError("bound must be >= 1")
     violations = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import lcm
 from operator import mul
 
 from .errors import ShapeError, SingularMatrixError, UsageError, int_vector
@@ -39,9 +39,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n):
         return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
-
-    def row(self, i):
-        return self.entries[i]
 
     @cached_property
     def columns(self):
@@ -120,9 +117,7 @@ def solve_unit_row(t: IntMatrix, i: int):
     if sol is None:
         raise ArithmeticError("a nonsingular system has no rational solution")
     x, _ = sol
-    m = 1
-    for f in x:
-        m = m * f.denominator // gcd(m, f.denominator)
+    m = lcm(*(f.denominator for f in x))
     s = tuple(int(f * m) for f in x)
     return m, s
 
@@ -179,13 +174,6 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         for r in v:
             r[j] += c * r[i]
         vinv[i] = [x - c * y for x, y in zip(vinv[i], vinv[j])]
-
-    def col_neg(j):
-        for r in a:
-            r[j] = -r[j]
-        for r in v:
-            r[j] = -r[j]
-        vinv[j] = [-x for x in vinv[j]]
 
     def nonzero_in(t):
         best = None

@@ -174,9 +174,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
-    def constant_value(self):
-        return self.terms.get((0,) * self.n, coeff_of(self.field, 0))
-
     def support(self):
         """The set of exponent vectors carrying a nonzero coefficient."""
         return set(self.terms)
@@ -319,9 +316,6 @@ class LaurentPoly:
                 ne[i] -= 1
                 _axpy(out, e[i], {tuple(ne): c}, self.field)
         return LaurentPoly._trusted(self.n, self.field, out)
-
-    def weighted_degree_of(self, exps, weights) -> int:
-        return sum(e * w for e, w in zip(exps, weights))
 
     def grade_by(self, weights):
         """Split into weighted-homogeneous parts; parts sum back to self."""

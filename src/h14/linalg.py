@@ -21,7 +21,7 @@ elimination when a residue, a lift or a check fails.  The pi-engine of
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .laurent import QQ, _axpy, coeff_of, inverse
 
@@ -80,13 +80,9 @@ def primitive_vector(vec):
     """Clear denominators and divide by the content; the sign is normalized so
     that the first nonzero entry is positive."""
     fracs = [Fraction(x) for x in vec]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
+    den = lcm(*(f.denominator for f in fracs))
     ints = [int(f * den) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x != 0), 0)

@@ -1,14 +1,16 @@
 """Bounded-degree intersection algebras and structural instance checks."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from h14 import intersect, linalg
 from h14.derivation import support_property_check
-from h14.errors import GradingError, SingularMatrixError, UsageError, ValidationError
+from h14.errors import GradingError, PreconditionError, SingularMatrixError, UsageError, ValidationError
 from h14.intersect import (
     freeness_coset_check,
     graded_intersection,
@@ -262,24 +264,25 @@ class TestModularPiEngine:
                    for i in ims for c in i.terms.values())
 
 
+def seeded_generator(rng, field=QQ):
+    """A combination of one to three monomials in three variables of one
+    weighted degree 1-3 under the weights (1, 1, 2), with integer and
+    fractional coefficients."""
+    deg = rng.randint(1, 3)
+    monos = [e for e in itertools.product(range(deg + 1), repeat=3) if e[0] + e[1] + 2 * e[2] == deg]
+    support = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+    coeffs = [1, -1, 2, 3, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)]
+    return LaurentPoly(3, field, {e: rng.choice(coeffs) for e in support})
+
+
 def seeded_graded(count, seed):
-    """Seeded generator sets in three variables under the weights (1, 1, 2):
-    each generator is a combination of one to three monomials of one weighted
-    degree 1-3, with integer and fractional coefficients.  B shares A's first
+    """Seeded generator sets (see ``seeded_generator``).  B shares A's first
     generator, so the intersections are not all zero."""
     rng = random.Random(seed)
-    coeffs = [1, -1, 2, 3, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)]
-
-    def gen():
-        deg = rng.randint(1, 3)
-        monos = [e for e in itertools.product(range(deg + 1), repeat=3) if e[0] + e[1] + 2 * e[2] == deg]
-        support = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
-        return LaurentPoly(3, QQ, {e: rng.choice(coeffs) for e in support})
-
     out = []
     for _ in range(count):
-        gens_a = [gen() for _ in range(rng.randint(2, 3))]
-        gens_b = [gens_a[0]] + [gen() for _ in range(rng.randint(1, 2))]
+        gens_a = [seeded_generator(rng) for _ in range(rng.randint(2, 3))]
+        gens_b = [gens_a[0]] + [seeded_generator(rng) for _ in range(rng.randint(1, 2))]
         out.append((gens_a, gens_b, (1, 1, 2), 7))
     return out
 
@@ -327,7 +330,8 @@ def graded_contents(rep):
 
 def product_count(gens, weights, d):
     degs = intersect._validate_gens("A", gens, weights)
-    return len(intersect._graded_products(gens, degs, gens[0].n, QQ, d))
+    table = intersect._product_table(gens, degs, d, gens[0].n, QQ)
+    return sum(1 for beta in table if sum(map(mul, beta, degs)) == d)
 
 
 def count_fallbacks(monkeypatch):
@@ -409,6 +413,62 @@ class TestModularGradedIntersection:
         rows_b = [{(1, 0): 1, (0, 1): Fraction(2, 9)}]
         assert linalg.span_intersection(rows_a, rows_b, QQ) == (2, 1, [{(0, 1): 1, (1, 0): Fraction(9, 2)}])
         assert fallbacks == [True]
+
+
+def reference_pi_images(inst, dmax):
+    """The pi-monomial images as built over the instance's own coefficients:
+    ``Fraction`` products over Q, each the image of beta - e_i times pi_i."""
+    k = len(inst.pis)
+    images = {(0,) * k: LaurentPoly.constant(inst.n, 1, inst.field)}
+    for d in range(1, dmax + 1):
+        for beta in itertools.product(range(d + 1), repeat=k):
+            if sum(beta) != d:
+                continue
+            i = next(j for j in range(k) if beta[j])
+            prev = list(beta)
+            prev[i] -= 1
+            images[beta] = images[tuple(prev)] * inst.pis[i]
+    return images
+
+
+class TestProductTable:
+    @pytest.mark.parametrize("field", [QQ, 5, 32003])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_entry_per_exponent_equal_to_power_product(self, field, seed):
+        # two to four generators of degree 1-3, so degrees repeat; a
+        # coefficient 5/3 vanishes over F_5
+        rng = random.Random(seed)
+        gens = [g for g in (seeded_generator(rng, field) for _ in range(rng.randint(2, 4))) if g.terms]
+        degs = intersect._validate_gens("A", gens, (1, 1, 2))
+        dmax = 6
+        table = intersect._product_table(gens, degs, dmax, 3, field)
+        expected = {}
+        for beta in itertools.product(range(dmax + 1), repeat=len(gens)):
+            if sum(map(mul, beta, degs)) <= dmax:
+                prod = LaurentPoly.constant(3, 1, field)
+                for g, b in zip(gens, beta):
+                    prod = prod * g ** b
+                expected[beta] = prod
+        assert table.keys() == expected.keys()
+        assert all(table[beta] == expected[beta] for beta in expected)
+
+    def test_no_generators(self):
+        assert intersect._product_table([], [], 4, 2, QQ) == {(): LaurentPoly.constant(2, 1)}
+
+    @pytest.mark.parametrize("inst", [ONES, OFF3, build_instance(3, 2, [[1, 2], [3, 1]])])
+    def test_pi_images_are_integer_fraction_products(self, inst):
+        images = intersect._pi_monomial_images(inst, 6)
+        reference = reference_pi_images(inst, 6)
+        assert images == reference
+        assert all(type(c) is int for img in images.values() for c in img.terms.values())
+        assert all(type(c) is Fraction for img in reference.values() for c in img.terms.values())
+
+    def test_non_integral_pi_raises(self):
+        halved = dataclasses.replace(OFF3, pis=(OFF3.pis[0] * Fraction(1, 2),) + OFF3.pis[1:])
+        with pytest.raises(PreconditionError, match="non-integral coefficient"):
+            kuroda_intersection_basis(halved, 2)
+        with pytest.raises(PreconditionError, match="non-integral"):
+            no_monomial_units_check(halved, 2)
 
 
 class TestFreenessCosetCheck:

@@ -1,0 +1,31 @@
+"""The package has no runtime dependency beyond the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import h14
+
+MODULES = sorted(Path(h14.__file__).parent.rglob("*.py"))
+
+
+def imports(path):
+    """(level, dotted name) of every import statement in the module."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((0, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.level, node.module or ""
+
+
+def test_every_module_is_checked():
+    assert {p.name for p in MODULES} >= {"cli.py", "intersect.py", "linalg.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_package_relative_or_stdlib(path):
+    for level, name in imports(path):
+        top = name.partition(".")[0]
+        assert level or top == "h14" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
