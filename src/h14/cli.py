@@ -24,7 +24,7 @@ import sys
 from . import __version__
 from .derivation import support_property_check
 from .errors import ConfigError, PreconditionError, UsageError, is_int
-from .intersect import graded_intersection, kuroda_intersection_basis
+from .intersect import freeness_coset_check, graded_intersection, kuroda_intersection_basis, no_monomial_units_check
 from .kuroda import (
     build_f0,
     build_G,
@@ -40,6 +40,7 @@ from .kuroda import (
 )
 from .lattice import solve_unit_row
 from .laurent import QQ, LaurentPoly, field_name, parse_field
+from .linalg import SparseRREF
 from .monoid import SubalgebraGens, cone_membership, hilbert_basis, intersection_generators
 
 DEFAULT_N4 = {"n": 4, "gamma": 1, "delta": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]}
@@ -237,8 +238,6 @@ def _verify_t25i(args, rep):
 
 
 def _verify_t25ii(args, rep):
-    from .intersect import freeness_coset_check
-
     inst = _instance(args, DEFAULT_N4)
     _header(rep, args, inst.field)
     ok = freeness_coset_check(inst, 5)
@@ -248,8 +247,6 @@ def _verify_t25ii(args, rep):
 
 
 def _verify_p26(args, rep):
-    from .intersect import no_monomial_units_check
-
     inst = _n4_instance(args)
     dmax = args.dmax if args.dmax is not None else 4
     _header(rep, args, inst.field, dmax)
@@ -264,10 +261,11 @@ def _verify_t28(args, rep):
     gens = SubalgebraGens.of(2, [(1, 1), (1, -1)])
     monos = intersection_generators(gens)
     expected = [(0, 2), (1, 1), (2, 0)]
-    ok = monos == expected
-    rep.row("worked_example", "ok" if ok else "FAIL")
+    worked = monos == expected
+    rep.row("worked_example", "ok" if worked else "FAIL")
     rng = random.Random(args.seed)
     checked = 0
+    in_cone = True
     for _ in range(10):
         t = rng.randint(1, 3)
         n = rng.randint(1, 3)
@@ -279,9 +277,9 @@ def _verify_t28(args, rep):
         checked += 1
         for beta in hb.vectors:
             if not cone_membership(hb.u, beta):
-                ok = False
-    rep.row("random_bases_in_cone", checked, "ok" if ok else "FAIL")
-    return ok
+                in_cone = False
+    rep.row("random_bases_in_cone", checked, "ok" if in_cone else "FAIL")
+    return worked and in_cone
 
 
 def _verify_t214(args, rep):
@@ -325,8 +323,6 @@ def _verify_l215(args, rep):
 
 
 def _verify_r216(args, rep):
-    from .linalg import SparseRREF
-
     field = parse_field(args.field or 2)
     if field != 2:
         raise UsageError("this check concerns characteristic 2 (use --field Fp:2)")

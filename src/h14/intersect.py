@@ -37,7 +37,7 @@ from math import lcm
 from operator import add, mul, sub
 
 from . import linalg
-from .errors import GradingError, PreconditionError, SingularMatrixError, UsageError, int_vector
+from .errors import GradingError, PreconditionError, SingularMatrixError, UsageError, int_vector, is_int
 from .kuroda import KurodaInstance
 from .lattice import coset_decomposition
 from .laurent import QQ, LaurentPoly, coeff_of
@@ -79,7 +79,7 @@ class GradedIntersectionReport:
 
 
 def _check_dmax(dmax, maximum):
-    if not isinstance(dmax, int) or dmax < 0:
+    if not is_int(dmax) or dmax < 0:
         raise UsageError("degree bound must be a nonnegative integer")
     if dmax > maximum:
         raise UsageError(f"degree bound {dmax} exceeds the configured maximum {maximum}")
@@ -329,56 +329,39 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
 def minimal_generator_degrees(report: GradedIntersectionReport):
     """Degrees at which the report's basis leaves the prior subalgebra.
 
-    At each degree d, counts basis elements not in the span of products of
-    previously found generators with degree labels summing to at most d.
+    At each degree d, counts basis elements not in the span S_d of products
+    of previously found generators with degree labels summing to at most d.
     Constants never count.  The answer is exact only up to the report's
     degree bound (see the report note).
 
-    The subalgebra span is closed incrementally, keeping only products that
-    enlarge it: a reducible product is a combination of kept products of the
-    same or lower label, so its multiples are covered by theirs.
+    One pass per degree: ``kept[e]`` holds the products and generators of
+    label e that enlarged the span.  At degree d only the products p * g
+    with label(p) = d - label(g) are new, and those with p in ``kept`` are
+    enough.  A dropped p of label e is a combination of kept elements of
+    label <= e, and the span is multiplicative (S_e * g lies in S_{e+l} for
+    a generator g of label l), so p * g is a combination of products already
+    in S_d: S_d is the span of all generator products of label <= d,
+    whichever products were kept, and the counts cannot depend on the choice.
+    The constant 1 of ``bases[0]`` enters the span as a basis element.
     """
-    fld = report.field
-    one = coeff_of(fld, 1)
-    degrees = sorted(report.bases)
-    first = next(
-        (report.bases[d][0] for d in degrees if report.bases[d]), None
-    )
-    if first is None:
-        return []
-    nvars = first.n
-    span = SparseRREF(fld)
-    span.add({(0,) * nvars: one})
+    span = SparseRREF(report.field)
     gens = []   # (label, poly) minimal generators found so far
-    prods = [(0, LaurentPoly.constant(nvars, 1, fld))]
-    tried = set()
+    kept = {}   # label -> products and generators that enlarged the span
     out = []
-    for d in degrees:
-        progress = True
-        while progress:
-            progress = False
-            for pi_ in range(len(prods)):
-                for gi in range(len(gens)):
-                    key = (pi_, gi)
-                    if key in tried:
-                        continue
-                    label = prods[pi_][0] + gens[gi][0]
-                    if label > d:
-                        continue
-                    tried.add(key)
-                    q = prods[pi_][1] * gens[gi][1]
-                    if not span.contains(q.terms):
-                        span.add(q.terms)
-                        prods.append((label, q))
-                        progress = True
+    for d in sorted(report.bases):
+        level = []  # becomes kept[d] after this degree's pass
+        for label, g in gens:
+            for p in kept.get(d - label, ()):
+                q = p * g
+                if span.add(q.terms) is not None:
+                    level.append(q)
         new = 0
         for b in report.bases[d]:
-            if b.is_constant() or span.contains(b.terms):
-                continue
-            new += 1
-            span.add(b.terms)
-            gens.append((d, b))
-            prods.append((d, b))
+            if span.add(b.terms) is not None and not b.is_constant():
+                new += 1
+                gens.append((d, b))
+                level.append(b)
+        kept[d] = level
         if new:
             out.append((d, new))
     return out

@@ -156,10 +156,10 @@ def implication_scan(n: int, bound: int) -> ScanReport:
     Entries run over [1, bound].  Collects all converse counterexamples
     (nonzero determinant with the condition failing).
     """
+    if not is_int(bound) or bound < 1:
+        raise UsageError(f"bound must be an integer >= 1, got {bound!r}")
     if bound > SCAN_MAX_BOUND:
         raise UsageError(f"bound {bound} exceeds the configured maximum {SCAN_MAX_BOUND}")
-    if bound < 1:
-        raise UsageError("bound must be >= 1")
     violations = []
     witnesses = []
     total = 0

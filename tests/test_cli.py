@@ -185,7 +185,7 @@ class TestVerify:
         "check_id, work",
         [
             ("t2.5i", "h14.cli.solve_unit_row"),
-            ("p2.6", "h14.intersect.no_monomial_units_check"),
+            ("p2.6", "h14.cli.no_monomial_units_check"),
             ("l3.2", "h14.cli.kuroda_intersection_basis"),
         ],
     )
@@ -199,6 +199,14 @@ class TestVerify:
         assert code == 2
         assert "RESULT" not in out
         assert "n=4 family" in err
+
+    def test_t28_rows_fail_separately(self, capsys, monkeypatch):
+        monkeypatch.setattr(h14.cli, "intersection_generators", lambda gens: [])
+        code, out, _ = run(capsys, "verify", "t2.8")
+        assert code == 1
+        assert "worked_example\tFAIL\n" in out
+        assert "random_bases_in_cone\t5\tok\n" in out
+        assert out.endswith("RESULT\tfail\n")
 
     def test_crash_is_exit_4_not_a_failed_verification(self, capsys, monkeypatch):
         def crash(_args, _rep):

@@ -100,6 +100,11 @@ class TestKernelDegreeBasis:
         with pytest.raises(UsageError):
             kernel_degree_basis(-1)
 
+    @pytest.mark.parametrize("d", [True, 2.5])
+    def test_degree_bound_must_be_an_int(self, d):
+        with pytest.raises(UsageError, match="nonnegative integer"):
+            kernel_degree_basis(d)
+
 
 class TestSupportProperty:
     def test_constant(self):

@@ -41,8 +41,10 @@ def pairwise_products_data(field):
 
 WEIGHTS = (1, 1, 1, 2)
 
-ONES = build_instance(4, 1, [[1, 1, 1]] * 3)
-OFF3 = build_instance(4, 1, [[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+ONES_DELTA = [[1, 1, 1]] * 3
+OFF3_DELTA = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
+ONES = build_instance(4, 1, ONES_DELTA)
+OFF3 = build_instance(4, 1, OFF3_DELTA)
 
 
 class TestGradedIntersection:
@@ -501,6 +503,75 @@ class TestNoMonomialUnits:
             no_monomial_units_check(ONES, 9)
 
 
+@pytest.mark.parametrize("dmax", [True, 2.5])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda dmax: kuroda_intersection_basis(OFF3, dmax),
+        lambda dmax: graded_intersection(*pairwise_products_data(QQ), WEIGHTS, dmax),
+        lambda dmax: no_monomial_units_check(OFF3, dmax),
+    ],
+    ids=["kuroda_intersection_basis", "graded_intersection", "no_monomial_units_check"],
+)
+def test_degree_bound_must_be_an_int(entry, dmax):
+    with pytest.raises(UsageError, match="nonnegative integer"):
+        entry(dmax)
+
+
+def exponent_vectors(labels, bound):
+    """Every exponent vector over ``labels`` (all >= 1) of weighted sum <= bound."""
+    if not labels:
+        yield ()
+        return
+    for b in range(bound // labels[0] + 1):
+        for rest in exponent_vectors(labels[1:], bound - b * labels[0]):
+            yield (b,) + rest
+
+
+def oracle_new_generators(report):
+    """New-generator counts from scratch: at each degree d, the span of every
+    product of the generators chosen so far of label <= d (constant 1
+    included), then the basis elements of degree d outside it, chosen in
+    order."""
+    one = LaurentPoly.constant(report.bases[0][0].n, 1, report.field)
+    chosen = []  # (label, poly)
+    out = []
+    for d in sorted(report.bases):
+        span = SparseRREF(report.field)
+        labels = [label for label, _ in chosen]
+        for beta in exponent_vectors(labels, d):
+            prod = one
+            for (_, g), b in zip(chosen, beta):
+                prod = prod * g ** b
+            span.add(prod.terms)
+        new = 0
+        for b in report.bases[d]:
+            if not b.is_constant() and span.add(b.terms) is not None:
+                new += 1
+                chosen.append((d, b))
+        if new:
+            out.append((d, new))
+    return out
+
+
+def monomial_algebra(dmax):
+    m = lambda e: LaurentPoly.monomial(2, e)
+    gens = [m((1, 1)), m((2, 0)), m((0, 2))]
+    return graded_intersection(gens, gens, (1, 1), dmax)
+
+
+ORACLE_CASES = (
+    [(f"{name}-{field}", lambda delta=delta, field=field: kuroda_intersection_basis(
+        build_instance(4, 1, delta, field), 9))
+     for name, delta in (("OFF3", OFF3_DELTA), ("ONES", ONES_DELTA))
+     for field in ("Q", "Fp:32003", "Fp:5")]
+    + [("monomial-algebra", lambda: monomial_algebra(10)),
+       ("l215-char2", lambda: graded_intersection(*pairwise_products_data(2), WEIGHTS, 8))]
+    + [(f"seeded-graded-{i}", lambda case=case: graded_intersection(*case))
+       for i, case in enumerate(seeded_graded(5, 7))]
+)
+
+
 class TestMinimalGeneratorDegrees:
     def test_constants_only_report(self):
         rep = kuroda_intersection_basis(ONES, 4)
@@ -510,3 +581,22 @@ class TestMinimalGeneratorDegrees:
         rep = kuroda_intersection_basis(OFF3, 6)
         degs = minimal_generator_degrees(rep)
         assert degs and all(d >= 3 for d, _ in degs)
+
+    @pytest.mark.parametrize("build", [b for _, b in ORACLE_CASES], ids=[i for i, _ in ORACLE_CASES])
+    def test_agrees_with_all_products_oracle(self, build):
+        rep = build()
+        assert minimal_generator_degrees(rep) == oracle_new_generators(rep)
+        assert rep.new_generators == tuple(oracle_new_generators(rep))
+
+    def test_oracle_cases_have_generators(self):
+        # every case but ONES has a nonconstant intersection element to count
+        for name, build in ORACLE_CASES:
+            assert bool(build().new_generators) == (not name.startswith("ONES")), name
+
+    @pytest.mark.parametrize("field", [QQ, 32003])
+    def test_off3_paper_signal(self, field):
+        rep = kuroda_intersection_basis(build_instance(4, 1, OFF3_DELTA, field), 12)
+        assert rep.new_generators == ((3, 1),) + tuple((d, 3) for d in range(4, 13))
+
+    def test_monomial_algebra_generators_in_degree_two_only(self):
+        assert monomial_algebra(10).new_generators == ((2, 3),)

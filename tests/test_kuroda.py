@@ -103,6 +103,11 @@ class TestImplicationScan:
         with pytest.raises(UsageError):
             implication_scan(3, 5)
 
+    @pytest.mark.parametrize("bound", [True, 2.5])
+    def test_bound_must_be_an_int(self, bound):
+        with pytest.raises(UsageError, match="integer"):
+            implication_scan(3, bound)
+
 
 class TestFindP:
     def test_quarter_ratios(self):

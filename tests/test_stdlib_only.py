@@ -1,4 +1,7 @@
-"""The package has no runtime dependency beyond the standard library."""
+"""The package has no runtime dependency beyond the standard library, and
+its syntax parses as Python 3.10, the oldest version ``pyproject.toml``
+allows.  The 3.10 check is ``ast.parse`` with ``feature_version``: syntax
+only, best effort, and no check of the standard-library API used."""
 
 import ast
 import sys
@@ -29,3 +32,8 @@ def test_imports_are_package_relative_or_stdlib(path):
     for level, name in imports(path):
         top = name.partition(".")[0]
         assert level or top == "h14" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_syntax_parses_as_python_3_10(path):
+    ast.parse(path.read_text(), str(path), feature_version=(3, 10))
