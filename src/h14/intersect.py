@@ -23,6 +23,12 @@ pis have integer coefficients, so over Q the constraints reduce mod P without
 an inverse.  It lifts every basis entry by rational reconstruction and
 verifies every lifted vector exactly through its integer X-image.
 
+Both reports count their minimal generators with ``minimal_generator_degrees``.
+Over Q it counts mod P and certifies each degree: (a) a rank check shows the
+count is not too small, (b) dual functionals lifted from the RREF mod P and
+checked in integers show it is not too large; a failed check recounts with
+Fractions.
+
 Both computations are complete only up to their degree bound, and the
 reports say so; nothing here decides (non-)finite generation.
 """
@@ -334,37 +340,110 @@ def minimal_generator_degrees(report: GradedIntersectionReport):
     Constants never count.  The answer is exact only up to the report's
     degree bound (see the report note).
 
-    One pass per degree: ``kept[e]`` holds the products and generators of
-    label e that enlarged the span.  At degree d only the products p * g
-    with label(p) = d - label(g) are new, and those with p in ``kept`` are
-    enough.  A dropped p of label e is a combination of kept elements of
-    label <= e, and the span is multiplicative (S_e * g lies in S_{e+l} for
-    a generator g of label l), so p * g is a combination of products already
-    in S_d: S_d is the span of all generator products of label <= d,
-    whichever products were kept, and the counts cannot depend on the choice.
-    The constant 1 of ``bases[0]`` enters the span as a basis element.
+    One pass per degree (``_generator_degrees``).  Over Q the pass runs mod
+    P on the basis scaled to integer coefficients (no span changes), so every
+    product is an integer row with a residue mod P.  Let F_d be the span of
+    the basis elements of degree <= d, V_d = F_{d-1} + the products tried at
+    d, and m the count mod P at d.  Two checks per degree make m exact:
+
+    (a) The rank mod P is dim F_d = sum of len(bases[e]) over e <= d.  The
+        rows are independent mod P, hence over Q, so the kept products and
+        generators of label <= d are a basis of F_d over Q: the induction of
+        ``_generator_degrees`` holds over Q, V_d is the span S_d over Q, and
+        rank_P(V_d) <= dim_Q V_d gives m >= the true count.
+    (b) When m > 0, for the pivot k of each new generator, the functional
+        phi_k(v) = v[k] - sum over pivots j of v[j] * L_j[k], with L the
+        span's rows just before that generator, is lifted by rational
+        reconstruction and checked in integers to vanish on every basis
+        element of degree < d and on every product tried at d.  Then the
+        phi_k vanish on V_d.  On the new generators their residues form a
+        triangular matrix with a nonzero diagonal, so they are independent
+        on F_d over Q, and dim_Q V_d <= dim F_d - m gives m <= the true
+        count.
+
+    If a lift or a check fails, the pass runs again with Fractions.
     """
-    span = SparseRREF(report.field)
+    if report.field == QQ:
+        out = _modular_generator_degrees(report.bases)
+        if out is not None:
+            return out
+    return _generator_degrees(report.bases, report.field, lambda terms: terms)
+
+
+def _generator_degrees(bases, field, row, certify=None):
+    """The one-pass count over ``field``, on the rows ``row(poly.terms)``;
+    None as soon as ``certify(d, rank, tried, columns)`` rejects a degree.
+
+    ``kept[e]`` holds the products and generators of label e that enlarged
+    the span.  At degree d only the products p * g with label(p) = d -
+    label(g) are new, and those with p in ``kept`` are enough.  A dropped p
+    of label e is a combination of kept elements of label <= e, and the span
+    is multiplicative (S_e * g lies in S_{e+l} for a generator g of label l),
+    so p * g is a combination of products already in S_d: S_d is the span of
+    all generator products of label <= d, whichever products were kept, and
+    the counts cannot depend on the choice.  The constant 1 of ``bases[0]``
+    enters the span as a basis element.
+
+    ``certify`` gets the span's rank after degree d, the products tried at
+    d, and for the pivot k of each new generator the column k of the span
+    just before that generator was added.
+    """
+    span = SparseRREF(field)
     gens = []   # (label, poly) minimal generators found so far
     kept = {}   # label -> products and generators that enlarged the span
     out = []
-    for d in sorted(report.bases):
-        level = []  # becomes kept[d] after this degree's pass
+    for d in sorted(bases):
+        level, tried = [], []  # level becomes kept[d] after this degree's pass
         for label, g in gens:
             for p in kept.get(d - label, ()):
                 q = p * g
-                if span.add(q.terms) is not None:
+                if certify is not None:
+                    tried.append(q)
+                if span.add(row(q.terms)) is not None:
                     level.append(q)
-        new = 0
-        for b in report.bases[d]:
-            if span.add(b.terms) is not None and not b.is_constant():
-                new += 1
+        columns = {}  # pivot of a new generator -> {pivot j: row j at it}
+        for b in bases[d]:
+            res = span.reduce(row(b.terms))
+            if res and not b.is_constant():
+                k = min(res)
+                columns[k] = {j: r[k] for j, r in span.rows.items() if k in r}
                 gens.append((d, b))
                 level.append(b)
+            if res:
+                span.add(res)
         kept[d] = level
-        if new:
-            out.append((d, new))
+        if certify is not None and not certify(d, span.rank, tried, columns):
+            return None
+        if columns:
+            out.append((d, len(columns)))
     return out
+
+
+def _modular_generator_degrees(bases):
+    """The count over Q mod P on the integer-scaled ``bases``, with checks
+    (a) and (b) of ``minimal_generator_degrees`` at every degree; None if a
+    lift or a check fails."""
+    ints = {d: [_integer_scaled(b) for b in bs] for d, bs in bases.items()}
+    dims = dict(zip(sorted(ints), itertools.accumulate(len(ints[d]) for d in sorted(ints))))
+    earlier = []  # integer rows of the basis elements of lower degree
+
+    def certify(d, rank, tried, columns):
+        if rank != dims[d]:
+            return False
+        rows = earlier + [q.terms for q in tried]
+        for k, column in columns.items():
+            lifted = linalg.lift([column])
+            if lifted is None:
+                return False
+            den = lcm(*(c.denominator for c in lifted[0].values()))
+            phi = {j: -c.numerator * (den // c.denominator) for j, c in lifted[0].items()}
+            phi[k] = den
+            if any(sum(c * v.get(j, 0) for j, c in phi.items()) for v in rows):
+                return False
+        earlier.extend(b.terms for b in ints[d])
+        return True
+
+    return _generator_degrees(ints, linalg.P, lambda terms: linalg.residues([terms])[0], certify)
 
 
 # ---------------------------------------------------------------------------

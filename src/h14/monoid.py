@@ -159,9 +159,12 @@ def monomial_membership(gens: SubalgebraGens, target):
 
     When the generators are algebraically independent (rank U = t) the
     rational solution is unique and is checked directly.  Otherwise an
-    exhaustive search runs over the box 0 <= beta_i <= B with
-    B = sum |target| * max(1, max |U entry|); a None answer is exhaustive
-    within that documented bound.
+    exhaustive search runs over a box 0 <= beta_i <= B_i.  When every entry
+    of U is >= 0, beta_i * U[i][j] <= target_j bounds B_i by the least
+    target_j // U[i][j] over U[i][j] > 0 (0 for a zero row: any witness
+    stays one with beta_i = 0), so the search is complete.  Otherwise every
+    B_i = sum |target| * max |U entry|; a None answer is exhaustive within
+    that documented bound.
     """
     target = int_vector(target, "target")
     if len(target) != gens.n:
@@ -180,10 +183,14 @@ def monomial_membership(gens: SubalgebraGens, target):
         if all(f.denominator == 1 and f >= 0 for f in x):
             return tuple(int(f) for f in x)
         return None
-    maxu = max((abs(e) for row in u.entries for e in row), default=1)
-    bound = sum(abs(x_) for x_ in target) * max(1, maxu)
-    _check_budget("the membership search box", (bound + 1) ** t)
-    for beta in itertools.product(range(bound + 1), repeat=t):
+    if all(e >= 0 for row in u.entries for e in row):
+        if min(target) < 0:
+            return None  # beta U >= 0
+        bounds = [min((x_ // e for x_, e in zip(target, row) if e > 0), default=0) for row in u.entries]
+    else:
+        bounds = [sum(map(abs, target)) * max(abs(e) for row in u.entries for e in row)] * t
+    _check_budget("the membership search box", prod(b + 1 for b in bounds))
+    for beta in itertools.product(*(range(b + 1) for b in bounds)):
         if row_times_matrix(beta, u) == target:
             return beta
     return None

@@ -7,6 +7,8 @@ stdout with the recorded ``<name>.out`` file.  Record a new corpus with
 """
 
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -16,6 +18,7 @@ import pytest
 from h14.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 CASES = {
     "check-conditions-default": ["check-conditions"],
@@ -51,9 +54,17 @@ def test_golden(name, monkeypatch):
     assert _run(CASES[name]) == expected
 
 
-if __name__ == "__main__":
-    import os
+def test_optimized_interpreter_gives_the_same_report():
+    # python -O strips assert statements; the certificates must not be asserts
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "h14.cli", "intersect", "--dmax", "8"],
+        cwd=GOLDEN, env=env, capture_output=True, check=True,
+    ).stdout
+    assert out == (GOLDEN / "intersect-d8-q.out").read_bytes()
 
+
+if __name__ == "__main__":
     os.chdir(GOLDEN)
     for name, argv in CASES.items():
         (GOLDEN / f"{name}.out").write_text(_run(argv))

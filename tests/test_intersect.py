@@ -1,10 +1,12 @@
 """Bounded-degree intersection algebras and structural instance checks."""
 
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
 from operator import mul
+from unittest import mock
 
 import pytest
 
@@ -594,9 +596,135 @@ class TestMinimalGeneratorDegrees:
             assert bool(build().new_generators) == (not name.startswith("ONES")), name
 
     @pytest.mark.parametrize("field", [QQ, 32003])
-    def test_off3_paper_signal(self, field):
+    def test_off3_paper_signal(self, monkeypatch, field):
+        fallbacks = count_generator_fallbacks(monkeypatch)
         rep = kuroda_intersection_basis(build_instance(4, 1, OFF3_DELTA, field), 12)
         assert rep.new_generators == ((3, 1),) + tuple((d, 3) for d in range(4, 13))
+        # over Q the modular count is certified at the real P; F_p skips it
+        assert fallbacks == ([False] if field == QQ else [])
 
     def test_monomial_algebra_generators_in_degree_two_only(self):
         assert monomial_algebra(10).new_generators == ((2, 3),)
+
+
+def rank_drop_case():
+    # the degree-1 RREF rows z + x/15 and y + x/15 scale to 15z + x and
+    # 15y + x, equal mod 3 and mod 5: the rank mod p falls short of dim F_1
+    x, y, z = (LaurentPoly.variable(3, i) for i in range(3))
+    gens = [x + 15 * y, x + 15 * z]
+    return graded_intersection(gens, gens, (1, 1, 1), 4)
+
+
+def syzygy_case():
+    # w = xy + 15z is xy mod 3 and mod 5, so w^2 = x^2 * y^2 there: the
+    # degree-4 products lose rank mod p although they are independent over Q
+    x, y, z = (LaurentPoly.variable(3, i) for i in range(3))
+    gens = [x * x, y * y, x * y + 15 * z]
+    return graded_intersection(gens, gens, (1, 1, 2), 8)
+
+
+def filtered_case():
+    # not graded: F_d is spanned by the products of g1 (label 1) and g2
+    # (label 2) of label sum <= d, and its basis elements mix degrees, so a
+    # certificate functional can vanish on every product tried at d mod 3
+    # and not on F_{d-1} over Q
+    x, y = (LaurentPoly.variable(2, i) for i in range(2))
+    gens, labels, dmax = [x * y + Fraction(1, 3) * y * y + 2, Fraction(1, 5) * y], (1, 2), 5
+    one = LaurentPoly.constant(2, 1)
+    seen, bases = SparseRREF(QQ), {}
+    for d in range(dmax + 1):
+        fresh = SparseRREF(QQ)
+        for beta in exponent_vectors(labels, d):
+            res = seen.reduce((one * gens[0] ** beta[0] * gens[1] ** beta[1]).terms)
+            if res:
+                fresh.add(res)
+        bases[d] = [LaurentPoly._trusted(2, QQ, r) for r in fresh.basis()]
+        for b in bases[d]:
+            seen.add(b.terms)
+    dims = {d: len(bs) for d, bs in bases.items()}
+    return intersect.GradedIntersectionReport((1, 1), QQ, dmax, dims, dims, dims, bases, ())
+
+
+COUNT_CASES = (
+    [(name, build) for name, build in ORACLE_CASES if "Fp:" not in name and name != "l215-char2"]
+    + [(f"pi-{i}", lambda case=case: kuroda_intersection_basis(*case))
+       for i, case in enumerate(DIFFERENTIAL_CASES)]
+    + [(f"graded-{i}", lambda case=case: graded_intersection(*case)) for i, case in enumerate(GRADED_CASES)]
+    + [("rank-drop", rank_drop_case), ("syzygy", syzygy_case), ("filtered", filtered_case)]
+)
+COUNT_IDS = [name for name, _ in COUNT_CASES]
+
+
+@functools.cache
+def count_case(name):
+    """A Q report of COUNT_CASES and its count by the Fraction pass, forced
+    by failing the modular attempt."""
+    rep = dict(COUNT_CASES)[name]()
+    with mock.patch.object(intersect, "_modular_generator_degrees", lambda bases: None):
+        return rep, minimal_generator_degrees(rep)
+
+
+def count_generator_fallbacks(monkeypatch):
+    """Wrap the modular count; one entry per call, True when it failed and
+    the Fraction pass ran."""
+    calls = []
+    modular = intersect._modular_generator_degrees
+
+    def counted(bases):
+        out = modular(bases)
+        calls.append(out is None)
+        return out
+
+    monkeypatch.setattr(intersect, "_modular_generator_degrees", counted)
+    return calls
+
+
+def unchecked_count(rep, p):
+    """The one-pass count mod p on the integer-scaled basis, certified by
+    nothing."""
+    ints = {d: [intersect._integer_scaled(b) for b in bs] for d, bs in rep.bases.items()}
+    return intersect._generator_degrees(ints, p, lambda terms: {e: r for e, c in terms.items() if (r := c % p)})
+
+
+class TestModularGeneratorCount:
+    """Over Q minimal_generator_degrees counts mod P and certifies each
+    degree; the Fraction pass is its oracle."""
+
+    def test_cases_are_over_q_and_the_oracle_agrees(self):
+        for name in COUNT_IDS:
+            rep, expected = count_case(name)
+            assert rep.field == QQ and expected == oracle_new_generators(rep), name
+
+    @pytest.mark.parametrize("name", COUNT_IDS)
+    def test_real_prime_matches_fraction_path_without_fallback(self, monkeypatch, name):
+        rep, expected = count_case(name)
+        fallbacks = count_generator_fallbacks(monkeypatch)
+        assert minimal_generator_degrees(rep) == expected
+        assert fallbacks == [False]
+
+    @pytest.mark.parametrize("prime", [3, 5])
+    @pytest.mark.parametrize("name", COUNT_IDS)
+    def test_tiny_prime_matches_fraction_path(self, monkeypatch, name, prime):
+        rep, expected = count_case(name)
+        monkeypatch.setattr(linalg, "P", prime)
+        assert minimal_generator_degrees(rep) == expected
+
+    @pytest.mark.parametrize(
+        "name, prime, expected, unchecked",
+        [
+            # check (a): a rank short of dim F_1 undercounts
+            ("rank-drop", 3, [(1, 2)], [(1, 1)]),
+            ("rank-drop", 5, [(1, 2)], [(1, 1)]),
+            # check (b) on the tried products: products dependent only mod p overcount
+            ("syzygy", 3, [(2, 3)], [(2, 3), (4, 1)]),
+            ("syzygy", 5, [(2, 3)], [(2, 3), (4, 1)]),
+            # check (b) on F_{d-1}
+            ("filtered", 3, [(1, 1), (2, 1)], [(1, 1), (2, 1), (4, 1)]),
+        ],
+    )
+    def test_checks_reject_a_wrong_unchecked_count(self, monkeypatch, name, prime, expected, unchecked):
+        rep, oracle = count_case(name)
+        assert oracle == expected and unchecked_count(rep, prime) == unchecked
+        monkeypatch.setattr(linalg, "P", prime)
+        fallbacks = count_generator_fallbacks(monkeypatch)
+        assert minimal_generator_degrees(rep) == expected and fallbacks == [True]

@@ -160,8 +160,15 @@ class TestEnumerationBudget:
             hilbert_basis(u)
 
     def test_membership_search_past_budget(self):
-        # dependent generators force the exhaustive search; B = 400, (B + 1)^3 points
+        # dependent nonnegative generators force the exhaustive search; each
+        # beta_i <= 200 (the least target_j // U[i][j]), so 201^3 points
         gens = SubalgebraGens.of(2, [(1, 0), (0, 1), (1, 1)])
+        with pytest.raises(UsageError, match=f"{201 ** 3} lattice points"):
+            monomial_membership(gens, (200, 200))
+
+    def test_membership_search_with_a_negative_entry_keeps_the_old_box(self):
+        # a negative entry of U: B = sum |target| * max |U entry| = 400
+        gens = SubalgebraGens.of(2, [(1, 0), (0, 1), (1, -1)])
         with pytest.raises(UsageError, match=f"{401 ** 3} lattice points"):
             monomial_membership(gens, (200, 200))
 
@@ -190,6 +197,32 @@ class TestMonomialMembership:
         assert monomial_membership(gens, (2, 2, 2)) == (1, 1, 1)
         assert monomial_membership(gens, (0, 0, 0)) == (0, 0, 0)
         assert monomial_membership(gens, (2, 0, 0)) is None
+
+    def test_nonnegative_generators_are_bounded_by_the_target(self):
+        # the old box (B + 1)^3 with B = 126 was over budget here
+        gens = SubalgebraGens.of(2, [(1, 0), (0, 1), (1, 1)])
+        assert monomial_membership(gens, (63, 63)) == (0, 0, 63)
+        assert monomial_membership(gens, (63, -1)) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nonnegative_generators_agree_with_brute_force(self, seed):
+        # U >= 0 with more rows than rank (zero rows included), so the
+        # exhaustive search runs; any witness has beta_i <= max(target) on a
+        # nonzero row and may take beta_i = 0 on a zero row
+        rng = random.Random(seed)
+        n, t = rng.randint(1, 3), 4
+        vectors = set()
+        while len(vectors) < t:
+            vectors.add(tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(n)))
+        gens = SubalgebraGens.of(n, sorted(vectors))
+        u = gens.matrix
+        for target in itertools.product(range(-1, 6), repeat=n):
+            box = [range(max(target) + 1) if any(row) else range(1) for row in u.entries]
+            reachable = any(row_times_matrix(b, u) == target for b in itertools.product(*box))
+            beta = monomial_membership(gens, target)
+            assert (beta is not None) == reachable, (sorted(vectors), target)
+            if beta is not None:
+                assert min(beta) >= 0 and row_times_matrix(beta, u) == target
 
 
 class TestIntegerInput:
