@@ -26,6 +26,10 @@ CASES = {
     "verify-t2.14-seed3": ["verify", "t2.14", "--seed", "3"],
     "verify-t2.8": ["verify", "t2.8"],
     "verify-t2.5i": ["verify", "t2.5i"],
+    "verify-t2.5ii": ["verify", "t2.5ii"],
+    "verify-p2.6": ["verify", "p2.6"],
+    "verify-l3.1": ["verify", "l3.1"],
+    "verify-l3.2-d6": ["verify", "l3.2"],
     "verify-r2.16": ["verify", "r2.16"],
     "verify-l2.15-d8-q": ["verify", "l2.15", "--dmax", "8"],
     "verify-l2.15-d16-q": ["verify", "l2.15"],
