@@ -1,15 +1,17 @@
 """Batch verification front-end.
 
 Subcommands: ``check-conditions``, ``verify <id>``, ``hilbert``,
-``intersect``, ``scan``.  Instance configs are JSON files with keys
-``{n, gamma, delta, field}`` (``hilbert`` instead takes ``{U: matrix}``).
-Reports are tab-separated tables preceded by ``#`` header lines echoing the
-configuration; bases are serialized in the canonical Laurent text form.
+``intersect``, ``scan``.  A config is a JSON object with exactly the keys the
+command needs (``{n, gamma, delta}``, or ``{U}`` for ``hilbert``) plus an
+optional ``field``; an empty or partial config is a config error.  Each
+command fills one :class:`Report`: ``#`` header lines with the effective
+field and, where one is used, degree bound, then tab-separated rows.  Checked
+rows end in ``ok`` or ``FAIL`` and alone decide the verdict.
 
-Exit codes: 0 all checks pass, 1 a check printed ``RESULT fail`` (or ``scan``
-found an implication violation), 2 usage or config error, 3 precondition
-error (singular matrix, non-pointed cone, ...), 4 internal error (an
-unexpected exception; no report is printed).
+Exit codes: 0 all checks pass, 1 a checked row failed (``verify`` printed
+``RESULT fail``, or ``scan`` found an implication violation), 2 usage or
+config error, 3 precondition error (singular matrix, non-pointed cone, ...),
+4 internal error (an unexpected exception; no report is printed).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .derivation import support_property_check
 from .errors import ConfigError, PreconditionError, UsageError, is_int
 from .intersect import freeness_coset_check, graded_intersection, kuroda_intersection_basis, no_monomial_units_check
 from .kuroda import (
-    build_f0,
     build_G,
     build_instance,
     check_star,
@@ -44,7 +45,6 @@ from .linalg import SparseRREF
 from .monoid import SubalgebraGens, cone_membership, hilbert_basis, intersection_generators
 
 DEFAULT_N4 = {"n": 4, "gamma": 1, "delta": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]}
-DEFAULT_N4_ONES = {"n": 4, "gamma": 1, "delta": [[1, 1, 1], [1, 1, 1], [1, 1, 1]]}
 DEFAULT_N3 = {"n": 3, "gamma": 1, "delta": [[3, 1], [1, 1]]}
 
 VERIFY_IDS = ("t2.5i", "t2.5ii", "p2.6", "t2.8", "t2.14", "l2.15", "r2.16", "l3.1", "l3.2")
@@ -52,10 +52,13 @@ VERIFY_ALIASES = {"l2.13": "t2.14"}
 
 
 class Report:
-    """Line buffer: '#' comments plus tab-separated rows."""
+    """The one report of a command: ``#`` header lines, tab-separated rows
+    and the verdict of its checked rows."""
 
-    def __init__(self):
+    def __init__(self, args):
+        self.args = args
         self.lines = []
+        self.failed = False
 
     def comment(self, text):
         self.lines.append(f"# {text}")
@@ -63,38 +66,40 @@ class Report:
     def row(self, *cells):
         self.lines.append("\t".join(str(c) for c in cells))
 
-    def emit(self, out_path):
+    def check(self, name, *cells, ok):
+        """A checked row ``name cells... ok|FAIL``; a failed one fails the report."""
+        self.row(name, *cells, "ok" if ok else "FAIL")
+        if not ok:
+            self.failed = True
+
+    def header(self, field=None, dmax=None, extra=()):
+        """The ``#`` lines that open the report.  ``field`` (parsed) and ``dmax``
+        are the effective values of a command that resolves them; without a
+        ``field`` the ``--field`` option is echoed, without a ``dmax`` no bound
+        is printed."""
+        args = self.args
+        self.comment(f"h14 {__version__}")
+        self.comment(f"command: {args.command}" + (f" {args.check_id}" if getattr(args, "check_id", None) else ""))
+        self.comment(f"config: {args.config or 'default'}")
+        self.comment(f"field: {field_name(field) if field is not None else args.field or 'Q'}")
+        if dmax is not None:
+            self.comment(f"dmax: {dmax}")
+        self.comment(f"seed: {args.seed}")
+        for line in extra:
+            self.comment(line)
+
+    def emit(self):
         text = "\n".join(self.lines) + "\n"
-        if out_path:
-            with open(out_path, "w") as fh:
+        if self.args.out:
+            with open(self.args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
 
 
-def _header(rep: Report, args, field=None, dmax=None, extra=()):
-    """The ``#`` lines that open a report.
-
-    ``field`` (parsed) and ``dmax`` are the effective values of a command
-    that resolves them from its config or its own defaults; a command that
-    does not passes neither, and the options are echoed as given.
-    """
-    rep.comment(f"h14 {__version__}")
-    rep.comment(f"command: {args.command}" + (f" {args.check_id}" if getattr(args, "check_id", None) else ""))
-    rep.comment(f"config: {args.config or 'default'}")
-    rep.comment(f"field: {field_name(field) if field is not None else args.field or 'Q'}")
-    if dmax is None:
-        dmax = args.dmax
-    if dmax is not None:
-        rep.comment(f"dmax: {dmax}")
-    rep.comment(f"seed: {args.seed}")
-    for line in extra:
-        rep.comment(line)
-
-
-def load_config(path):
-    if path is None:
-        return None
+def load_config(path, required):
+    """The JSON object at ``path``: exactly the ``required`` keys plus an
+    optional ``"field"``, or a ``ConfigError``."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -104,11 +109,18 @@ def load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {ex}")
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    allowed = {"n", "gamma", "delta", "field", "U"}
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(set(data) - set(required) - {"field"})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"config is missing required key {key!r}")
     return data
+
+
+def _bound(args, default):
+    """The effective degree bound: ``--dmax`` if given, else the command's default."""
+    return default if args.dmax is None else args.dmax
 
 
 def _n4_instance(args):
@@ -120,12 +132,7 @@ def _n4_instance(args):
 
 
 def _instance(args, default):
-    cfg = load_config(args.config) or dict(default)
-    if "U" in cfg:
-        raise ConfigError("this command needs an instance config {n, gamma, delta, field}, not U")
-    for key in ("n", "gamma", "delta"):
-        if key not in cfg:
-            raise ConfigError(f"config is missing required key {key!r}")
+    cfg = default if args.config is None else load_config(args.config, ("n", "gamma", "delta"))
     field = args.field or cfg.get("field", "Q")
     return build_instance(cfg["n"], cfg["gamma"], cfg["delta"], field)
 
@@ -135,10 +142,9 @@ def _instance(args, default):
 # ---------------------------------------------------------------------------
 
 
-def cmd_check_conditions(args):
+def cmd_check_conditions(args, rep):
     inst = _instance(args, DEFAULT_N4)
-    rep = Report()
-    _header(rep, args, inst.field)
+    rep.header(inst.field)
     rep.row("quantity", "value")
     if inst.n == 4:
         value, holds = check_star(inst)
@@ -151,17 +157,12 @@ def cmd_check_conditions(args):
     rep.row("value", value)
     rep.row("holds", holds)
     rep.row("det_T", inst.det_t)
-    rep.emit(args.out)
-    return 0
 
 
-def cmd_hilbert(args):
-    cfg = load_config(args.config)
-    if not cfg or "U" not in cfg:
+def cmd_hilbert(args, rep):
+    if args.config is None:
         raise ConfigError('the hilbert command needs a config {"U": [[...], ...]}')
-    extra = sorted(set(cfg) - {"U", "field"})
-    if extra:
-        raise ConfigError(f"unexpected config keys for hilbert: {', '.join(extra)}")
+    cfg = load_config(args.config, ("U",))
     u_rows = cfg["U"]
     if not isinstance(u_rows, list) or not u_rows or not all(isinstance(r, list) and r for r in u_rows):
         raise ConfigError("U must be a nonempty matrix")
@@ -171,23 +172,19 @@ def cmd_hilbert(args):
     field = parse_field(args.field or cfg.get("field", "Q"))
     gens = SubalgebraGens.of(len(u_rows[0]), u_rows)
     hb = hilbert_basis(gens.matrix)
-    rep = Report()
-    _header(rep, args, field)
+    rep.header(field)
     rep.comment("hilbert basis vectors (beta), then generator monomials")
     for beta in hb.vectors:
         rep.row("beta", *beta)
     for m in hb.monomials:
         rep.row("monomial", LaurentPoly.monomial(gens.n, m, 1, field).to_text())
-    rep.emit(args.out)
-    return 0
 
 
-def cmd_intersect(args):
+def cmd_intersect(args, rep):
     inst = _instance(args, DEFAULT_N4)
-    dmax = args.dmax if args.dmax is not None else 6
+    dmax = _bound(args, 6)
     report = kuroda_intersection_basis(inst, dmax)
-    rep = Report()
-    _header(rep, args, inst.field, dmax, extra=[report.note])
+    rep.header(inst.field, dmax, extra=[report.note])
     rep.row("degree", "pi_monomials", "constraints", "dim", "new_generators")
     for row in report.table_rows():
         rep.row(*row)
@@ -195,27 +192,22 @@ def cmd_intersect(args):
     for d in sorted(report.images):
         for img in report.images[d]:
             rep.row(d, img.to_text())
-    rep.emit(args.out)
-    return 0
 
 
-def cmd_scan(args):
+def cmd_scan(args, rep):
     given = [
         opt for opt, value in (("--config", args.config), ("--field", args.field), ("--dmax", args.dmax))
         if value is not None
     ]
     if given:
         raise UsageError(f"scan takes no {', '.join(given)}: its boxes are fixed and it builds no polynomials")
-    rep = Report()
-    _header(rep, args)
+    rep.header()
     rep.row("n", "bound", "instances", "implication_violations", "converse_witnesses")
-    bad = 0
     for n, bound in ((3, 4), (4, 2)):
         sc = implication_scan(n, bound)
         rep.row(n, bound, sc.total, len(sc.implication_violations), len(sc.converse_witnesses))
-        bad += len(sc.implication_violations)
-    rep.emit(args.out)
-    return 1 if bad else 0
+        if sc.implication_violations:
+            rep.failed = True
 
 
 # -- verify checks ----------------------------------------------------------
@@ -223,46 +215,36 @@ def cmd_scan(args):
 
 def _verify_t25i(args, rep):
     inst = _n4_instance(args)
-    _header(rep, args, inst.field)
-    ok = True
+    rep.header(inst.field)
     for i in range(inst.n - 1):
         m, s = solve_unit_row(inst.t_matrix, i)
         word = LaurentPoly.monomial(inst.n - 1, s, 1, inst.field)
         lhs = word.substitute(list(inst.y_images[: inst.n - 1]))
         target = [0] * inst.n
         target[i] = m
-        good = lhs == LaurentPoly.monomial(inst.n, target, 1, inst.field)
-        rep.row(f"unit_row_{i + 1}", m, " ".join(map(str, s)), "ok" if good else "FAIL")
-        ok = ok and good
-    return ok
+        rep.check(f"unit_row_{i + 1}", m, " ".join(map(str, s)),
+                  ok=lhs == LaurentPoly.monomial(inst.n, target, 1, inst.field))
 
 
 def _verify_t25ii(args, rep):
     inst = _instance(args, DEFAULT_N4)
-    _header(rep, args, inst.field)
-    ok = freeness_coset_check(inst, 5)
+    rep.header(inst.field)
     rep.row("coset_box_bound", 5)
-    rep.row("free_decomposition", "ok" if ok else "FAIL")
-    return ok
+    rep.check("free_decomposition", ok=freeness_coset_check(inst, 5))
 
 
 def _verify_p26(args, rep):
     inst = _n4_instance(args)
-    dmax = args.dmax if args.dmax is not None else 4
-    _header(rep, args, inst.field, dmax)
-    ok = no_monomial_units_check(inst, dmax)
+    dmax = _bound(args, 4)
+    rep.header(inst.field, dmax)
     rep.row("degree_bound", dmax)
-    rep.row("no_nonconstant_monomials", "ok" if ok else "FAIL")
-    return ok
+    rep.check("no_nonconstant_monomials", ok=no_monomial_units_check(inst, dmax))
 
 
 def _verify_t28(args, rep):
-    _header(rep, args)
+    rep.header()
     gens = SubalgebraGens.of(2, [(1, 1), (1, -1)])
-    monos = intersection_generators(gens)
-    expected = [(0, 2), (1, 1), (2, 0)]
-    worked = monos == expected
-    rep.row("worked_example", "ok" if worked else "FAIL")
+    rep.check("worked_example", ok=intersection_generators(gens) == [(0, 2), (1, 1), (2, 0)])
     rng = random.Random(args.seed)
     checked = 0
     in_cone = True
@@ -275,27 +257,20 @@ def _verify_t28(args, rep):
         except (PreconditionError, UsageError):
             continue
         checked += 1
-        for beta in hb.vectors:
-            if not cone_membership(hb.u, beta):
-                in_cone = False
-    rep.row("random_bases_in_cone", checked, "ok" if in_cone else "FAIL")
-    return worked and in_cone
+        in_cone = in_cone and all(cone_membership(hb.u, beta) for beta in hb.vectors)
+    rep.check("random_bases_in_cone", checked, ok=in_cone)
 
 
 def _verify_t214(args, rep):
     inst = _instance(args, DEFAULT_N3)
-    _header(rep, args, inst.field)
-    ok = verify_t214(inst)
-    rep.row("default_instance", "ok" if ok else "FAIL")
+    rep.header(inst.field)
+    rep.check("default_instance", ok=verify_t214(inst))
     rng = random.Random(args.seed)
-    rand_ok = all(verify_t214(random_instance(rng, 3, 5)) for _ in range(50))
-    rep.row("random_instances", 50, "ok" if rand_ok else "FAIL")
+    rep.check("random_instances", 50, ok=all(verify_t214(random_instance(rng, 3, 5)) for _ in range(50)))
     mono = lambda e: LaurentPoly.monomial(3, e, 1, inst.field)
     (d11, d12), (d21, d22) = inst.delta
     bad_pi3 = 3 * mono((d21 - d11, d12 - d22, 0)) - mono((-2 * d11, 2 * d12, 0))
-    mutated = verify_t214(inst, (inst.pis[0], inst.pis[1], bad_pi3))
-    rep.row("mutated_pi3_detected", "ok" if not mutated else "FAIL")
-    return ok and rand_ok and not mutated
+    rep.check("mutated_pi3_detected", ok=not verify_t214(inst, (inst.pis[0], inst.pis[1], bad_pi3)))
 
 
 def _l215_generators(field):
@@ -308,8 +283,8 @@ def _l215_generators(field):
 
 def _verify_l215(args, rep):
     field = parse_field(args.field or "Q")
-    dmax = args.dmax if args.dmax is not None else (16 if field == QQ else 12)
-    _header(rep, args, field, dmax)
+    dmax = _bound(args, 16 if field == QQ else 12)
+    rep.header(field, dmax)
     gens_a, gens_b = _l215_generators(field)
     report = graded_intersection(gens_a, gens_b, (1, 1, 1, 2), dmax)
     if field == 3:
@@ -317,16 +292,14 @@ def _verify_l215(args, rep):
     rep.row("degree", "dim")
     for d in range(dmax + 1):
         rep.row(d, report.dims[d])
-    ok = all(report.dims[d] == 0 for d in range(1, dmax + 1))
-    rep.row("all_positive_degrees_zero", "ok" if ok else "FAIL")
-    return ok
+    rep.check("all_positive_degrees_zero", ok=all(report.dims[d] == 0 for d in range(1, dmax + 1)))
 
 
 def _verify_r216(args, rep):
     field = parse_field(args.field or 2)
     if field != 2:
         raise UsageError("this check concerns characteristic 2 (use --field Fp:2)")
-    _header(rep, args, field)
+    rep.header(field)
     gens_a, gens_b = _l215_generators(2)
     report = graded_intersection(gens_a, gens_b, (1, 1, 1, 2), 4)
     mono = lambda e: LaurentPoly.monomial(4, e, 1, 2)
@@ -334,14 +307,12 @@ def _verify_r216(args, rep):
     rr = SparseRREF(2)
     for b in report.bases[4]:
         rr.add(b.terms)
-    ok = report.dims[4] >= 1 and rr.contains(target.terms)
     rep.row("degree4_dim", report.dims[4])
-    rep.row("expected_element_in_span", "ok" if ok else "FAIL")
-    return ok
+    rep.check("expected_element_in_span", ok=report.dims[4] >= 1 and rr.contains(target.terms))
 
 
 def _verify_l31(args, rep):
-    _header(rep, args, QQ)
+    rep.header(QQ)
     total = 0
     ok = True
     for flat in itertools.product(range(1, 4), repeat=9):
@@ -355,29 +326,18 @@ def _verify_l31(args, rep):
             ok = False
             rep.row("non_polynomial_certificate", rows)
     rep.row("scanned_instances", total)
-    rep.row("all_certificates_polynomial", "ok" if ok else "FAIL")
-    return ok
+    rep.check("all_certificates_polynomial", ok=ok)
 
 
 def _verify_l32(args, rep):
     inst = _n4_instance(args)
-    dmax = args.dmax if args.dmax is not None else 6
-    _header(rep, args, inst.field, dmax)
+    dmax = _bound(args, 6)
+    rep.header(inst.field, dmax)
     report = kuroda_intersection_basis(inst, dmax)
-    ok = True
-    checked = 0
-    for d in sorted(report.images):
-        for img in report.images[d]:
-            if img.is_constant():
-                continue
-            checked += 1
-            if not support_property_check(img):
-                ok = False
-    rep.row("nonconstant_elements", checked)
-    g = build_G(inst, 3, 3, 6, 1)
-    rep.row("g_product_x2_x3_nonnegative", "ok" if g.x2_x3_nonnegative else "FAIL")
-    rep.row("support_property", "ok" if ok else "FAIL")
-    return ok and g.x2_x3_nonnegative
+    nonconstant = [img for d in sorted(report.images) for img in report.images[d] if not img.is_constant()]
+    rep.row("nonconstant_elements", len(nonconstant))
+    rep.check("g_product_x2_x3_nonnegative", ok=build_G(inst, 3, 3, 6, 1).x2_x3_nonnegative)
+    rep.check("support_property", ok=all(support_property_check(img) for img in nonconstant))
 
 
 VERIFY_DISPATCH = {
@@ -393,16 +353,13 @@ VERIFY_DISPATCH = {
 }
 
 
-def cmd_verify(args):
+def cmd_verify(args, rep):
     check_id = VERIFY_ALIASES.get(args.check_id, args.check_id)
     if check_id not in VERIFY_DISPATCH:
         valid = ", ".join(sorted(VERIFY_DISPATCH) + sorted(VERIFY_ALIASES))
         raise UsageError(f"unknown check id {args.check_id!r}; valid ids: {valid}")
-    rep = Report()
-    ok = VERIFY_DISPATCH[check_id](args, rep)
-    rep.row("RESULT", "pass" if ok else "fail")
-    rep.emit(args.out)
-    return 0 if ok else 1
+    VERIFY_DISPATCH[check_id](args, rep)
+    rep.row("RESULT", "fail" if rep.failed else "pass")
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +402,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.dmax is not None and args.dmax < 0:
         parser.error("--dmax must be >= 0")
+    rep = Report(args)
     try:
         if args.field is not None:
             parse_field(args.field)
-        return args.func(args)
+        args.func(args, rep)
+        rep.emit()
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
@@ -458,6 +417,7 @@ def main(argv=None) -> int:
     except Exception as ex:  # a crash must not look like a failed verification (exit 1)
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 4
+    return 1 if rep.failed else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import PreconditionError, UsageError, is_int
+from .errors import PreconditionError, UsageError, check_int
 from .laurent import QQ, LaurentPoly
 from .linalg import sparse_nullspace
 
@@ -46,10 +46,8 @@ def kernel_degree_basis(d: int, nvars: int = 4, field=QQ):
     """
     if field != QQ:
         raise UsageError("kernel degree bases are computed over Q (characteristic 0)")
-    if not is_int(d) or d < 0:
-        raise UsageError("degree bound must be a nonnegative integer")
-    if d > MAX_DEGREE:
-        raise UsageError(f"degree bound {d} exceeds the configured maximum {MAX_DEGREE}")
+    check_int(d, "degree bound", high=MAX_DEGREE)
+    check_int(nvars, "nvars", 1)
     monomials = [
         e
         for e in itertools.product(range(d + 1), repeat=nvars)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, and the integer check of input
+"""Exception hierarchy shared by all modules, and the integer checks of input
 validation.
 
 Two broad classes matter for the CLI exit-code contract: usage/config
@@ -74,3 +74,13 @@ class IndependenceError(PreconditionError):
 
 class ConditionError(PreconditionError):
     """A rational-inequality hypothesis fails (e.g. the ratio sum is >= 1)."""
+
+
+def check_int(value, what, low=0, high=None, error=UsageError):
+    """Raise an ``error`` naming ``what`` unless ``value`` is an integer (see
+    :func:`is_int`) in ``[low, high]``; ``high=None`` sets no upper end."""
+    if not is_int(value) or value < low:
+        kind = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
+        raise error(f"{what} must be {kind}, got {value!r}")
+    if high is not None and value > high:
+        raise error(f"{what} {value} exceeds the maximum {high}")

@@ -43,7 +43,7 @@ from math import lcm
 from operator import add, mul, sub
 
 from . import linalg
-from .errors import GradingError, PreconditionError, SingularMatrixError, UsageError, int_vector, is_int
+from .errors import GradingError, PreconditionError, SingularMatrixError, UsageError, check_int, int_vector
 from .kuroda import KurodaInstance
 from .lattice import coset_decomposition
 from .laurent import QQ, LaurentPoly, coeff_of
@@ -82,13 +82,6 @@ class GradedIntersectionReport:
             (d, self.ambient_a[d], self.ambient_b[d], self.dims[d], newg.get(d, 0))
             for d in sorted(self.dims)
         ]
-
-
-def _check_dmax(dmax, maximum):
-    if not is_int(dmax) or dmax < 0:
-        raise UsageError("degree bound must be a nonnegative integer")
-    if dmax > maximum:
-        raise UsageError(f"degree bound {dmax} exceeds the configured maximum {maximum}")
 
 
 def _check_nonsingular(inst: KurodaInstance, message="exponent matrix is singular"):
@@ -159,7 +152,7 @@ def graded_intersection(gensA, gensB, weights, dmax):
     integer-scaled generators, so ``span_intersection`` gets exact integer
     rows to reduce mod P and to certify with; its bases hold Fractions.
     """
-    _check_dmax(dmax, GRADED_MAX_DEGREE)
+    check_int(dmax, "degree bound", high=GRADED_MAX_DEGREE)
     all_gens = list(gensA) + list(gensB)
     if not all_gens:
         raise UsageError("need at least one generator")
@@ -293,7 +286,7 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
     that loop runs over Q with Fractions.
     """
     _check_nonsingular(inst, "exponent matrix is singular; the pis are dependent")
-    _check_dmax(dmax, PI_MAX_DEGREE)
+    check_int(dmax, "degree bound", high=PI_MAX_DEGREE)
     k = len(inst.pis)
     fld = inst.field
     images = _pi_monomial_images(inst, dmax)
@@ -459,6 +452,7 @@ def freeness_coset_check(inst: KurodaInstance, box_bound: int) -> bool:
     decompose as rep(v) + h with h in H, with the representative canonical
     (idempotent and invariant under shifts by generators of H).
     """
+    check_int(box_bound, "box bound")
     _check_nonsingular(inst)
     n = inst.n
     gens = [tuple(row) + (0,) for row in inst.t_matrix.entries]
@@ -486,7 +480,7 @@ def no_monomial_units_check(inst: KurodaInstance, dmax: int) -> bool:
     bound.
     """
     _check_nonsingular(inst)
-    _check_dmax(dmax, UNITS_MAX_DEGREE)
+    check_int(dmax, "degree bound", high=UNITS_MAX_DEGREE)
     span = SparseRREF(inst.field)
     support = set()
     for beta, img in sorted(_pi_monomial_images(inst, dmax).items()):

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import ConditionError, UsageError, ValidationError, is_int
+from .errors import ConditionError, UsageError, ValidationError, check_int, is_int
 from .laurent import QQ, LaurentPoly, parse_field
 from .lattice import IntMatrix, det
 
@@ -47,17 +47,12 @@ class KurodaInstance:
         return det(self.t_matrix)
 
 
-def _check_entry(name, value, minimum):
-    if not is_int(value) or value < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 def build_instance(n, gamma, delta, field_tag=QQ) -> KurodaInstance:
     """Materialize an instance from (gamma, delta) data, validating signs."""
     fld = parse_field(field_tag)
     if n not in (3, 4):
         raise ValidationError(f"n must be 3 or 4, got {n}")
-    _check_entry("gamma", gamma, 1)
+    check_int(gamma, "gamma", 1, error=ValidationError)
     if not isinstance(delta, list) or not all(isinstance(r, list) for r in delta):
         raise ValidationError(f"delta must be a list of integer rows, got {delta!r}")
     rows = [list(r) for r in delta]
@@ -70,8 +65,8 @@ def build_instance(n, gamma, delta, field_tag=QQ) -> KurodaInstance:
             if len(r) != 4:
                 raise ValidationError(f"delta[{i}] must have 3 or 4 entries, got {len(r)}")
             for j in range(3):
-                _check_entry(f"delta[{i}][{j}]", r[j], 1)
-            _check_entry(f"delta[{i}][3]", r[3], 0)
+                check_int(r[j], f"delta[{i}][{j}]", 1, error=ValidationError)
+            check_int(r[3], f"delta[{i}][3]", error=ValidationError)
         dmat = tuple(tuple(r) for r in rows)
         y_vecs = _flip_diagonal(dmat)
         t_matrix = IntMatrix(3, 3, tuple(v[:3] for v in y_vecs))
@@ -86,7 +81,7 @@ def build_instance(n, gamma, delta, field_tag=QQ) -> KurodaInstance:
         raise ValidationError("delta must be a 2x2 matrix for n=3")
     for i in range(2):
         for j in range(2):
-            _check_entry(f"delta[{i}][{j}]", rows[i][j], 1)
+            check_int(rows[i][j], f"delta[{i}][{j}]", 1, error=ValidationError)
     (d11, d12), (d21, d22) = rows
     dmat = ((d11, d12), (d21, d22))
     t_matrix = IntMatrix(2, 2, _flip_diagonal(dmat))
@@ -156,10 +151,7 @@ def implication_scan(n: int, bound: int) -> ScanReport:
     Entries run over [1, bound].  Collects all converse counterexamples
     (nonzero determinant with the condition failing).
     """
-    if not is_int(bound) or bound < 1:
-        raise UsageError(f"bound must be an integer >= 1, got {bound!r}")
-    if bound > SCAN_MAX_BOUND:
-        raise UsageError(f"bound {bound} exceeds the configured maximum {SCAN_MAX_BOUND}")
+    check_int(bound, "bound", 1, SCAN_MAX_BOUND)
     violations = []
     witnesses = []
     total = 0
@@ -198,8 +190,12 @@ def lemma31_find_p(xi):
     p is the least positive integer with p(1 - sum xi) >= 3; p1 and p2 are
     the ceilings of p*xi_1 and p*xi_2 (raised to at least 1), and p3 takes
     the remainder.  Each p_i then satisfies p_i >= p*xi_i and p_i >= 1.
+    The ratios are exact: ``Fraction``s or integers, never floats.
     """
-    xi = tuple(Fraction(x) for x in xi)
+    xi = tuple(xi)
+    bad = [x for x in xi if not (isinstance(x, Fraction) or is_int(x))]
+    if bad:
+        raise UsageError(f"ratios must be Fractions or integers, got {bad[0]!r}")
     if len(xi) != 3:
         raise UsageError("need exactly three ratios")
     for i, x in enumerate(xi):
@@ -217,12 +213,6 @@ def lemma31_find_p(xi):
     return p, p1, p2, p3
 
 
-def _check_exponents(**exponents):
-    for name, v in exponents.items():
-        if not is_int(v) or v < 0:
-            raise UsageError(f"{name} must be a nonnegative integer")
-
-
 def build_f0(inst: KurodaInstance, p1: int, p2: int, p3: int) -> LaurentPoly:
     """The certificate product expanded and pushed down to the X-variables.
 
@@ -232,7 +222,8 @@ def build_f0(inst: KurodaInstance, p1: int, p2: int, p3: int) -> LaurentPoly:
     """
     if inst.n != 4:
         raise UsageError("the certificate product is defined for the n=4 family")
-    _check_exponents(p1=p1, p2=p2, p3=p3)
+    for name, v in (("p1", p1), ("p2", p2), ("p3", p3)):
+        check_int(v, name)
     c1 = [math.comb(p1, i) for i in range(p1 + 1)]
     c2 = [math.comb(p2, j) for j in range(p2 + 1)]
     c3 = [math.comb(p3, k) for k in range(p3 + 1)]
@@ -268,7 +259,8 @@ def f0_is_polynomial(inst: KurodaInstance, p1: int, p2: int, p3: int) -> bool:
     """
     if inst.n != 4:
         raise UsageError("the certificate product is defined for the n=4 family")
-    _check_exponents(p1=p1, p2=p2, p3=p3)
+    for name, v in (("p1", p1), ("p2", p2), ("p3", p3)):
+        check_int(v, name)
     vecs = [next(iter(img.terms)) for img in inst.y_images[:3]]
     for a0, a1, a2 in zip(*vecs):
         const = p3 * a1 + (p1 + p2) * a2
@@ -292,7 +284,8 @@ def build_G(inst: KurodaInstance, s: int, p2bar: int, p3bar: int, e: int) -> GPr
     """
     if inst.n != 4:
         raise UsageError("defined for the n=4 family")
-    _check_exponents(s=s, p2bar=p2bar, p3bar=p3bar, e=e)
+    for name, v in (("s", s), ("p2bar", p2bar), ("p3bar", p3bar), ("e", e)):
+        check_int(v, name)
     y = [LaurentPoly.variable(4, i, inst.field) for i in range(4)]
     g = (y[2] - y[1]) ** s * (y[2] - y[0]) ** p2bar * (y[1] - y[0]) ** p3bar
     g = g * (y[3] - y[0]) ** e

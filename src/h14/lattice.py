@@ -13,7 +13,7 @@ from functools import cached_property
 from math import lcm
 from operator import mul
 
-from .errors import ShapeError, SingularMatrixError, UsageError, int_vector
+from .errors import ShapeError, SingularMatrixError, check_int, int_vector
 from .linalg import rational_solve
 
 
@@ -107,8 +107,7 @@ def solve_unit_row(t: IntMatrix, i: int):
     if not t.is_square:
         raise ShapeError(f"solve_unit_row needs a square matrix, got {t.rows}x{t.cols}")
     n = t.rows
-    if not 0 <= i < n:
-        raise UsageError(f"row index {i} out of range for size {n}")
+    check_int(i, "row index", 0, n - 1)
     if det(t) == 0:
         raise SingularMatrixError("matrix is singular")
     # x . t = e_i  <=>  t^T x^T = e_i^T

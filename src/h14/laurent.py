@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import FieldMismatchError, UsageError
+from .errors import FieldMismatchError, UsageError, check_int
 
 QQ = "Q"
 
@@ -241,8 +241,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise UsageError("polynomial power must be a nonnegative integer")
+        check_int(k, "polynomial power")
         result = LaurentPoly.constant(self.n, 1, self.field)
         base = self
         while k:

@@ -51,6 +51,16 @@ class TestCheckConditions:
         assert code == 2
         assert "delta" in err
 
+    @pytest.mark.parametrize("argv", [["check-conditions"], ["intersect"], ["verify", "l3.2"]])
+    @pytest.mark.parametrize("data", [{}, {"field": "Fp:5"}])
+    def test_config_without_an_instance_is_a_config_error(self, capsys, tmp_path, argv, data):
+        # an empty config used to run the default instance under "# config: <path>"
+        cfg = write_config(tmp_path, data)
+        code, out, err = run(capsys, *argv, "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "missing required key 'n'" in err
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"n": 3, "gamma": 1, "delta": [[1, 1], [1, 1]], "x": 1})
         code, _, err = run(capsys, "check-conditions", "--config", cfg)
@@ -208,6 +218,21 @@ class TestVerify:
         assert "random_bases_in_cone\t5\tok\n" in out
         assert out.endswith("RESULT\tfail\n")
 
+    @pytest.mark.parametrize(
+        "check_id, work, row",
+        [
+            ("t2.5ii", "freeness_coset_check", "free_decomposition\tFAIL\n"),
+            ("p2.6", "no_monomial_units_check", "no_nonconstant_monomials\tFAIL\n"),
+            ("l3.2", "support_property_check", "support_property\tFAIL\n"),
+        ],
+    )
+    def test_failed_worker_fails_the_report(self, capsys, monkeypatch, check_id, work, row):
+        monkeypatch.setattr(h14.cli, work, lambda *_args: False)
+        code, out, _ = run(capsys, "verify", check_id)
+        assert code == 1
+        assert row in out
+        assert out.endswith("RESULT\tfail\n")
+
     def test_crash_is_exit_4_not_a_failed_verification(self, capsys, monkeypatch):
         def crash(_args, _rep):
             raise RuntimeError("worker crashed")
@@ -295,6 +320,9 @@ class TestIntersectAndScan:
             (["intersect"], "Fp:5", ["# field: Fp:5", "# dmax: 6"]),
             (["check-conditions"], "Fp:7", ["# field: Fp:7"]),
             (["verify", "l3.2", "--dmax", "3"], "F5", ["# field: Fp:5", "# dmax: 3"]),
+            # commands that use no degree bound print none, whatever --dmax says
+            (["check-conditions", "--dmax", "7"], None, ["# field: Q"]),
+            (["verify", "t2.5i", "--dmax", "3"], None, ["# field: Q"]),
         ],
     )
     def test_header_states_effective_field_and_bound(self, capsys, tmp_path, argv, config_field, expected):

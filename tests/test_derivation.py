@@ -105,6 +105,11 @@ class TestKernelDegreeBasis:
         with pytest.raises(UsageError, match="nonnegative integer"):
             kernel_degree_basis(d)
 
+    @pytest.mark.parametrize("nvars", [True, 2.0, 0])
+    def test_variable_count_must_be_a_positive_int(self, nvars):
+        with pytest.raises(UsageError, match="integer"):
+            kernel_degree_basis(2, nvars=nvars)
+
 
 class TestSupportProperty:
     def test_constant(self):

@@ -487,6 +487,12 @@ class TestFreenessCosetCheck:
         with pytest.raises(SingularMatrixError):
             freeness_coset_check(build_instance(3, 1, [[1, 1], [1, 1]]), 2)
 
+    @pytest.mark.parametrize("bound", [-1, 2.5, True])
+    def test_box_bound_must_be_a_nonnegative_int(self, bound):
+        # -1 was an empty box and a vacuous pass, 2.5 a bare TypeError
+        with pytest.raises(UsageError, match="nonnegative integer"):
+            freeness_coset_check(ONES, bound)
+
 
 class TestNoMonomialUnits:
     def test_standard_instances(self):

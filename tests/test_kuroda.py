@@ -120,6 +120,15 @@ class TestFindP:
         with pytest.raises(ConditionError):
             lemma31_find_p((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
 
+    @pytest.mark.parametrize(
+        "xi",
+        [(0.1, 0.2, 0.3), (Fraction(1, 4), Fraction(1, 4), 0.25), ("1/4",) * 3, (True, Fraction(1, 4), Fraction(1, 4))],
+    )
+    def test_ratios_must_be_exact(self, xi):
+        # floats were read by their binary expansions: (0.1, 0.2, 0.3) gave (8, 1, 2, 5)
+        with pytest.raises(UsageError, match="Fractions or integers"):
+            lemma31_find_p(xi)
+
     def test_bounds_hold(self):
         rng = random.Random(31)
         checked = 0

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from h14.errors import ShapeError, SingularMatrixError, ValidationError
+from h14.errors import ShapeError, SingularMatrixError, UsageError, ValidationError
 from h14.lattice import (
     IntMatrix,
     coset_decomposition,
@@ -130,6 +130,11 @@ class TestSolveUnitRow:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
             solve_unit_row(IntMatrix.from_rows([[-1, 1], [1, -1]]), 0)
+
+    @pytest.mark.parametrize("i", [True, 0.0, -1, 2])
+    def test_row_index_must_be_an_int_in_range(self, i):
+        with pytest.raises(UsageError, match="row index"):
+            solve_unit_row(IntMatrix.identity(2), i)
 
     def test_identity_property_random(self):
         rng = random.Random(3)

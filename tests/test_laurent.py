@@ -104,6 +104,10 @@ class TestRingOps:
         with pytest.raises(UsageError):
             mono(1, (1,)) ** -1
 
+    def test_boolean_power_rejected(self):
+        with pytest.raises(UsageError, match="nonnegative integer"):
+            mono(1, (1,)) ** True
+
 
 small_polys = st.builds(
     lambda terms: LaurentPoly(2, QQ, dict(terms)),
