@@ -36,6 +36,8 @@ CASES = {
     "verify-l2.15-d8-fp5": ["verify", "l2.15", "--dmax", "8", "--field", "Fp:5"],
     "intersect-d8-q": ["intersect", "--dmax", "8"],
     "intersect-d12-q": ["intersect", "--dmax", "12"],
+    "intersect-d12-fp32003": ["intersect", "--dmax", "12", "--field", "Fp:32003"],
+    "intersect-d12-ones-q": ["intersect", "--dmax", "12", "--config", "ones.json"],
     "intersect-d8-fp32003": ["intersect", "--dmax", "8", "--field", "Fp:32003"],
     "intersect-d8-fp5": ["intersect", "--dmax", "8", "--field", "Fp:5"],
     "hilbert-cone": ["hilbert", "--config", "cone.json"],
