@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 from .errors import PreconditionError, UsageError, check_int
 from .laurent import QQ, LaurentPoly
 from .linalg import sparse_nullspace
+from .monoid import _check_budget
 
 # Resource guard on the degree bound of kernel_degree_basis.
 MAX_DEGREE = 8
@@ -43,16 +45,17 @@ def kernel_degree_basis(d: int, nvars: int = 4, field=QQ):
 
     Solved as exact linear algebra over Q on monomial coefficients; the
     dimension claim needs characteristic 0, so prime fields are rejected.
+    A table of more than ``monoid.ENUMERATION_BUDGET`` exponents (monomials
+    times nvars) is refused up front.
     """
     if field != QQ:
         raise UsageError("kernel degree bases are computed over Q (characteristic 0)")
     check_int(d, "degree bound", high=MAX_DEGREE)
     check_int(nvars, "nvars", 1)
-    monomials = [
-        e
-        for e in itertools.product(range(d + 1), repeat=nvars)
-        if sum(e) <= d
-    ]
+    what = f"the table of degree-{d} monomials in {nvars} variables"
+    _check_budget(what, comb(d + nvars, nvars) * nvars, "exponents")
+    monomials = sorted(tuple(map(c.count, range(nvars)))
+                       for k in range(d + 1) for c in itertools.combinations_with_replacement(range(nvars), k))
     # one homogeneous equation per image monomial: the e_i-weighted sum of the
     # coefficients at e + unit_i must vanish
     constraints = {}

@@ -29,6 +29,15 @@ count is not too small, (b) dual functionals lifted from the RREF mod P and
 checked in integers show it is not too large; a failed check recounts with
 Fractions.
 
+Inside the engines exponent vectors are packed ``int`` keys (``_Packing``;
+Monagan and Pearce, CASC 2007): on a box, mixed-radix keys are injective,
+keep lex order and are linear, so products add keys with no carry.  The box
+is proved: every generator has degree >= 1, so a product of degree <= dmax
+has at most dmax factors, and lo_j = dmax * min(0, min e_j), hi_j = dmax *
+max(0, max e_j) over the generators' terms.  Key order is tuple order, so
+pivots, RREF rows, lifts and certificates are those of tuple keys; only the
+report decodes them.
+
 Both computations are complete only up to their degree bound, and the
 reports say so; nothing here decides (non-)finite generation.
 """
@@ -39,7 +48,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import add, mul, sub
 
 from . import linalg
@@ -48,6 +57,7 @@ from .kuroda import KurodaInstance
 from .lattice import coset_decomposition
 from .laurent import QQ, LaurentPoly, coeff_of
 from .linalg import SparseRREF, span_intersection, sparse_nullspace
+from .monoid import _check_budget
 
 # Resource guards on the degree bounds, not correctness bounds.
 GRADED_MAX_DEGREE = 32
@@ -89,25 +99,74 @@ def _check_nonsingular(inst: KurodaInstance, message="exponent matrix is singula
         raise SingularMatrixError(message)
 
 
-def _product_table(gens, degs, dmax, n, field):
-    """Every product of ``gens`` of weighted degree <= dmax, keyed by its
-    exponent vector beta; generator i has degree degs[i] > 0.
+class _Packing:
+    """Packed ``int`` keys of the exponent vectors in the box lo <= e <= hi.
+
+    key(e) = sum of e_j * W_j, with W_j the product of the radices hi_i -
+    lo_i + 1 over i > j.  If e and f first differ at j, with e_j < f_j, then
+    key(f) - key(e) >= W_j - sum over i > j of (hi_i - lo_i) * W_i = 1: keys
+    are injective on the box and keep lex order.
+    """
+
+    def __init__(self, lo, hi):
+        self.lo, self.radices = tuple(lo), [b - a + 1 for a, b in zip(lo, hi)]
+        self.weights = [prod(self.radices[j + 1:]) for j in range(len(lo))]
+        self.base = self.key(self.lo)
+
+    @classmethod
+    def around(cls, polys, factors):
+        """The box of the products of at most ``factors`` terms of ``polys``."""
+        cols = list(zip(*(e for g in polys for e in g.terms)))
+        return cls([factors * min(0, *c) for c in cols], [factors * max(0, *c) for c in cols])
+
+    def key(self, e):
+        return sum(map(mul, e, self.weights))
+
+    def vector(self, key):
+        key -= self.base
+        return tuple(a + key // w % r for a, w, r in zip(self.lo, self.weights, self.radices))
+
+    def pack(self, terms):
+        return {self.key(e): c for e, c in terms.items()}
+
+    def unpack(self, terms):
+        return {self.vector(k): c for k, c in terms.items()}
+
+
+def _times(f, g, p):
+    """The product of the packed terms ``f`` and ``g``: exact if p is 0, else
+    reduced mod p."""
+    out = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return {k: r for k, c in out.items() if (r := c % p if p else c)}
+
+
+def _product_table(gens, degs, dmax, box, field):
+    """Every product of ``gens`` of weighted degree <= dmax, packed in ``box``
+    (which contains ``_Packing.around(gens, dmax)``) and keyed by its packed
+    exponent vector beta in [0, dmax]^k; and the map from beta to its degree.
+    Generator i has degree degs[i] > 0.
 
     Each product is one multiplication: the entry of beta - e_i times
     gens[i], for the first nonzero index i of beta.  So the parent of beta
     has no nonzero index below i, and beta extends it at indices <= i only.
     """
     k = len(gens)
-    zero = (0,) * k
-    table = {zero: LaurentPoly._trusted(n, field, {(0,) * n: 1})}
-    todo = [(zero, 0, k)]  # (beta, its degree, its first nonzero index or k)
-    for beta, deg, first in todo:  # extended while it is walked
+    units = _Packing((0,) * k, (dmax,) * k).weights
+    packed = [box.pack(g.terms) for g in gens]
+    p = 0 if field == QQ else field
+    table, degree = {0: {0: 1}}, {0: 0}
+    todo = [(0, k)]  # (beta, its first nonzero index or k)
+    for beta, first in todo:  # extended while it is walked
         for i in range(min(first + 1, k)):
-            if deg + degs[i] <= dmax:
-                child = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                table[child] = table[beta] * gens[i]
-                todo.append((child, deg + degs[i], i))
-    return table
+            if degree[beta] + degs[i] <= dmax:
+                child = beta + units[i]
+                table[child] = _times(table[beta], packed[i], p)
+                degree[child] = degree[beta] + degs[i]
+                todo.append((child, i))
+    return table, degree
 
 
 def _integer_scaled(g: LaurentPoly) -> LaurentPoly:
@@ -134,14 +193,6 @@ def _validate_gens(label, gens, weights):
     return degs
 
 
-def _rows_by_degree(gens, degs, dmax, n, field):
-    """The product table's coefficient rows, grouped by weighted degree."""
-    rows = {d: [] for d in range(dmax + 1)}
-    for beta, p in _product_table(gens, degs, dmax, n, field).items():
-        rows[sum(map(mul, beta, degs))].append(p.terms)
-    return rows
-
-
 def graded_intersection(gensA, gensB, weights, dmax):
     """Degree-by-degree intersection of the two generated algebras.
 
@@ -166,13 +217,18 @@ def graded_intersection(gensA, gensB, weights, dmax):
     degs_b = _validate_gens("B", gensB, weights)
     if fld == QQ:
         gensA, gensB = [_integer_scaled(g) for g in gensA], [_integer_scaled(g) for g in gensB]
-    slices_a = _rows_by_degree(gensA, degs_a, dmax, n, fld)
-    slices_b = _rows_by_degree(gensB, degs_b, dmax, n, fld)
+    box = _Packing.around(list(gensA) + list(gensB), dmax)
+    slices = []  # the packed rows of each side's product table, by degree
+    for gens, degs in ((gensA, degs_a), (gensB, degs_b)):
+        slices.append({d: [] for d in range(dmax + 1)})
+        table, degree = _product_table(gens, degs, dmax, box, fld)
+        for beta, terms in table.items():
+            slices[-1][degree[beta]].append(terms)
 
     ambient_a, ambient_b, dims, bases = {}, {}, {}, {}
     for d in range(dmax + 1):
-        dim_a, dim_b, inter = span_intersection(slices_a[d], slices_b[d], fld)
-        basis = [LaurentPoly._trusted(n, fld, r) for r in inter]
+        dim_a, dim_b, inter = span_intersection(slices[0][d], slices[1][d], fld)
+        basis = [LaurentPoly._trusted(n, fld, box.unpack(r)) for r in inter]
         for b in basis:
             if list(b.grade_by(weights)) != [d]:
                 raise ArithmeticError(f"a degree-{d} intersection basis element is not homogeneous of degree {d}")
@@ -189,19 +245,18 @@ def graded_intersection(gensA, gensB, weights, dmax):
 # ---------------------------------------------------------------------------
 
 
-def _integral(poly: LaurentPoly) -> LaurentPoly:
-    """``poly`` over Q with ``int`` coefficients; a non-integral coefficient
-    raises, since scaling would change the reported basis."""
-    if any(c.denominator != 1 for c in poly.terms.values()):
-        raise PreconditionError(f"pi {poly} has a non-integral coefficient")
-    return LaurentPoly._trusted(poly.n, poly.field, {e: c.numerator for e, c in poly.terms.items()})
-
-
 def _pi_monomial_images(inst: KurodaInstance, dmax: int):
-    """X-substituted pi-monomials, keyed by exponent vector, degree <= dmax;
-    over Q with ``int`` coefficients."""
-    pis = [_integral(pi) for pi in inst.pis] if inst.field == QQ else inst.pis
-    return _product_table(pis, (1,) * len(pis), dmax, inst.n, inst.field)
+    """X-substituted pi-monomials of degree <= dmax: the product table, its
+    degree map and the box of its X-keys; over Q with ``int`` coefficients.
+    A non-integral pi raises, since scaling would change the reported basis."""
+    pis = inst.pis
+    if inst.field == QQ:
+        for pi in pis:
+            if any(c.denominator != 1 for c in pi.terms.values()):
+                raise PreconditionError(f"pi {pi} has a non-integral coefficient")
+        pis = [_integer_scaled(pi) for pi in pis]
+    box = _Packing.around(pis, dmax)
+    return (*_product_table(pis, (1,) * len(pis), dmax, box, inst.field), box)
 
 
 def _x_image(row, images, fld):
@@ -215,15 +270,16 @@ def _x_image(row, images, fld):
     sums = {}
     for beta, c in row.items():
         m = c.numerator * (big // c.denominator)
-        for e, v in images[beta].terms.items():
+        for e, v in images[beta].items():
             sums[e] = sums.get(e, 0) + m * v
     if fld == QQ:
         return {e: Fraction(s, big) for e, s in sums.items() if s}
     return {e: r for e, s in sums.items() if (r := s % fld)}
 
 
-def _degree_bases(constraints, variables, dmax, fld):
-    """The per-degree loop: one nullspace solve per degree d <= dmax.
+def _degree_bases(constraints, degree, dmax, fld):
+    """The per-degree loop: one nullspace solve per degree d <= dmax, over
+    the pi-monomials beta with ``degree[beta] <= d``.
 
     Returns degree -> the canonical rows that are new at that degree: the
     RREF of the degree-d solutions that vanish at the pivots of all earlier
@@ -232,13 +288,14 @@ def _degree_bases(constraints, variables, dmax, fld):
     """
     seen = SparseRREF(fld)
     bases = {}
+    ordered = [constraints[e] for e in sorted(constraints)]
     for d in range(dmax + 1):
         rows = []
-        for e in sorted(constraints):
-            row = {b: c for b, c in constraints[e].items() if sum(b) <= d}
+        for con in ordered:
+            row = {b: c for b, c in con.items() if degree[b] <= d}
             if row:
                 rows.append(row)
-        null = sparse_nullspace(rows, [b for b in variables if sum(b) <= d], fld)
+        null = sparse_nullspace(rows, [b for b, deg in degree.items() if deg <= d], fld)
         fresh = SparseRREF(fld)
         for vec in null:
             res = seen.reduce(vec)
@@ -250,18 +307,20 @@ def _degree_bases(constraints, variables, dmax, fld):
     return bases
 
 
-def _certified_images(bases, images, fld):
+def _certified_images(bases, images, fld, negative):
     """X-images of every basis row, or None if one is not a polynomial.
 
     The negative-exponent coefficients of a row's image are exactly its
-    cancellation constraints, so a polynomial image proves A_d v = 0.
+    cancellation constraints, so a polynomial image proves A_d v = 0.  An
+    image's keys are among the images' keys, so ``negative``, the set of
+    those keys with a negative exponent, decides it.
     """
     out = {}
     for d, rows in bases.items():
         out[d] = []
         for row in rows:
             img = _x_image(row, images, fld)
-            if any(min(e) < 0 for e in img):
+            if not negative.isdisjoint(img):
                 return None
             out[d].append(img)
     return out
@@ -289,38 +348,43 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
     check_int(dmax, "degree bound", high=PI_MAX_DEGREE)
     k = len(inst.pis)
     fld = inst.field
-    images = _pi_monomial_images(inst, dmax)
+    images, degree, box = _pi_monomial_images(inst, dmax)
+    vectors = {e: box.vector(e) for e in set().union(*images.values())}  # decoded once
+    negative = {e for e, v in vectors.items() if min(v) < 0}
     # cancellation constraints over the full variable set, restricted per degree
     constraints = {}
     for beta, img in images.items():
-        for e, c in img.terms.items():
-            if min(e) < 0:
+        for e, c in img.items():
+            if e in negative:
                 constraints.setdefault(e, {})[beta] = c
     # a constraint counts from the lowest degree of its pi-monomials on
-    first = Counter(min(sum(b) for b in row) for row in constraints.values())
+    first = Counter(min(degree[b] for b in row) for row in constraints.values())
 
     bases = ximages = None
     residues = linalg.residues(constraints.values()) if fld == QQ else None
     if residues is not None:
         bases = {
             d: linalg.lift(rows)
-            for d, rows in _degree_bases(dict(zip(constraints, residues)), images, dmax, linalg.P).items()
+            for d, rows in _degree_bases(dict(zip(constraints, residues)), degree, dmax, linalg.P).items()
         }
         if None not in bases.values():
-            ximages = _certified_images(bases, images, fld)
+            ximages = _certified_images(bases, images, fld, negative)
     if ximages is None:
-        bases = _degree_bases(constraints, images, dmax, fld)
-        ximages = _certified_images(bases, images, fld)
+        bases = _degree_bases(constraints, degree, dmax, fld)
+        ximages = _certified_images(bases, images, fld, negative)
         if ximages is None:
             raise ArithmeticError("a nullspace vector has a non-polynomial X-image")
+    betas = _Packing((0,) * k, (dmax,) * k)
+    count = Counter(degree.values())
     report = GradedIntersectionReport(
         (1,) * k, fld, dmax,
-        {d: sum(1 for b in images if sum(b) == d) for d in bases},
+        {d: count[d] for d in bases},
         dict(enumerate(itertools.accumulate(first[d] for d in bases))),
         {d: len(rows) for d, rows in bases.items()},
-        {d: [LaurentPoly._trusted(k, fld, r) for r in rows] for d, rows in bases.items()},
+        {d: [LaurentPoly._trusted(k, fld, betas.unpack(r)) for r in rows] for d, rows in bases.items()},
         (),
-        images={d: [LaurentPoly._trusted(inst.n, fld, t) for t in imgs] for d, imgs in ximages.items()},
+        images={d: [LaurentPoly._trusted(inst.n, fld, {vectors[e]: c for e, c in t.items()}) for t in imgs]
+                for d, imgs in ximages.items()},
     )
     return replace(report, new_generators=tuple(minimal_generator_degrees(report)))
 
@@ -354,18 +418,28 @@ def minimal_generator_degrees(report: GradedIntersectionReport):
         on F_d over Q, and dim_Q V_d <= dim F_d - m gives m <= the true
         count.
 
-    If a lift or a check fails, the pass runs again with Fractions.
+    If a lift or a check fails, the pass runs again with Fractions.  Both
+    passes run on packed keys: a product tried at d has at most d factors of
+    degree >= 1 and one of degree 0, so it lies in the box of top + 1 factors.
     """
+    box = _Packing.around([b for bs in report.bases.values() for b in bs], max(report.bases, default=0) + 1)
+
+    def packed(scale):
+        return {d: [box.pack(scale(b).terms) for b in bs] for d, bs in report.bases.items()}
+
     if report.field == QQ:
-        out = _modular_generator_degrees(report.bases)
+        out = _modular_generator_degrees(packed(_integer_scaled))
         if out is not None:
             return out
-    return _generator_degrees(report.bases, report.field, lambda terms: terms)
+    return _generator_degrees(packed(lambda b: b), report.field)
 
 
-def _generator_degrees(bases, field, row, certify=None):
-    """The one-pass count over ``field``, on the rows ``row(poly.terms)``;
-    None as soon as ``certify(d, rank, tried, columns)`` rejects a degree.
+def _generator_degrees(bases, field, row=None, certify=None):
+    """The one-pass count over ``field`` on the packed terms ``bases``; None
+    as soon as ``certify(d, rank, tried, columns)`` rejects a degree.
+
+    Without ``row`` the products are reduced in ``field`` and are the span's
+    rows; with it they stay exact and the rows are ``row(product)``.
 
     ``kept[e]`` holds the products and generators of label e that enlarged
     the span.  At degree d only the products p * g with label(p) = d -
@@ -381,23 +455,25 @@ def _generator_degrees(bases, field, row, certify=None):
     d, and for the pivot k of each new generator the column k of the span
     just before that generator was added.
     """
+    p = 0 if row is not None or field == QQ else field
+    row = row or (lambda terms: terms)
     span = SparseRREF(field)
-    gens = []   # (label, poly) minimal generators found so far
+    gens = []   # (label, terms) minimal generators found so far
     kept = {}   # label -> products and generators that enlarged the span
     out = []
     for d in sorted(bases):
         level, tried = [], []  # level becomes kept[d] after this degree's pass
         for label, g in gens:
-            for p in kept.get(d - label, ()):
-                q = p * g
+            for f in kept.get(d - label, ()):
+                q = _times(f, g, p)
                 if certify is not None:
                     tried.append(q)
-                if span.add(row(q.terms)) is not None:
+                if span.add(row(q)) is not None:
                     level.append(q)
         columns = {}  # pivot of a new generator -> {pivot j: row j at it}
         for b in bases[d]:
-            res = span.reduce(row(b.terms))
-            if res and not b.is_constant():
+            res = span.reduce(row(b))
+            if res and any(b):  # key 0 is the zero vector: b is not constant
                 k = min(res)
                 columns[k] = {j: r[k] for j, r in span.rows.items() if k in r}
                 gens.append((d, b))
@@ -413,17 +489,16 @@ def _generator_degrees(bases, field, row, certify=None):
 
 
 def _modular_generator_degrees(bases):
-    """The count over Q mod P on the integer-scaled ``bases``, with checks
-    (a) and (b) of ``minimal_generator_degrees`` at every degree; None if a
-    lift or a check fails."""
-    ints = {d: [_integer_scaled(b) for b in bs] for d, bs in bases.items()}
-    dims = dict(zip(sorted(ints), itertools.accumulate(len(ints[d]) for d in sorted(ints))))
+    """The count over Q mod P on the packed integer-scaled ``bases``, with
+    checks (a) and (b) of ``minimal_generator_degrees`` at every degree; None
+    if a lift or a check fails."""
+    dims = dict(zip(sorted(bases), itertools.accumulate(len(bases[d]) for d in sorted(bases))))
     earlier = []  # integer rows of the basis elements of lower degree
 
     def certify(d, rank, tried, columns):
         if rank != dims[d]:
             return False
-        rows = earlier + [q.terms for q in tried]
+        rows = earlier + tried
         for k, column in columns.items():
             lifted = linalg.lift([column])
             if lifted is None:
@@ -433,10 +508,11 @@ def _modular_generator_degrees(bases):
             phi[k] = den
             if any(sum(c * v.get(j, 0) for j, c in phi.items()) for v in rows):
                 return False
-        earlier.extend(b.terms for b in ints[d])
+        earlier.extend(bases[d])
         return True
 
-    return _generator_degrees(ints, linalg.P, lambda terms: linalg.residues([terms])[0], certify)
+    p = linalg.P
+    return _generator_degrees(bases, p, lambda terms: {k: r for k, c in terms.items() if (r := c % p)}, certify)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +526,11 @@ def freeness_coset_check(inst: KurodaInstance, box_bound: int) -> bool:
     H is generated by the exponent-matrix rows extended by a trailing 0
     together with the last unit vector.  Every v in the box [-B, B]^n must
     decompose as rep(v) + h with h in H, with the representative canonical
-    (idempotent and invariant under shifts by generators of H).
+    (idempotent and invariant under shifts by generators of H).  A box of
+    more than ``monoid.ENUMERATION_BUDGET`` points is refused up front.
     """
     check_int(box_bound, "box bound")
+    _check_budget("the freeness box", (2 * box_bound + 1) ** inst.n)
     _check_nonsingular(inst)
     n = inst.n
     gens = [tuple(row) + (0,) for row in inst.t_matrix.entries]
@@ -483,12 +561,11 @@ def no_monomial_units_check(inst: KurodaInstance, dmax: int) -> bool:
     check_int(dmax, "degree bound", high=UNITS_MAX_DEGREE)
     span = SparseRREF(inst.field)
     support = set()
-    for beta, img in sorted(_pi_monomial_images(inst, dmax).items()):
-        span.add(img.terms)
-        support.update(img.terms)
+    for beta, img in sorted(_pi_monomial_images(inst, dmax)[0].items()):
+        span.add(img)
+        support.update(img)
     one = coeff_of(inst.field, 1)
-    zero = (0,) * inst.n
     for e in sorted(support):
-        if e != zero and span.contains({e: one}):
+        if e and span.contains({e: one}):  # key 0 is the constant monomial
             return False
     return True

@@ -54,10 +54,10 @@ class SubalgebraGens:
 ENUMERATION_BUDGET = 2_000_000
 
 
-def _check_budget(what, points):
+def _check_budget(what, points, unit="lattice points"):
     if points > ENUMERATION_BUDGET:
         raise UsageError(
-            f"{what} has {points} lattice points, above the enumeration budget of {ENUMERATION_BUDGET}"
+            f"{what} has {points} {unit}, above the enumeration budget of {ENUMERATION_BUDGET}"
         )
 
 

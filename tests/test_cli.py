@@ -247,8 +247,11 @@ class TestVerify:
         real = h14.intersect.span_intersection
 
         def corrupt(rows_a, rows_b, field):
+            # the rows have packed monomial keys, and key 0 is the constant
+            # monomial: a nonconstant key of the slice plus 0 is not homogeneous
             dim_a, dim_b, inter = real(rows_a, rows_b, field)
-            return dim_a, dim_b, inter + [{(1, 0, 0, 0): 1, (0, 0, 0, 1): 1}]
+            keys = {k for row in rows_a for k in row} - {0}
+            return dim_a, dim_b, inter + [{min(keys): 1, 0: 1}] if keys else inter
 
         monkeypatch.setattr(h14.intersect, "span_intersection", corrupt)
         code, out, err = run(capsys, "verify", "l2.15", "--field", "Fp:5", "--dmax", "2")

@@ -1,6 +1,7 @@
 """The summing derivation, its kernel, and the support property."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,19 @@ class TestKernelDegreeBasis:
     def test_variable_count_must_be_a_positive_int(self, nvars):
         with pytest.raises(UsageError, match="integer"):
             kernel_degree_basis(2, nvars=nvars)
+
+    def test_many_variables_are_refused_quickly(self):
+        # comb(8 + 100, 100) monomials, far above the budget; the
+        # (d + 1)^nvars box they were once filtered from is never walked
+        start = time.perf_counter()
+        with pytest.raises(UsageError, match="enumeration budget"):
+            kernel_degree_basis(8, nvars=100)
+        assert time.perf_counter() - start < 0.5
+
+    def test_sixteen_variables_at_degree_two(self):
+        # 153 monomials; their kernel is spanned by the constant and the
+        # 15 + 120 degree-1 and degree-2 polynomials in the 15 differences
+        assert len(kernel_degree_basis(2, nvars=16)) == math.comb(2 + 15, 15)
 
 
 class TestSupportProperty:

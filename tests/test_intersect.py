@@ -4,11 +4,13 @@ import dataclasses
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 from operator import mul
 from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from h14 import intersect, linalg
 from h14.derivation import support_property_check
@@ -334,8 +336,8 @@ def graded_contents(rep):
 
 def product_count(gens, weights, d):
     degs = intersect._validate_gens("A", gens, weights)
-    table = intersect._product_table(gens, degs, d, gens[0].n, QQ)
-    return sum(1 for beta in table if sum(map(mul, beta, degs)) == d)
+    _, degree = intersect._product_table(gens, degs, d, intersect._Packing.around(gens, d), QQ)
+    return sum(1 for deg in degree.values() if deg == d)
 
 
 def count_fallbacks(monkeypatch):
@@ -435,6 +437,65 @@ def reference_pi_images(inst, dmax):
     return images
 
 
+def decoded_table(table, k, dmax, box, n, field):
+    """A packed product table as {beta: LaurentPoly}, keys and terms decoded."""
+    betas = intersect._Packing((0,) * k, (dmax,) * k)
+    return {betas.vector(b): LaurentPoly._trusted(n, field, box.unpack(t)) for b, t in table.items()}
+
+
+@st.composite
+def box_and_vectors(draw, count):
+    """A box lo <= e <= hi in one to five dimensions, with negative lows and
+    one-point axes, and ``count`` vectors in it."""
+    axes = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 5)), min_size=1, max_size=5))
+    lo, hi = [a for a, _ in axes], [a + w for a, w in axes]
+    vecs = [tuple(draw(st.integers(a, b)) for a, b in zip(lo, hi)) for _ in range(count)]
+    return intersect._Packing(lo, hi), lo, hi, vecs
+
+
+class TestPacking:
+    @given(box_and_vectors(1))
+    def test_decoding_a_key_returns_its_vector(self, case):
+        box, _, _, (e,) = case
+        assert box.vector(box.key(e)) == e
+        assert box.unpack(box.pack({e: 7})) == {e: 7}
+
+    @given(box_and_vectors(2))
+    def test_key_order_is_tuple_order(self, case):
+        box, _, _, (e, f) = case
+        assert (box.key(e) < box.key(f)) == (e < f)
+        assert (box.key(e) == box.key(f)) == (e == f)
+
+    @given(box_and_vectors(1), st.data())
+    def test_keys_add_without_carry_inside_the_box(self, case, data):
+        box, lo, hi, (a,) = case
+        b = tuple(data.draw(st.integers(x - y, z - y)) for x, y, z in zip(lo, a, hi))
+        s = tuple(map(sum, zip(a, b)))
+        assert box.key(a) + box.key(b) == box.key(s)
+        assert box.vector(box.key(a) + box.key(b)) == s
+
+    def test_laurent_products_reach_both_corners_at_degree_dmax(self):
+        # g is homogeneous of degree 1 for the weights (1, -1); g^dmax holds
+        # the corners dmax * (-1, -2) and dmax * (2, 1) of the proved box
+        x = lambda e, c=1: LaurentPoly.monomial(2, e, c)
+        gens = [x((-1, -2)) + x((2, 1), 3), x((1, 0), -2)]
+        weights, dmax = (1, -1), 7
+        degs = intersect._validate_gens("A", gens, weights)
+        box = intersect._Packing.around(gens, dmax)
+        assert (box.lo, box.vector(box.key((2 * dmax, dmax)))) == ((-dmax, -2 * dmax), (2 * dmax, dmax))
+        table, degree = intersect._product_table(gens, degs, dmax, box, QQ)
+        decoded = decoded_table(table, 2, dmax, box, 2, QQ)
+        for beta, poly in decoded.items():
+            assert poly == gens[0] ** beta[0] * gens[1] ** beta[1]
+        top = decoded[(dmax, 0)]
+        assert {(-dmax, -2 * dmax), (2 * dmax, dmax)} <= top.support()
+        keys = {k for terms in table.values() for k in terms}
+        assert (min(keys), max(keys)) == (box.key(box.lo), box.key((2 * dmax, dmax)))
+        rep = graded_intersection(gens, gens, weights, dmax)
+        assert rep.dims == rep.ambient_a == {d: d + 1 for d in range(dmax + 1)}
+        assert {(-dmax, -2 * dmax), (2 * dmax, dmax)} <= set().union(*(b.support() for b in rep.bases[dmax]))
+
+
 class TestProductTable:
     @pytest.mark.parametrize("field", [QQ, 5, 32003])
     @pytest.mark.parametrize("seed", range(6))
@@ -445,7 +506,9 @@ class TestProductTable:
         gens = [g for g in (seeded_generator(rng, field) for _ in range(rng.randint(2, 4))) if g.terms]
         degs = intersect._validate_gens("A", gens, (1, 1, 2))
         dmax = 6
-        table = intersect._product_table(gens, degs, dmax, 3, field)
+        box = intersect._Packing.around(gens, dmax)
+        table, _ = intersect._product_table(gens, degs, dmax, box, field)
+        table = decoded_table(table, len(gens), dmax, box, 3, field)
         expected = {}
         for beta in itertools.product(range(dmax + 1), repeat=len(gens)):
             if sum(map(mul, beta, degs)) <= dmax:
@@ -457,11 +520,14 @@ class TestProductTable:
         assert all(table[beta] == expected[beta] for beta in expected)
 
     def test_no_generators(self):
-        assert intersect._product_table([], [], 4, 2, QQ) == {(): LaurentPoly.constant(2, 1)}
+        box = intersect._Packing((0, 0), (0, 0))
+        table, _ = intersect._product_table([], [], 4, box, QQ)
+        assert decoded_table(table, 0, 4, box, 2, QQ) == {(): LaurentPoly.constant(2, 1)}
 
     @pytest.mark.parametrize("inst", [ONES, OFF3, build_instance(3, 2, [[1, 2], [3, 1]])])
     def test_pi_images_are_integer_fraction_products(self, inst):
-        images = intersect._pi_monomial_images(inst, 6)
+        images, _, box = intersect._pi_monomial_images(inst, 6)
+        images = decoded_table(images, len(inst.pis), 6, box, inst.n, inst.field)
         reference = reference_pi_images(inst, 6)
         assert images == reference
         assert all(type(c) is int for img in images.values() for c in img.terms.values())
@@ -492,6 +558,16 @@ class TestFreenessCosetCheck:
         # -1 was an empty box and a vacuous pass, 2.5 a bare TypeError
         with pytest.raises(UsageError, match="nonnegative integer"):
             freeness_coset_check(ONES, bound)
+
+    @pytest.mark.parametrize("bound", [19, 10**6])
+    def test_box_past_the_enumeration_budget_is_refused_up_front(self, monkeypatch, bound):
+        # 39^4 > 2 * 10^6 points; a query would mean the sweep had started
+        queries = []
+        monkeypatch.setattr(intersect, "coset_decomposition", lambda *args: queries.append(args))
+        start = time.perf_counter()
+        with pytest.raises(UsageError, match="freeness box has [0-9]+ lattice points.*enumeration budget"):
+            freeness_coset_check(OFF3, bound)
+        assert time.perf_counter() - start < 0.5 and not queries
 
 
 class TestNoMonomialUnits:
@@ -688,7 +764,8 @@ def count_generator_fallbacks(monkeypatch):
 def unchecked_count(rep, p):
     """The one-pass count mod p on the integer-scaled basis, certified by
     nothing."""
-    ints = {d: [intersect._integer_scaled(b) for b in bs] for d, bs in rep.bases.items()}
+    box = intersect._Packing.around([b for bs in rep.bases.values() for b in bs], max(rep.bases) + 1)
+    ints = {d: [box.pack(intersect._integer_scaled(b).terms) for b in bs] for d, bs in rep.bases.items()}
     return intersect._generator_degrees(ints, p, lambda terms: {e: r for e, c in terms.items() if (r := c % p)})
 
 
