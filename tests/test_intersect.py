@@ -493,7 +493,19 @@ class TestPacking:
         assert (min(keys), max(keys)) == (box.key(box.lo), box.key((2 * dmax, dmax)))
         rep = graded_intersection(gens, gens, weights, dmax)
         assert rep.dims == rep.ambient_a == {d: d + 1 for d in range(dmax + 1)}
+        assert rep.new_generators == tuple(oracle_new_generators(rep)) == ((1, 2),)
         assert {(-dmax, -2 * dmax), (2 * dmax, dmax)} <= set().union(*(b.support() for b in rep.bases[dmax]))
+
+
+    @pytest.mark.parametrize("field", [QQ, 32003])
+    def test_count_products_leave_the_box_of_single_basis_elements(self, field):
+        # the basis spans only [0, 1]^2, where (0, 2) and (1, 0) would share a
+        # key; y^2 is tried at degree 2, so the count needs the wider box
+        x, y = (LaurentPoly.variable(2, i, field) for i in range(2))
+        bases = {0: [LaurentPoly.constant(2, 1, field)], 1: [y], 2: [x]}
+        dims = {d: len(bs) for d, bs in bases.items()}
+        rep = intersect.GradedIntersectionReport((1, 1), field, 2, dims, dims, dims, bases, ())
+        assert minimal_generator_degrees(rep) == oracle_new_generators(rep) == [(1, 1), (2, 1)]
 
 
 class TestProductTable:
