@@ -496,7 +496,6 @@ class TestPacking:
         assert rep.new_generators == tuple(oracle_new_generators(rep)) == ((1, 2),)
         assert {(-dmax, -2 * dmax), (2 * dmax, dmax)} <= set().union(*(b.support() for b in rep.bases[dmax]))
 
-
     @pytest.mark.parametrize("field", [QQ, 32003])
     def test_count_products_leave_the_box_of_single_basis_elements(self, field):
         # the basis spans only [0, 1]^2, where (0, 2) and (1, 0) would share a
@@ -573,7 +572,7 @@ class TestFreenessCosetCheck:
 
     @pytest.mark.parametrize("bound", [19, 10**6])
     def test_box_past_the_enumeration_budget_is_refused_up_front(self, monkeypatch, bound):
-        # 39^4 > 2 * 10^6 points; a query would mean the sweep had started
+        # 39^4 > 2 * 10^6 points; the refusal comes before the coset decomposition
         queries = []
         monkeypatch.setattr(intersect, "coset_decomposition", lambda *args: queries.append(args))
         start = time.perf_counter()
