@@ -47,7 +47,6 @@ from .monoid import SubalgebraGens, cone_membership, hilbert_basis, intersection
 DEFAULT_N4 = {"n": 4, "gamma": 1, "delta": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]}
 DEFAULT_N3 = {"n": 3, "gamma": 1, "delta": [[3, 1], [1, 1]]}
 
-VERIFY_IDS = ("t2.5i", "t2.5ii", "p2.6", "t2.8", "t2.14", "l2.15", "r2.16", "l3.1", "l3.2")
 VERIFY_ALIASES = {"l2.13": "t2.14"}
 
 
@@ -386,7 +385,7 @@ def build_parser():
     sub.add_parser("check-conditions", parents=[common],
                    help="exact ratio-condition values and det T").set_defaults(func=cmd_check_conditions)
     p_verify = sub.add_parser("verify", parents=[common], help="run one named batch check")
-    p_verify.add_argument("check_id", help="one of: " + ", ".join(VERIFY_IDS))
+    p_verify.add_argument("check_id", help="one of: " + ", ".join(VERIFY_DISPATCH))
     p_verify.set_defaults(func=cmd_verify)
     sub.add_parser("hilbert", parents=[common],
                    help="Hilbert basis and generator monomials for a config U").set_defaults(func=cmd_hilbert)

@@ -46,14 +46,18 @@ def kernel_degree_basis(d: int, nvars: int = 4, field=QQ):
     Solved as exact linear algebra over Q on monomial coefficients; the
     dimension claim needs characteristic 0, so prime fields are rejected.
     A table of more than ``monoid.ENUMERATION_BUDGET`` exponents (monomials
-    times nvars) is refused up front.
+    times nvars) is refused up front, and so is an elimination of more than
+    the budget of monomials times equations (one per monomial of degree
+    below d).
     """
     if field != QQ:
         raise UsageError("kernel degree bases are computed over Q (characteristic 0)")
     check_int(d, "degree bound", high=MAX_DEGREE)
     check_int(nvars, "nvars", 1)
     what = f"the table of degree-{d} monomials in {nvars} variables"
-    _check_budget(what, comb(d + nvars, nvars) * nvars, "exponents")
+    count = comb(d + nvars, nvars)
+    _check_budget(what, count * nvars, "exponents")
+    _check_budget(what, count * comb(d - 1 + nvars, nvars), "constraint-matrix entries")
     monomials = sorted(tuple(map(c.count, range(nvars)))
                        for k in range(d + 1) for c in itertools.combinations_with_replacement(range(nvars), k))
     # one homogeneous equation per image monomial: the e_i-weighted sum of the

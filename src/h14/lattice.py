@@ -1,20 +1,18 @@
 """Exact integer linear algebra on exponent vectors.
 
-Determinants (fraction-free), unit-row solving with least positive
-denominator clearing, Smith normal form with unimodular transforms, and
-subgroup/coset structure of Z^n.  Arbitrary-precision integers throughout.
+Determinants (fraction-free), Smith normal form with unimodular
+transforms, unit-row solving read off the Smith form, and subgroup/coset
+structure of Z^n.  Integers only, of arbitrary precision, throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import ShapeError, SingularMatrixError, check_int, int_vector
-from .linalg import rational_solve
 
 
 @dataclass(frozen=True)
@@ -97,30 +95,6 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def solve_unit_row(t: IntMatrix, i: int):
-    """Integer row vector s and least positive m with ``s . t = m e_i``.
-
-    ``i`` is a 0-based row index.  m is the lcm of the denominators of the
-    unique rational solution, which makes it the least positive integer
-    admitting an integer solution.
-    """
-    if not t.is_square:
-        raise ShapeError(f"solve_unit_row needs a square matrix, got {t.rows}x{t.cols}")
-    n = t.rows
-    check_int(i, "row index", 0, n - 1)
-    if det(t) == 0:
-        raise SingularMatrixError("matrix is singular")
-    # x . t = e_i  <=>  t^T x^T = e_i^T
-    rhs = [Fraction(int(j == i)) for j in range(n)]
-    sol = rational_solve([list(c) for c in t.columns], rhs)
-    if sol is None:
-        raise ArithmeticError("a nonsingular system has no rational solution")
-    x, _ = sol
-    m = lcm(*(f.denominator for f in x))
-    s = tuple(int(f * m) for f in x)
-    return m, s
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -142,95 +116,76 @@ class SmithForm:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
+    """D = U m V by one pivot rule (Kannan-Bachem; Cohen, section 2.4.4).
+
+    At step t the entry of least absolute value in the lower-right block
+    moves to (t, t) and reduces its column and row.  A nonzero remainder is
+    smaller than the pivot and becomes the next one; once row and column t
+    are clear, a row holding an entry the pivot does not divide is added to
+    row t, which leaves such a remainder.  |pivot| drops every round, so the
+    loop ends, and the pivot then divides everything after it.
+    """
     k, n = m.rows, m.cols
     a = m.to_lists()
     u = IntMatrix.identity(k).to_lists()
     v = IntMatrix.identity(n).to_lists()
     vinv = IntMatrix.identity(n).to_lists()
 
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_add(i, j, c):  # row i += c * row j
+    def add_row(i, j, c):  # row i += c * row j, on A and U
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
 
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def col_add(j, i, c):  # col j += c * col i ; V = V*E, Vinv = E^-1 * Vinv
-        for r in a:
-            r[j] += c * r[i]
-        for r in v:
+    def add_col(j, i, c):  # col j += c * col i on A and V; row i of V^-1 -= c * row j
+        for r in a + v:
             r[j] += c * r[i]
         vinv[i] = [x - c * y for x, y in zip(vinv[i], vinv[j])]
 
-    def nonzero_in(t):
-        best = None
-        for i in range(t, k):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
     t = 0
     while t < min(k, n):
-        pos = nonzero_in(t)
-        if pos is None:
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, k) for j in range(t, n) if a[i][j]]
+        if not nonzero:
             break
-        i0, j0 = pos
-        if i0 != t:
-            row_swap(t, i0)
-        if j0 != t:
-            col_swap(t, j0)
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, k):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
-                    if a[i][t] != 0:
-                        row_swap(t, i)  # smaller remainder becomes the pivot
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the remaining submatrix
-            bad = None
-            for i in range(t + 1, k):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_add(t, bad, 1)
-        if a[t][t] < 0:
-            row_neg(t)
+        _, i, j = min(nonzero)
+        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+        for r in a + v:
+            r[t], r[j] = r[j], r[t]
+        vinv[t], vinv[j] = vinv[j], vinv[t]
+        p = a[t][t]
+        for i in range(t + 1, k):
+            add_row(i, t, -(a[i][t] // p))
+        for j in range(t + 1, n):
+            add_col(j, t, -(a[t][j] // p))
+        if any(a[i][t] for i in range(t + 1, k)) or any(a[t][t + 1:]):
+            continue
+        bad = next((i for i in range(t + 1, k) if any(x % p for x in a[i][t + 1:])), None)
+        if bad is not None:
+            add_row(t, bad, 1)
+            continue
+        if p < 0:
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
         t += 1
-    # the pivot-divides-submatrix step above already yields the chain d_i | d_{i+1}
     as_mat = lambda rows, nc: IntMatrix(len(rows), nc, tuple(tuple(r) for r in rows))
     return SmithForm(as_mat(a, n), as_mat(u, k), as_mat(v, n), as_mat(vinv, n))
+
+
+def solve_unit_row(t: IntMatrix, i: int):
+    """Integer row vector s and least positive m with ``s . t = m e_i``.
+
+    ``i`` is a 0-based row index.  Read off the Smith form D = U t V: with
+    w = s U^-1, s . t = m e_i holds exactly when w D = m (row i of V), that is
+    w_j = m V_ij / d_j.  So m = lcm_j(d_j / gcd(d_j, V_ij)) is the least
+    positive m with an integer w, and s = w U.
+    """
+    if not t.is_square:
+        raise ShapeError(f"solve_unit_row needs a square matrix, got {t.rows}x{t.cols}")
+    check_int(i, "row index", 0, t.rows - 1)
+    sf = smith_normal_form(t)
+    d = sf.invariants
+    if len(d) < t.rows:
+        raise SingularMatrixError("matrix is singular")
+    vi = sf.v.entries[i]
+    m = lcm(*(dj // gcd(dj, x) for dj, x in zip(d, vi)))
+    return m, row_times_matrix([m * x // dj for dj, x in zip(d, vi)], sf.u)
 
 
 # ---------------------------------------------------------------------------

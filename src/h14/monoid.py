@@ -94,11 +94,6 @@ def _extreme_rays(u: IntMatrix):
         return all(sum(x * c for x, c in zip(d, col)) >= 0 for col in cols)
 
     rays = set()
-    if t == 1:
-        for d in ((1,), (-1,)):
-            if feasible(d):
-                rays.add(d)
-        return sorted(rays)
     for subset in itertools.combinations(range(n), t - 1):
         mat = [cols[j] for j in subset]
         ns = rational_nullspace(mat, ncols=t)

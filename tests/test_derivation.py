@@ -119,6 +119,15 @@ class TestKernelDegreeBasis:
             kernel_degree_basis(8, nvars=100)
         assert time.perf_counter() - start < 0.5
 
+    def test_elimination_budget_boundary(self):
+        # at d = 8 the constraint matrix has comb(8 + v, v) * comb(7 + v, v)
+        # entries: 1 019 304 for 5 variables, 5 153 148 for 6 (budget 2 000 000)
+        assert len(kernel_degree_basis(8, nvars=5)) == math.comb(8 + 4, 4)
+        start = time.perf_counter()
+        with pytest.raises(UsageError, match="5153148 constraint-matrix entries"):
+            kernel_degree_basis(8, nvars=6)
+        assert time.perf_counter() - start < 0.5
+
     def test_sixteen_variables_at_degree_two(self):
         # 153 monomials; their kernel is spanned by the constant and the
         # 15 + 120 degree-1 and degree-2 polynomials in the 15 differences

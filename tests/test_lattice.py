@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from h14.lattice import (
     smith_normal_form,
     solve_unit_row,
 )
+from h14.linalg import rational_solve
 
 
 def det_oracle(rows):
@@ -155,6 +157,52 @@ class TestSolveUnitRow:
             # least positive m: s/m is in lowest terms, so m' < m would force
             # a fractional coordinate in m'/m * s
             assert math.gcd(m, *s) == 1 or m == 1
+
+    @staticmethod
+    def fraction_oracle(t, i):
+        """The rational path: solve t^T x = e_i over Q, then clear the
+        denominators of the unique solution by their lcm."""
+        x, null = rational_solve([list(c) for c in t.columns], [Fraction(int(j == i)) for j in range(t.rows)])
+        assert not null
+        m = math.lcm(*(f.denominator for f in x))
+        return m, tuple(int(f * m) for f in x)
+
+    @staticmethod
+    def unimodular(rng, n):
+        """A random |det| = 1 matrix: signed identity rows mixed by row adds."""
+        rows = [[rng.choice((1, -1)) * int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-3, 3)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        return rows
+
+    def test_against_fraction_oracle(self):
+        rng = random.Random(17)
+        dets = set()
+        for case in range(300):
+            n = rng.randint(2, 4)
+            kind = case % 3
+            if kind == 0:
+                rows = self.unimodular(rng, n)
+            else:
+                bound = 5 if kind == 1 else 10**6
+                rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            t = IntMatrix.from_rows(rows)
+            d = det(t)
+            if d == 0:
+                continue
+            dets.add(min(abs(d), 10**12))
+            for i in range(n):
+                assert solve_unit_row(t, i) == self.fraction_oracle(t, i)
+        # unimodular, small and large determinants all occurred
+        assert 1 in dets and 10**12 in dets and any(1 < x < 10**4 for x in dets)
+
+    def test_singular_three_by_three_rejected(self):
+        t = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        for i in range(3):
+            with pytest.raises(SingularMatrixError):
+                solve_unit_row(t, i)
 
 
 int_matrices = st.integers(min_value=1, max_value=4).flatmap(
