@@ -27,6 +27,7 @@ CASES = {
     "verify-t2.8": ["verify", "t2.8"],
     "verify-t2.5i": ["verify", "t2.5i"],
     "verify-t2.5ii": ["verify", "t2.5ii"],
+    "verify-t2.5ii-ones": ["verify", "t2.5ii", "--config", "ones.json"],
     "verify-p2.6": ["verify", "p2.6"],
     "verify-l3.1": ["verify", "l3.1"],
     "verify-l3.2-d6": ["verify", "l3.2"],
