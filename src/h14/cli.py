@@ -5,8 +5,8 @@ Subcommands: ``check-conditions``, ``verify <id>``, ``hilbert``,
 command needs (``{n, gamma, delta}``, or ``{U}`` for ``hilbert``) plus an
 optional ``field``; an empty or partial config is a config error.  Each
 command fills one :class:`Report`: ``#`` header lines with the effective
-field and, where one is used, degree bound, then tab-separated rows.  Checked
-rows end in ``ok`` or ``FAIL`` and alone decide the verdict.
+field, degree bound and seed of those the command uses, then tab-separated
+rows.  Checked rows end in ``ok`` or ``FAIL`` and alone decide the verdict.
 
 Exit codes: 0 all checks pass, 1 a checked row failed (``verify`` printed
 ``RESULT fail``, or ``scan`` found an implication violation), 2 usage or
@@ -26,7 +26,7 @@ import sys
 from . import __version__
 from .derivation import support_property_check
 from .errors import ConfigError, PreconditionError, UsageError, is_int
-from .intersect import freeness_coset_check, graded_intersection, kuroda_intersection_basis, no_monomial_units_check
+from .intersect import freeness_certificate, graded_intersection, kuroda_intersection_basis, no_monomial_units_check
 from .kuroda import (
     build_G,
     build_instance,
@@ -71,19 +71,20 @@ class Report:
         if not ok:
             self.failed = True
 
-    def header(self, field=None, dmax=None, extra=()):
+    def header(self, field=None, dmax=None, seed=True, extra=()):
         """The ``#`` lines that open the report.  ``field`` (parsed) and ``dmax``
-        are the effective values of a command that resolves them; without a
-        ``field`` the ``--field`` option is echoed, without a ``dmax`` no bound
-        is printed."""
+        are the effective values of a command that resolves them, and only
+        those are printed, as is the seed only of a command that uses one."""
         args = self.args
         self.comment(f"h14 {__version__}")
         self.comment(f"command: {args.command}" + (f" {args.check_id}" if getattr(args, "check_id", None) else ""))
         self.comment(f"config: {args.config or 'default'}")
-        self.comment(f"field: {field_name(field) if field is not None else args.field or 'Q'}")
+        if field is not None:
+            self.comment(f"field: {field_name(field)}")
         if dmax is not None:
             self.comment(f"dmax: {dmax}")
-        self.comment(f"seed: {args.seed}")
+        if seed:
+            self.comment(f"seed: {args.seed}")
         for line in extra:
             self.comment(line)
 
@@ -200,7 +201,7 @@ def cmd_scan(args, rep):
     ]
     if given:
         raise UsageError(f"scan takes no {', '.join(given)}: its boxes are fixed and it builds no polynomials")
-    rep.header()
+    rep.header(seed=False)
     rep.row("n", "bound", "instances", "implication_violations", "converse_witnesses")
     for n, bound in ((3, 4), (4, 2)):
         sc = implication_scan(n, bound)
@@ -227,9 +228,10 @@ def _verify_t25i(args, rep):
 
 def _verify_t25ii(args, rep):
     inst = _instance(args, DEFAULT_N4)
-    rep.header(inst.field)
+    rep.header(inst.field, extra=["free_decomposition: Smith certificate U*A*V = D, |det U| = |det V| = 1,"
+                                  " valid on all of Z^n (contains the box)"])
     rep.row("coset_box_bound", 5)
-    rep.check("free_decomposition", ok=freeness_coset_check(inst, 5))
+    rep.check("free_decomposition", ok=freeness_certificate(inst))
 
 
 def _verify_p26(args, rep):

@@ -54,7 +54,7 @@ from operator import add, mul, sub
 from . import linalg
 from .errors import GradingError, PreconditionError, SingularMatrixError, UsageError, check_int, int_vector
 from .kuroda import KurodaInstance
-from .lattice import coset_decomposition
+from .lattice import coset_decomposition, smith_certificate
 from .laurent import QQ, LaurentPoly, coeff_of
 from .linalg import SparseRREF, span_intersection, sparse_nullspace
 from .monoid import _check_budget
@@ -520,30 +520,40 @@ def _modular_generator_degrees(bases):
 # ---------------------------------------------------------------------------
 
 
-def freeness_coset_check(inst: KurodaInstance, box_bound: int) -> bool:
-    """Coset/freeness structure of the monomial exponent subgroup.
+def _exponent_subgroup(inst: KurodaInstance):
+    """The coset decomposition of H, generated by the exponent-matrix rows
+    extended by a trailing 0 together with the last unit vector."""
+    _check_nonsingular(inst)
+    gens = [tuple(row) + (0,) for row in inst.t_matrix.entries]
+    gens.append((0,) * (inst.n - 1) + (1,))
+    return coset_decomposition(gens, inst.n)
 
-    H is generated by the exponent-matrix rows extended by a trailing 0
-    together with the last unit vector.  Every v in the box [-B, B]^n must
-    decompose as rep(v) + h with h in H, with the representative canonical
-    (idempotent and invariant under shifts by generators of H).  A box of
-    more than ``monoid.ENUMERATION_BUDGET`` points is refused up front.
+
+def freeness_certificate(inst: KurodaInstance) -> bool:
+    """``freeness_coset_check`` on all of Z^n, by ``smith_certificate`` of H."""
+    cd = _exponent_subgroup(inst)
+    return smith_certificate(cd.generators, cd.smith)
+
+
+def freeness_coset_check(inst: KurodaInstance, box_bound: int) -> bool:
+    """Coset/freeness structure of the monomial exponent subgroup H, swept.
+
+    Every v in the box [-B, B]^n must decompose as rep(v) + h with h in H,
+    with the representative canonical (idempotent and invariant under shifts
+    by generators of H).  The bounded oracle of ``freeness_certificate``.  A
+    box of more than ``monoid.ENUMERATION_BUDGET`` points is refused up front.
     """
     check_int(box_bound, "box bound")
     _check_budget("the freeness box", (2 * box_bound + 1) ** inst.n)
-    _check_nonsingular(inst)
-    n = inst.n
-    gens = [tuple(row) + (0,) for row in inst.t_matrix.entries]
-    gens.append((0,) * (n - 1) + (1,))
-    cd = coset_decomposition(gens, n)
-    for v in itertools.product(range(-box_bound, box_bound + 1), repeat=n):
+    cd = _exponent_subgroup(inst)
+    for v in itertools.product(range(-box_bound, box_bound + 1), repeat=inst.n):
         r = cd.representative(v)
         h = tuple(map(sub, v, r))
         if not cd.contains(h):
             return False
         if cd.representative(r) != r:
             return False
-        for g in gens:
+        for g in cd.generators.entries:
             if cd.representative(tuple(map(add, v, g))) != r:
                 return False
     return True

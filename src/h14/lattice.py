@@ -1,8 +1,9 @@
 """Exact integer linear algebra on exponent vectors.
 
 Determinants (fraction-free), Smith normal form with unimodular
-transforms, unit-row solving read off the Smith form, and subgroup/coset
-structure of Z^n.  Integers only, of arbitrary precision, throughout.
+transforms and its integer certificate, unit-row solving read off the Smith
+form, and subgroup/coset structure of Z^n.  Integers only, of arbitrary
+precision, throughout.
 """
 
 from __future__ import annotations
@@ -166,6 +167,28 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         t += 1
     as_mat = lambda rows, nc: IntMatrix(len(rows), nc, tuple(tuple(r) for r in rows))
     return SmithForm(as_mat(a, n), as_mat(u, k), as_mat(v, n), as_mat(vinv, n))
+
+
+def smith_certificate(m: IntMatrix, sf: SmithForm) -> bool:
+    """Whether ``sf`` is a Smith form of ``m``, checked in integers.
+
+    It holds when U m V = D, |det U| = 1, V V^-1 = I (so |det V| = 1) and D
+    is diagonal with d_1 | d_2 | ... >= 0 (0 divides only 0).  Then the row
+    span H of m is {x D V^-1}: v lies in H exactly when coordinate j of v V
+    is a multiple of d_j, and 0 past the rank.  ``CosetDecomposition``
+    reduces those coordinates modulo the d_j, keeps the free ones and maps
+    back by V^-1, so for every v in Z^n: v - rep(v) lies in H, rep is
+    idempotent, and rep(v + g) = rep(v) for every g in H.
+    """
+    d = sf.d
+    diag = [d[i, i] for i in range(min(d.rows, d.cols))]
+    return (
+        sf.u * m * sf.v == d
+        and abs(det(sf.u)) == 1
+        and sf.v * sf.v_inv == IntMatrix.identity(d.cols)
+        and all(x >= 0 if i == j else x == 0 for i, row in enumerate(d.entries) for j, x in enumerate(row))
+        and all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    )
 
 
 def solve_unit_row(t: IntMatrix, i: int):

@@ -221,7 +221,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "check_id, work, row",
         [
-            ("t2.5ii", "freeness_coset_check", "free_decomposition\tFAIL\n"),
+            ("t2.5ii", "freeness_certificate", "free_decomposition\tFAIL\n"),
             ("p2.6", "no_monomial_units_check", "no_nonconstant_monomials\tFAIL\n"),
             ("l3.2", "support_property_check", "support_property\tFAIL\n"),
         ],
@@ -326,6 +326,9 @@ class TestIntersectAndScan:
             # commands that use no degree bound print none, whatever --dmax says
             (["check-conditions", "--dmax", "7"], None, ["# field: Q"]),
             (["verify", "t2.5i", "--dmax", "3"], None, ["# field: Q"]),
+            # commands that resolve no field print none
+            (["verify", "t2.8", "--field", "Fp:5"], None, []),
+            (["scan"], None, []),
         ],
     )
     def test_header_states_effective_field_and_bound(self, capsys, tmp_path, argv, config_field, expected):
@@ -336,6 +339,10 @@ class TestIntersectAndScan:
         assert code == 0
         header = [line for line in out.splitlines() if line.startswith("# field:") or line.startswith("# dmax:")]
         assert header == expected
+
+    def test_scan_uses_and_prints_no_seed(self, capsys):
+        _, out, _ = run(capsys, "scan")
+        assert "seed" not in out
 
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "verify", "t2.14", "--seed", "3")
@@ -395,10 +402,10 @@ CONFIG_TEXTS = st.one_of(
     INSTANCES.map(json.dumps), CONES.map(json.dumps),
     (MALFORMED_INSTANCES | MALFORMED_CONES | JUNK).map(json.dumps), st.text(max_size=8),
 )
-# every command but verify t2.5ii and l3.1, whose fixed sweeps take 0.4-0.5 s
+# every command but verify l3.1, whose fixed sweep of 3^9 tables takes 0.2-0.3 s
 COMMANDS = st.sampled_from(
     [["check-conditions"], ["hilbert"], ["intersect"], ["scan"]]
-    + [["verify", c] for c in ("t2.5i", "p2.6", "t2.8", "t2.14", "l2.13", "l2.15", "r2.16", "l3.2", "x")]
+    + [["verify", c] for c in ("t2.5i", "t2.5ii", "p2.6", "t2.8", "t2.14", "l2.13", "l2.15", "r2.16", "l3.2", "x")]
 )
 
 

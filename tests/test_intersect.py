@@ -16,6 +16,7 @@ from h14 import intersect, linalg
 from h14.derivation import support_property_check
 from h14.errors import GradingError, PreconditionError, SingularMatrixError, UsageError, ValidationError
 from h14.intersect import (
+    freeness_certificate,
     freeness_coset_check,
     graded_intersection,
     kuroda_intersection_basis,
@@ -579,6 +580,45 @@ class TestFreenessCosetCheck:
         with pytest.raises(UsageError, match="freeness box has [0-9]+ lattice points.*enumeration budget"):
             freeness_coset_check(OFF3, bound)
         assert time.perf_counter() - start < 0.5 and not queries
+
+
+class TestFreenessCertificate:
+    """The certificate on all of Z^n against the box sweep as the oracle."""
+
+    def test_agrees_with_the_sweep_on_every_n3_table(self):
+        checked = 0
+        for flat in itertools.product(range(1, 4), repeat=4):
+            inst = build_instance(3, 1, [list(flat[:2]), list(flat[2:])])
+            if inst.det_t:
+                assert freeness_certificate(inst) == freeness_coset_check(inst, 2)
+                checked += 1
+        assert checked == 66
+
+    def test_agrees_with_the_sweep_on_seeded_n4_tables(self):
+        rng = random.Random(13)
+        checked = 0
+        while checked < 30:
+            delta = [[rng.randint(1, 4) for _ in range(3)] for _ in range(3)]
+            inst = build_instance(4, rng.choice((1, 2)), delta)
+            if inst.det_t:
+                assert freeness_certificate(inst) == freeness_coset_check(inst, 2)
+                checked += 1
+
+    @pytest.mark.parametrize("n, delta", [(3, [[1, 1], [1, 1]]), (4, [[2, 1, 1], [1, 2, 1], [1, 1, 2]])])
+    def test_singular_tables_rejected_by_both(self, n, delta):
+        inst = build_instance(n, 1, delta)
+        with pytest.raises(SingularMatrixError):
+            freeness_certificate(inst)
+        with pytest.raises(SingularMatrixError):
+            freeness_coset_check(inst, 1)
+
+    def test_certifies_the_smith_form_of_h(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(intersect, "smith_certificate", lambda m, sf: seen.append((m, sf)) or False)
+        assert not freeness_certificate(OFF3)
+        [(m, sf)] = seen
+        assert m.entries == ((-1, 3, 3, 0), (3, -1, 3, 0), (3, 3, -1, 0), (0, 0, 0, 1))
+        assert sf.invariants == (1, 1, 4, 20)
 
 
 class TestNoMonomialUnits:

@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from h14.errors import ShapeError, SingularMatrixError, UsageError, ValidationError
 from h14.lattice import (
     IntMatrix,
+    SmithForm,
     coset_decomposition,
     det,
     row_times_matrix,
+    smith_certificate,
     smith_normal_form,
     solve_unit_row,
 )
@@ -237,10 +239,58 @@ class TestSmithForm:
         assert all(x > 0 for x in inv)
         for a, b in zip(inv, inv[1:]):
             assert b % a == 0
+        assert smith_certificate(m, sf)
 
     def test_known_diagonal(self):
         sf = smith_normal_form(IntMatrix.from_rows([[2, 4], [4, 2]]))
         assert sf.invariants == (2, 6)
+
+
+class TestSmithCertificate:
+    """Each corrupted form breaks exactly one condition of the certificate."""
+
+    # the generators of the exponent subgroup H of the OFF3 instance
+    GENERATORS = IntMatrix.from_rows([[-1, 3, 3, 0], [3, -1, 3, 0], [3, 3, -1, 0], [0, 0, 0, 1]])
+
+    def test_product_must_be_d(self):
+        sf = smith_normal_form(self.GENERATORS)
+        assert sf.invariants == (1, 1, 4, 20) and smith_certificate(self.GENERATORS, sf)
+        d = sf.d.to_lists()
+        d[3][3] *= 2  # (1, 1, 4, 40) is still a nonnegative diagonal chain
+        assert not smith_certificate(self.GENERATORS, SmithForm(IntMatrix.from_rows(d), sf.u, sf.v, sf.v_inv))
+
+    def test_u_must_be_unimodular(self):
+        # D's second row is zero, so doubling U's second row keeps U m V = D
+        m = IntMatrix.from_rows([[1, 2], [2, 4]])
+        sf = smith_normal_form(m)
+        assert sf.invariants == (1,)
+        u = sf.u.to_lists()
+        u[1] = [2 * x for x in u[1]]
+        corrupt = SmithForm(sf.d, IntMatrix.from_rows(u), sf.v, sf.v_inv)
+        assert corrupt.u * m * corrupt.v == corrupt.d and abs(det(corrupt.u)) == 2
+        assert not smith_certificate(m, corrupt)
+
+    def test_v_inv_must_invert_v(self):
+        sf = smith_normal_form(self.GENERATORS)
+        v_inv = sf.v_inv.to_lists()
+        v_inv[0][0] += 1
+        assert not smith_certificate(self.GENERATORS, SmithForm(sf.d, sf.u, sf.v, IntMatrix.from_rows(v_inv)))
+
+    @pytest.mark.parametrize(
+        "d, holds",
+        [
+            ([[2, 0, 0], [0, 6, 0]], True),
+            ([[1, 1], [0, 1]], False),  # an off-diagonal nonzero
+            ([[2, 0], [0, 3]], False),  # 2 does not divide 3
+            ([[0, 0], [0, 2]], False),  # a zero invariant before a nonzero one
+            ([[1, 0], [0, -2]], False),  # a negative invariant
+        ],
+    )
+    def test_d_must_be_a_nonnegative_diagonal_chain(self, d, holds):
+        # with identity transforms U m V = D holds for m = D
+        m = IntMatrix.from_rows(d)
+        one = IntMatrix.identity(m.cols)
+        assert smith_certificate(m, SmithForm(m, IntMatrix.identity(m.rows), one, one)) == holds
 
 
 class TestIntegerInput:
