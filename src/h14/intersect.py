@@ -20,7 +20,11 @@ m_P = 0 proves a zero intersection without any lift.
 looks for combinations of pi-monomials whose X-substitution has no negative
 exponents, one exact cancellation constraint per offending X-monomial.  The
 pis have integer coefficients, so over Q the constraints reduce mod P without
-an inverse.  It lifts every basis entry by rational reconstruction and
+an inverse.  It solves the whole system once, for the nullspace N_dmax, and
+then walks down: on a vector of degree <= d a constraint restricted to degree
+<= d is the whole constraint, so N_d = N_{d+1} & {v : v_b = 0 for every
+pi-monomial b of degree d + 1}, a small solve in the coordinates of a basis
+of N_{d+1}.  It lifts every basis entry by rational reconstruction and
 verifies every lifted vector exactly through its integer X-image.
 
 Both reports count their minimal generators with ``minimal_generator_degrees``.
@@ -61,7 +65,7 @@ from .monoid import _check_budget
 
 # Resource guards on the degree bounds, not correctness bounds.
 GRADED_MAX_DEGREE = 32
-PI_MAX_DEGREE = 12
+PI_MAX_DEGREE = 16
 UNITS_MAX_DEGREE = 8
 
 BOUND_NOTE = (
@@ -278,26 +282,32 @@ def _x_image(row, images, fld):
 
 
 def _degree_bases(constraints, degree, dmax, fld):
-    """The per-degree loop: one nullspace solve per degree d <= dmax, over
-    the pi-monomials beta with ``degree[beta] <= d``.
+    """The nullspaces N_d, d <= dmax, of the cancellation constraints over the
+    pi-monomials beta with ``degree[beta] <= d``: one solve per degree.
+
+    Only N_dmax is solved over every pi-monomial.  On a vector supported in
+    degree <= d a constraint restricted to degree <= d is the whole
+    constraint, so N_d = N_dmax & K^(deg <= d) = N_{d+1} & {v : v_b = 0 for
+    every b of degree d + 1}.  Walking down, N_d is solved in the coordinates
+    of the basis n_0, n_1, ... of N_{d+1}: one row {i: n_i[b]} per b of
+    degree d + 1, and each solution x maps back to the sum of x_i * n_i.
 
     Returns degree -> the canonical rows that are new at that degree: the
-    RREF of the degree-d solutions that vanish at the pivots of all earlier
-    rows.  A reduced row echelon form is unique, so the rows depend only on
-    the solution spaces, not on the order of the work.
+    RREF of the residues of N_d modulo the span of all earlier rows.  The
+    residue map is linear and a reduced row echelon form is unique, so the
+    rows depend only on the spaces N_d, not on their bases or the order of
+    the work.
     """
+    null = {dmax: sparse_nullspace(list(constraints.values()), degree, fld)}
+    for d in range(dmax - 1, -1, -1):
+        above = null[d + 1]
+        rows = [{i: v[b] for i, v in enumerate(above) if b in v} for b, deg in degree.items() if deg == d + 1]
+        null[d] = [linalg.combination(x, above, fld) for x in sparse_nullspace(rows, range(len(above)), fld)]
     seen = SparseRREF(fld)
     bases = {}
-    ordered = [constraints[e] for e in sorted(constraints)]
     for d in range(dmax + 1):
-        rows = []
-        for con in ordered:
-            row = {b: c for b, c in con.items() if degree[b] <= d}
-            if row:
-                rows.append(row)
-        null = sparse_nullspace(rows, [b for b, deg in degree.items() if deg <= d], fld)
         fresh = SparseRREF(fld)
-        for vec in null:
+        for vec in null[d]:
             res = seen.reduce(vec)
             if res:
                 fresh.add(res)

@@ -215,10 +215,18 @@ def sparse_nullspace(constraints, variables, field):
     by ascending free variable.
     """
     rr = SparseRREF(field)
-    for row in constraints:
+    for row in sorted(constraints, key=len):  # sparsest first: less fill, same RREF
         if row:
             rr.add(row)
     return rr.null_basis(variables)
+
+
+def combination(coeffs, vecs, field):
+    """The sparse vector sum of c * vecs[i] over the entries i: c of ``coeffs``."""
+    out = {}
+    for i, c in coeffs.items():
+        _axpy(out, c, vecs[i], field)
+    return out
 
 
 def span_intersection(rows_a, rows_b, field):
@@ -259,12 +267,7 @@ def _intersection(rows_a, rows_b, field):
     for pk in sorted(tagged.rows):
         if pk[0] != "t":
             continue
-        combo = tagged.rows[pk]
-        elem = {}
-        for (kind, i), c in combo.items():
-            if kind != "t":
-                continue
-            _axpy(elem, c, basis_a[i], field)
+        elem = combination({i: c for (kind, i), c in tagged.rows[pk].items() if kind == "t"}, basis_a, field)
         if elem:
             inter.add(elem)
     return ra, rb, inter.basis()

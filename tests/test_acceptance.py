@@ -262,3 +262,16 @@ def test_13_new_generator_growth():
     degs_ones = minimal_generator_degrees(rep_ones)
     ok = bool(degs_off) and any(d > 0 for d, _ in degs_off) and degs_ones == []
     report(13, "new-generator-growth", ok)
+
+
+def test_14_off3_counts_up_to_the_bound():
+    # OFF3 over F_32003 through dmax 16, intersect.PI_MAX_DEGREE: the table
+    # holds up to the bound only (see the report note)
+    rep = kuroda_intersection_basis(
+        build_instance(4, 1, [[1, 3, 3], [3, 1, 3], [3, 3, 1]], "Fp:32003"), 16)
+    dims = [1, 0, 0, 1, 3, 3, 4, 6, 9, 10, 12, 15, 19, 21, 24, 28, 33]
+    ok = (
+        [rep.dims[d] for d in range(17)] == dims
+        and rep.new_generators == ((3, 1),) + tuple((d, 3) for d in range(4, 17))
+    )
+    report(14, "off3-new-generators-up-to-the-bound", ok)

@@ -277,6 +277,12 @@ class TestIntersectAndScan:
         assert "degree\tpi_monomials\tconstraints\tdim\tnew_generators" in out
         assert "1 * X1^0 X2^0 X3^0 X4^0" in out  # the constant basis element
 
+    def test_dmax_bound_of_the_pi_engine(self, capsys):
+        code, out, _ = run(capsys, "intersect", "--dmax", "16")
+        assert code == 0 and "# dmax: 16" in out
+        code, out, err = run(capsys, "intersect", "--dmax", "17")
+        assert code == 2 and out == "" and "degree bound" in err
+
     def test_scan(self, capsys):
         code, out, _ = run(capsys, "scan")
         assert code == 0

@@ -214,15 +214,137 @@ def report_contents(rep):
 
 
 def count_solves(monkeypatch):
+    """Records (variables, nullspace dimension) of every pi-engine solve."""
     calls = []
     solve = intersect.sparse_nullspace
 
-    def counted(*args):
-        calls.append(1)
-        return solve(*args)
+    def counted(constraints, variables, field):
+        out = solve(constraints, variables, field)
+        calls.append((list(variables), len(out)))
+        return out
 
     monkeypatch.setattr(intersect, "sparse_nullspace", counted)
     return calls
+
+
+def reference_degree_bases(constraints, degree, dmax, fld):
+    """The per-degree loop: one nullspace solve per degree d <= dmax, over
+    the pi-monomials beta with ``degree[beta] <= d``.
+
+    Returns degree -> the canonical rows that are new at that degree: the
+    RREF of the degree-d solutions that vanish at the pivots of all earlier
+    rows.  A reduced row echelon form is unique, so the rows depend only on
+    the solution spaces, not on the order of the work.
+    """
+    seen = SparseRREF(fld)
+    bases = {}
+    ordered = [constraints[e] for e in sorted(constraints)]
+    for d in range(dmax + 1):
+        rows = []
+        for con in ordered:
+            row = {b: c for b, c in con.items() if degree[b] <= d}
+            if row:
+                rows.append(row)
+        null = linalg.sparse_nullspace(rows, [b for b, deg in degree.items() if deg <= d], fld)
+        fresh = SparseRREF(fld)
+        for vec in null:
+            res = seen.reduce(vec)
+            if res:
+                fresh.add(res)
+        bases[d] = fresh.basis()
+        for row in bases[d]:
+            seen.add(row)
+    return bases
+
+
+class _Captured(Exception):
+    pass
+
+
+def cancellation_system(inst, dmax):
+    """The integer cancellation constraints and the degree map that the Q
+    pi-engine hands to ``_degree_bases`` on its Fraction path."""
+    captured = []
+
+    def capture(constraints, degree, *_):
+        captured.append((constraints, degree))
+        raise _Captured
+
+    with mock.patch.object(intersect, "_degree_bases", capture), \
+            mock.patch.object(linalg, "residues", lambda rows: None), pytest.raises(_Captured):
+        kuroda_intersection_basis(inst, dmax)
+    return captured[0]
+
+
+def constraints_in(constraints, field):
+    """Integer constraints as a system over ``field``: "P" for the residues
+    mod ``linalg.P``, Q with Fractions, or a prime p."""
+    if field == "P":
+        return dict(zip(constraints, linalg.residues(constraints.values())))
+    if field == QQ:
+        return {e: {b: Fraction(c) for b, c in row.items()} for e, row in constraints.items()}
+    reduced = {e: {b: r for b, c in row.items() if (r := c % field)} for e, row in constraints.items()}
+    return {e: row for e, row in reduced.items() if row}
+
+
+TOP_DOWN_CASES = (
+    DIFFERENTIAL_CASES
+    + [(OFF3, 12), (ONES, 12)]
+    + [(inst, 10) for inst in seeded_n4(3, 2718, star=True)]
+)
+TOP_DOWN_FIELDS = ("P", QQ, 2, 3, 5, 32003)
+
+
+class TestTopDownDegreeBases:
+    """``_degree_bases`` solves once at dmax and restricts degree by degree;
+    the per-degree loop it replaced is its oracle, row for row."""
+
+    @pytest.mark.parametrize("field", TOP_DOWN_FIELDS)
+    @pytest.mark.parametrize("case", range(len(TOP_DOWN_CASES)))
+    def test_same_rows_as_the_per_degree_loop(self, case, field):
+        inst, dmax = TOP_DOWN_CASES[case]
+        constraints, degree = cancellation_system(inst, dmax)
+        system = constraints_in(constraints, field)
+        fld = linalg.P if field == "P" else field
+        assert intersect._degree_bases(system, degree, dmax, fld) == \
+            reference_degree_bases(system, degree, dmax, fld)
+
+    def test_cases_cover_positive_dimensions_and_empty_ones(self):
+        dims = set()
+        for inst, dmax in TOP_DOWN_CASES[-5:]:
+            constraints, degree = cancellation_system(inst, dmax)
+            bases = intersect._degree_bases(constraints, degree, dmax, QQ)
+            dims.add(sum(len(rows) for d, rows in bases.items() if d))
+        assert 0 in dims and len(dims) > 2
+
+    @pytest.mark.parametrize("field", [QQ, 32003])
+    def test_nullspace_ignores_the_row_order(self, field):
+        constraints, degree = cancellation_system(OFF3, 8)
+        rows = list(constraints_in(constraints, field).values())
+        expected = linalg.sparse_nullspace(rows, degree, field)
+        rng = random.Random(8)
+        for _ in range(20):
+            rng.shuffle(rows)
+            assert linalg.sparse_nullspace(rows, degree, field) == expected
+            unsorted = SparseRREF(field)
+            for row in rows:
+                unsorted.add(row)
+            assert unsorted.null_basis(degree) == expected
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+    @pytest.mark.parametrize("inst, dmax", [(OFF3, 8), (ONES, 6)])
+    def test_one_full_solve_then_restrictions(self, monkeypatch, inst, dmax, field):
+        inst = build_instance(inst.n, inst.gamma, [list(r) for r in inst.delta], field)
+        calls = count_solves(monkeypatch)
+        kuroda_intersection_basis(inst, dmax)
+        assert len(calls) == dmax + 1  # still one solve per degree
+        pi_monomials = sorted(intersect._pi_monomial_images(inst, dmax)[1])
+        full = [i for i, (variables, _) in enumerate(calls) if sorted(variables) == pi_monomials]
+        assert full == [0]
+        top_dim = calls[0][1]
+        for (variables, _), (_, above) in zip(calls[1:], calls):
+            assert variables == list(range(len(variables)))
+            assert len(variables) == above <= top_dim
 
 
 class TestModularPiEngine:
