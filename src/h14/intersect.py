@@ -20,12 +20,13 @@ m_P = 0 proves a zero intersection without any lift.
 looks for combinations of pi-monomials whose X-substitution has no negative
 exponents, one exact cancellation constraint per offending X-monomial.  The
 pis have integer coefficients, so over Q the constraints reduce mod P without
-an inverse.  It solves the whole system once, for the nullspace N_dmax, and
-then walks down: on a vector of degree <= d a constraint restricted to degree
-<= d is the whole constraint, so N_d = N_{d+1} & {v : v_b = 0 for every
-pi-monomial b of degree d + 1}, a small solve in the coordinates of a basis
-of N_{d+1}.  It lifts every basis entry by rational reconstruction and
-verifies every lifted vector exactly through its integer X-image.
+an inverse.  It solves the whole system once, for the RREF of the nullspace
+N_dmax, and walks down: on a vector of degree <= d a constraint restricted to
+degree <= d is the whole constraint, so N_d = N_{d+1} & {v : v_b = 0 for
+every pi-monomial b of degree d + 1}, solved in the coordinates of the RREF
+of N_{d+1} for the RREF of N_d; rows new at d have pivots N_{d-1} lacks.  It
+lifts every basis entry by rational reconstruction and verifies every lifted
+vector exactly through its integer X-image.
 
 Both reports count their minimal generators with ``minimal_generator_degrees``.
 Over Q it counts mod P and certifies each degree: (a) a rank check shows the
@@ -59,7 +60,7 @@ from . import linalg
 from .errors import GradingError, PreconditionError, SingularMatrixError, UsageError, check_int, int_vector
 from .kuroda import KurodaInstance
 from .lattice import coset_decomposition, smith_certificate
-from .laurent import QQ, LaurentPoly, coeff_of
+from .laurent import QQ, LaurentPoly
 from .linalg import SparseRREF, span_intersection, sparse_nullspace
 from .monoid import _check_budget
 
@@ -86,7 +87,6 @@ class GradedIntersectionReport:
     dims: dict        # degree -> intersection dimension
     bases: dict       # degree -> canonical basis (list of LaurentPoly)
     new_generators: tuple  # ((degree, count), ...) for nonconstant degrees
-    note: str = BOUND_NOTE
     images: dict = None    # pi-engine only: degree -> X-substituted bases
 
     def table_rows(self):
@@ -285,35 +285,31 @@ def _degree_bases(constraints, degree, dmax, fld):
     """The nullspaces N_d, d <= dmax, of the cancellation constraints over the
     pi-monomials beta with ``degree[beta] <= d``: one solve per degree.
 
-    Only N_dmax is solved over every pi-monomial.  On a vector supported in
-    degree <= d a constraint restricted to degree <= d is the whole
-    constraint, so N_d = N_dmax & K^(deg <= d) = N_{d+1} & {v : v_b = 0 for
-    every b of degree d + 1}.  Walking down, N_d is solved in the coordinates
-    of the basis n_0, n_1, ... of N_{d+1}: one row {i: n_i[b]} per b of
-    degree d + 1, and each solution x maps back to the sum of x_i * n_i.
+    Only N_dmax is solved over every pi-monomial, then put in RREF.  On a
+    vector supported in degree <= d a constraint restricted to degree <= d
+    is the whole constraint, so N_d = N_{d+1} & {v : v_b = 0 for every b of
+    degree d + 1}: one row {i: r_i[b]} per such b, in the coordinates of the
+    RREF rows r_i of N_{d+1}, pivots f_0 > f_1 > ...  A solution x maps to
+    v = sum of x_i * r_i, so v[f_i] = x_i; the one of free index j is 1 at j
+    and 0 above j and at the other free indices, so the solutions map to the
+    RREF of N_d, again in descending pivots.
 
-    Returns degree -> the canonical rows that are new at that degree: the
-    RREF of the residues of N_d modulo the span of all earlier rows.  The
-    residue map is linear and a reduced row echelon form is unique, so the
-    rows depend only on the spaces N_d, not on their bases or the order of
-    the work.
+    Returns degree -> the RREF rows of N_d whose pivot is not one of N_{d-1}:
+    they vanish at its pivots, so they are the RREF of N_d modulo N_{d-1},
+    the span of all earlier rows, and unique.
     """
-    null = {dmax: sparse_nullspace(list(constraints.values()), degree, fld)}
+    top = SparseRREF(fld)
+    for vec in sparse_nullspace(list(constraints.values()), degree, fld):
+        top.add(vec)
+    null = {dmax: top.basis()[::-1]}
     for d in range(dmax - 1, -1, -1):
         above = null[d + 1]
         rows = [{i: v[b] for i, v in enumerate(above) if b in v} for b, deg in degree.items() if deg == d + 1]
         null[d] = [linalg.combination(x, above, fld) for x in sparse_nullspace(rows, range(len(above)), fld)]
-    seen = SparseRREF(fld)
-    bases = {}
+    bases, pivots = {}, set()
     for d in range(dmax + 1):
-        fresh = SparseRREF(fld)
-        for vec in null[d]:
-            res = seen.reduce(vec)
-            if res:
-                fresh.add(res)
-        bases[d] = fresh.basis()
-        for row in bases[d]:
-            seen.add(row)
+        bases[d] = [row for row in reversed(null[d]) if min(row) not in pivots]
+        pivots.update(map(min, bases[d]))
     return bases
 
 
@@ -405,7 +401,7 @@ def minimal_generator_degrees(report: GradedIntersectionReport):
     At each degree d, counts basis elements not in the span S_d of products
     of previously found generators with degree labels summing to at most d.
     Constants never count.  The answer is exact only up to the report's
-    degree bound (see the report note).
+    degree bound (see ``BOUND_NOTE``).
 
     One pass per degree (``_generator_degrees``).  Over Q the pass runs mod
     P on the basis scaled to integer coefficients (no span changes), so every
@@ -572,20 +568,13 @@ def freeness_coset_check(inst: KurodaInstance, box_bound: int) -> bool:
 def no_monomial_units_check(inst: KurodaInstance, dmax: int) -> bool:
     """No nonconstant Laurent monomial lies in the bounded-degree pi-span.
 
-    Reduces each candidate X-monomial against the exact span of the
-    X-substituted pi-monomials of degree <= dmax; only monomials in the
-    span's support can possibly belong, so the check is complete for the
-    bound.
+    In the RREF of the X-substituted pi-monomials of degree <= dmax, a
+    monomial {e: 1} reduces to zero only against a row equal to it, so a
+    one-term row off key 0 (the constant) decides the check for the bound.
     """
     _check_nonsingular(inst)
     check_int(dmax, "degree bound", high=UNITS_MAX_DEGREE)
     span = SparseRREF(inst.field)
-    support = set()
     for beta, img in sorted(_pi_monomial_images(inst, dmax)[0].items()):
         span.add(img)
-        support.update(img)
-    one = coeff_of(inst.field, 1)
-    for e in sorted(support):
-        if e and span.contains({e: one}):  # key 0 is the constant monomial
-            return False
-    return True
+    return not any(k and len(row) == 1 for k, row in span.rows.items())

@@ -246,31 +246,25 @@ def span_intersection(rows_a, rows_b, field):
 
 
 def _intersection(rows_a, rows_b, field):
-    """The RREFs of both spans and the RREF basis of their intersection."""
+    """The RREFs of both spans and the RREF basis of their intersection.
+
+    Zassenhaus read-off: each RREF row a of A enters as (a mod B, a), keyed
+    ("m", k) < ("t", k).  The rows with a "t" pivot span the vectors (0, v),
+    v in A & B, so their "t" parts are the RREF of A & B.
+    """
     ra = SparseRREF(field)
     for r in rows_a:
         ra.add(r)
     rb = SparseRREF(field)
     for r in rows_b:
         rb.add(r)
-    basis_a = ra.basis()
-    # Zassenhaus-style: reduce A's basis by B, tag with indicator coordinates;
-    # relations among the residues yield intersection elements.  Residue keys
-    # are wrapped as ("m", key) so that they sort before every ("t", i) tag.
     tagged = SparseRREF(field)
-    inter = SparseRREF(field)
-    one = coeff_of(field, 1)
-    for i, arow in enumerate(basis_a):
+    for arow in ra.rows.values():
         res = {("m", k): v for k, v in rb.reduce(arow).items()}
-        res[("t", i)] = one
+        res.update((("t", k), v) for k, v in arow.items())
         tagged.add(res)
-    for pk in sorted(tagged.rows):
-        if pk[0] != "t":
-            continue
-        elem = combination({i: c for (kind, i), c in tagged.rows[pk].items() if kind == "t"}, basis_a, field)
-        if elem:
-            inter.add(elem)
-    return ra, rb, inter.basis()
+    inter = [{k: v for (_, k), v in tagged.rows[pk].items()} for pk in sorted(tagged.rows) if pk[0] == "t"]
+    return ra, rb, inter
 
 
 def _certified_lift(rr, rows):

@@ -314,11 +314,22 @@ class TestIntersectAndScan:
         assert out == ""
         assert "instances" in target.read_text()
 
-    def test_header_lines(self, capsys):
-        code, out, _ = run(capsys, "check-conditions", "--seed", "7")
+    @pytest.mark.parametrize("check_id", ["t2.8", "t2.14"])
+    def test_header_lines(self, capsys, check_id):
+        code, out, _ = run(capsys, "verify", check_id, "--seed", "7")
         header = [l for l in out.splitlines() if l.startswith("#")]
+        assert code == 0
         assert any("h14" in l for l in header)
-        assert any("seed: 7" in l for l in header)
+        assert "# seed: 7" in header
+
+    @pytest.mark.parametrize("argv", [
+        ["scan"], ["check-conditions"], ["verify", "t2.5i"], ["verify", "p2.6", "--dmax", "1"],
+        ["intersect", "--dmax", "1"], ["verify", "l2.15", "--dmax", "1"],
+    ])
+    def test_commands_without_randomness_print_no_seed(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--seed", "7")
+        assert code == 0
+        assert "seed" not in out
 
     @pytest.mark.parametrize(
         "argv, config_field, expected",
@@ -346,10 +357,6 @@ class TestIntersectAndScan:
         header = [line for line in out.splitlines() if line.startswith("# field:") or line.startswith("# dmax:")]
         assert header == expected
 
-    def test_scan_uses_and_prints_no_seed(self, capsys):
-        _, out, _ = run(capsys, "scan")
-        assert "seed" not in out
-
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "verify", "t2.14", "--seed", "3")
         _, out2, _ = run(capsys, "verify", "t2.14", "--seed", "3")
@@ -367,10 +374,14 @@ class TestParser:
         code, out, _ = run(capsys, "verify", "l2.15")
         assert code == 0 and "# field: Q" in out and "# dmax: 16" in out
         code, out, _ = run(capsys, "check-conditions", "--config", cfg, "--seed", "5")
-        assert code == 0 and f"# config: {cfg}" in out and "# field: Fp:7" in out
+        assert code == 0 and f"# config: {cfg}" in out and "# field: Fp:7" in out and "seed" not in out
+        code, out, _ = run(capsys, "verify", "t2.8", "--seed", "5")
+        assert code == 0 and "# seed: 5" in out
         code, out, _ = run(capsys, "check-conditions")
         assert code == 0
-        assert "# config: default" in out and "# field: Q" in out and "# seed: 0" in out
+        assert "# config: default" in out and "# field: Q" in out
+        code, out, _ = run(capsys, "verify", "t2.8")
+        assert code == 0 and "# seed: 0" in out
 
 
 # -- exit-code contract under generated input ---------------------------------

@@ -24,7 +24,7 @@ from h14.intersect import (
     no_monomial_units_check,
 )
 from h14.kuroda import build_f0, build_instance, lemma31_find_p, star_value
-from h14.laurent import QQ, LaurentPoly
+from h14.laurent import QQ, LaurentPoly, coeff_of
 from h14.linalg import SparseRREF
 
 
@@ -748,12 +748,29 @@ class TestNoMonomialUnits:
         assert no_monomial_units_check(ONES, 4)
         assert no_monomial_units_check(OFF3, 4)
 
-    def test_synthetic_control(self):
-        # sanity: the analogous reduction against an algebra that does
-        # contain a variable must find that monomial
-        span = SparseRREF(QQ)
-        span.add(LaurentPoly.variable(2, 0).terms)
-        assert span.contains(LaurentPoly.variable(2, 0).terms)
+    @pytest.mark.parametrize("table, expected", [
+        # x^5 = (x^5 + x^7) - x^7 lies in the span, though no image is a monomial
+        ({0: {0: 1}, 1: {5: 1, 7: 1}, 2: {7: 1}}, False),
+        ({0: {0: 1}, 1: {5: 1, 7: -1}, 2: {5: 2, 7: 3}}, False),
+        # the constant is the only monomial of these spans
+        ({0: {0: 1}, 1: {5: 1, 7: 1}, 2: {6: 1, 7: 1}}, True),
+        ({0: {0: 1}, 1: {5: 1, 7: 1}, 2: {5: 2, 7: 2}}, True),
+    ])
+    def test_synthetic_control(self, monkeypatch, table, expected):
+        monkeypatch.setattr(intersect, "_pi_monomial_images", lambda inst, dmax: (table, None, None))
+        assert no_monomial_units_check(ONES, 4) is expected
+
+    @given(
+        st.sampled_from([QQ, 2, 3, 5, 32003]),
+        st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=4), max_size=5),
+    )
+    def test_a_monomial_is_in_the_span_iff_a_row_equals_it(self, field, rows):
+        span = SparseRREF(field)
+        for row in rows:
+            span.add({k: c for k, x in row.items() if (c := coeff_of(field, x))})
+        one = coeff_of(field, 1)
+        for e in range(6):
+            assert span.contains({e: one}) == (span.rows.get(e) == {e: one})
 
     def test_degree_cap(self):
         with pytest.raises(UsageError):

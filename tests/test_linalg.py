@@ -2,8 +2,9 @@
 
 Oracles are independent of the engine: the residue of the rescanning
 reduction, ranks read from the largest nonvanishing minor (Bareiss
-determinants of ``lattice.det``), direct matrix-vector products, and for
-rational reconstruction a search over every fraction in the bound.
+determinants of ``lattice.det``), direct matrix-vector products, for
+rational reconstruction a search over every fraction in the bound, and for
+span intersections the tag-and-combine Zassenhaus loop.
 """
 
 from fractions import Fraction
@@ -24,6 +25,7 @@ from h14.linalg import (
 )
 
 FIELDS = [QQ, 2, 3, 5, 32003]
+SPAN_FIELDS = FIELDS + [linalg.P]
 NCOLS = 5
 
 small_rows = st.lists(st.lists(st.integers(-3, 3), min_size=NCOLS, max_size=NCOLS), max_size=5)
@@ -95,6 +97,66 @@ class TestSparseRREF:
         _axpy(diff, -1, res, field)
         if diff:
             assert minor_rank(rows + [integral(diff)], field) == minor_rank(rows, field)
+
+
+def reference_intersection(rows_a, rows_b, field):
+    """The RREF basis of span(rows_a) & span(rows_b) by tag and combine: each
+    row i of A's RREF, reduced by B, is tagged with the indicator ("t", i);
+    the tag part of a row with a "t" pivot is a relation among the residues,
+    and the same combination of A's rows lies in B."""
+    ra = SparseRREF(field)
+    for r in rows_a:
+        ra.add(r)
+    rb = SparseRREF(field)
+    for r in rows_b:
+        rb.add(r)
+    basis_a = ra.basis()
+    tagged = SparseRREF(field)
+    inter = SparseRREF(field)
+    one = coeff_of(field, 1)
+    for i, arow in enumerate(basis_a):
+        res = {("m", k): v for k, v in rb.reduce(arow).items()}
+        res[("t", i)] = one
+        tagged.add(res)
+    for pk in sorted(tagged.rows):
+        if pk[0] != "t":
+            continue
+        elem = linalg.combination({i: c for (kind, i), c in tagged.rows[pk].items() if kind == "t"}, basis_a, field)
+        if elem:
+            inter.add(elem)
+    return inter.basis()
+
+
+@st.composite
+def span_pairs(draw):
+    """Two lists of dense integer rows: unrelated, A inside B, A = B (B holds
+    sums of A's rows) or A with a dependent row; either side may be empty."""
+    rows_a = draw(small_rows)
+    rows_b = draw(small_rows)
+    shape = draw(st.sampled_from(["random", "a_in_b", "equal", "dependent"]))
+    if shape == "a_in_b":
+        rows_b = rows_b + rows_a
+    elif shape == "equal":
+        rows_b = [[x + y for x, y in zip(r, s)] for r, s in zip(rows_a, rows_a[1:])] + rows_a[:1]
+    elif shape == "dependent" and len(rows_a) >= 2:
+        rows_a = rows_a + [[2 * x - y for x, y in zip(rows_a[0], rows_a[1])]]
+    return shape, rows_a, rows_b
+
+
+class TestIntersection:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SPAN_FIELDS), span_pairs())
+    def test_read_off_matches_tag_and_combine(self, field, pair):
+        shape, rows_a, rows_b = pair
+        a = [sparse(r, field) for r in rows_a]
+        b = [sparse(r, field) for r in rows_b]
+        ra, rb, inter = linalg._intersection(a, b, field)
+        expected = reference_intersection(a, b, field)
+        assert inter == expected
+        assert ra.rank == minor_rank(rows_a, field) and rb.rank == minor_rank(rows_b, field)
+        assert linalg.span_intersection(a, b, field) == (ra.rank, rb.rank, expected)
+        if shape in ("a_in_b", "equal"):
+            assert inter == ra.basis()
 
 
 class TestDenseAdapters:

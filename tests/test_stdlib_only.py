@@ -50,3 +50,27 @@ def test_lattice_layer_is_integer_only():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_syntax_parses_as_python_3_10(path):
     ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def unused_imports(tree):
+    """Names bound by the module-level imports of ``tree`` and used nowhere
+    in it (``from __future__`` binds no name)."""
+    bound = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(name for name in bound if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_unused_import_is_caught():
+    source = "from __future__ import annotations\nfrom .laurent import QQ, coeff_of\nimport os.path\n\nx = QQ\n"
+    tree = ast.parse(source)
+    assert unused_imports(tree) == ["coeff_of", "os"]
