@@ -12,8 +12,10 @@ off-diagonal) and, for n = 4, the ratios
 
     xi_1 = d11 / (d11 + min(d21, d31))   (and cyclic analogues),
 
-whose sum is the strict-inequality condition for the non-finite-generation
-regime; the two-variable analogue compares against 1/2.
+whose sum is the strict-inequality condition (*) for the non-finite-generation
+regime; the two-variable analogue (**) compares against 1/2.  One walk,
+:func:`delta_box`, yields the delta-tables of a family, and one integer test,
+:func:`condition_holds`, decides (*) or (**); ``Fraction`` sums are only reported.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ class KurodaInstance:
 def build_instance(n, gamma, delta, field_tag=QQ) -> KurodaInstance:
     """Materialize an instance from (gamma, delta) data, validating signs."""
     fld = parse_field(field_tag)
-    if n not in (3, 4):
-        raise ValidationError(f"n must be 3 or 4, got {n}")
+    check_int(n, "n", 3, 4, error=ValidationError)
     check_int(gamma, "gamma", 1, error=ValidationError)
     if not isinstance(delta, list) or not all(isinstance(r, list) for r in delta):
         raise ValidationError(f"delta must be a list of integer rows, got {delta!r}")
@@ -96,32 +97,47 @@ def build_instance(n, gamma, delta, field_tag=QQ) -> KurodaInstance:
 
 
 def check_star(inst: KurodaInstance):
-    """Exact value of the three-ratio sum; holds iff it is < 1 (n=4)."""
+    """Exact value of the three-ratio sum and whether (*) holds (n=4)."""
     if inst.n != 4:
         raise UsageError("the three-ratio condition applies to the n=4 family")
-    value = star_value(inst.delta)
-    return value, value < 1
+    return star_value(inst.delta), condition_holds(inst.delta)
 
 
 def check_starstar(inst: KurodaInstance):
-    """Exact value of the two-ratio sum; holds iff it is < 1/2 (n=3)."""
+    """Exact value of the two-ratio sum and whether (**) holds (n=3)."""
     if inst.n != 3:
         raise UsageError("the two-ratio condition applies to the n=3 family")
-    value = starstar_value(*inst.delta[0], *inst.delta[1])
-    return value, value < Fraction(1, 2)
+    return starstar_value(*inst.delta[0], *inst.delta[1]), condition_holds(inst.delta)
+
+
+def _ratio_terms(d):
+    """(numerator, denominator) of each ratio: the xi_i above for the 3 rows of
+    n=4 (3x3 or 3x4), d11 / (d11 + d21) and d22 / (d22 + d12) for n=3 (2x2)."""
+    if len(d) == 2:
+        (d11, d12), (d21, d22) = d
+        return (d11, d11 + d21), (d22, d22 + d12)
+    (d11, d12, d13, *_), (d21, d22, d23, *_), (d31, d32, d33, *_) = d
+    return (d11, d11 + min(d21, d31)), (d22, d22 + min(d32, d12)), (d33, d33 + min(d13, d23))
+
+
+def condition_holds(delta) -> bool:
+    """(*) for an n=4 table (sum xi_i < 1) or (**) for an n=3 one (< 1/2), in
+    integers: with xi_i = a_i / b_i, b_i > 0, the unreduced sum num / den has
+    den = prod b_j and num = sum_i a_i prod_{j != i} b_j; it is < 1/t iff t * num < den."""
+    num, den = 0, 1
+    for a, b in _ratio_terms(delta):
+        num, den = num * b + a * den, den * b
+    return (2 if len(delta) == 2 else 1) * num < den
+
+
+def _xi(delta):
+    """The ratios of :func:`_ratio_terms` as ``Fraction``s."""
+    return tuple(Fraction(a, b) for a, b in _ratio_terms(delta))
 
 
 def starstar_value(d11, d12, d21, d22):
     """The two-ratio sum of an n=3 instance."""
-    return Fraction(d11, d11 + d21) + Fraction(d22, d22 + d12)
-
-
-def _xi(rows):
-    """The three ratios xi_i = d_ii / (d_ii + min of the other rows' column i)."""
-    return tuple(
-        Fraction(rows[i][i], rows[i][i] + min(rows[(i + 1) % 3][i], rows[(i + 2) % 3][i]))
-        for i in range(3)
-    )
+    return sum(_xi(((d11, d12), (d21, d22))))
 
 
 def star_value(rows):
@@ -136,6 +152,15 @@ def _flip_diagonal(rows):
     )
 
 
+def delta_box(n: int, bound: int):
+    """The delta-tables of family n with entries in [1, bound], in lex order, as
+    row tuples (2x2 for n=3, 3x3 for n=4); the arguments are checked at the call."""
+    check_int(n, "n", 3, 4, error=ValidationError)
+    check_int(bound, "bound", 1, SCAN_MAX_BOUND)
+    rows = itertools.product(range(1, bound + 1), repeat=n - 1)
+    return itertools.product(tuple(rows), repeat=n - 1)
+
+
 @dataclass(frozen=True)
 class ScanReport:
     n: int
@@ -146,41 +171,17 @@ class ScanReport:
 
 
 def implication_scan(n: int, bound: int) -> ScanReport:
-    """Exhaustive delta-box scan of condition => det T != 0.
-
-    Entries run over [1, bound].  Collects all converse counterexamples
-    (nonzero determinant with the condition failing).
-    """
-    check_int(bound, "bound", 1, SCAN_MAX_BOUND)
-    violations = []
-    witnesses = []
-    total = 0
-    rng = range(1, bound + 1)
-    if n == 3:
-        for d11, d12, d21, d22 in itertools.product(rng, repeat=4):
-            total += 1
-            value = starstar_value(d11, d12, d21, d22)
-            holds = value < Fraction(1, 2)
-            dt = d11 * d22 - d12 * d21  # det [[-d11,d12],[d21,-d22]]
-            entry = {"delta": ((d11, d12), (d21, d22)), "value": value, "det": dt}
-            if holds and dt == 0:
-                violations.append(entry)
-            if dt != 0 and not holds:
-                witnesses.append(entry)
-    elif n == 4:
-        for flat in itertools.product(rng, repeat=9):
-            total += 1
-            rows = (flat[0:3], flat[3:6], flat[6:9])
-            value = star_value(rows)
-            holds = value < 1
-            dt = det(IntMatrix(3, 3, _flip_diagonal(rows)))
-            entry = {"delta": rows, "value": value, "det": dt}
-            if holds and dt == 0:
-                violations.append(entry)
-            if dt != 0 and not holds:
-                witnesses.append(entry)
-    else:
-        raise UsageError(f"n must be 3 or 4, got {n}")
+    """Exhaustive scan of ``delta_box(n, bound)`` for condition => det T != 0:
+    collects the violations and every converse witness (det T != 0, the
+    condition fails), with the exact ratio sum as ``value``."""
+    violations, witnesses, total = [], [], 0
+    for delta in delta_box(n, bound):
+        total += 1
+        holds = condition_holds(delta)
+        dt = det(IntMatrix(n - 1, n - 1, _flip_diagonal(delta)))
+        if holds == (dt == 0):  # an implication violation, or a converse witness
+            entry = {"delta": delta, "value": sum(_xi(delta)), "det": dt}
+            (violations if holds else witnesses).append(entry)
     return ScanReport(n, bound, total, tuple(violations), tuple(witnesses))
 
 

@@ -81,6 +81,15 @@ class TestCheckConditions:
         assert code == 2
         assert "gamma" in err or "delta" in err
 
+    @pytest.mark.parametrize("n", [4.0, True, "4"])
+    def test_n_that_is_not_an_integer_is_a_config_error(self, capsys, tmp_path, n):
+        # n = 4.0 used to pass as 4 and exit 0
+        cfg = write_config(tmp_path, {"n": n, "gamma": 1, "delta": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]})
+        code, out, err = run(capsys, "check-conditions", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "n must be an integer" in err
+
     def test_jobs_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check-conditions", "--jobs", "2"])
@@ -209,6 +218,23 @@ class TestVerify:
         assert code == 2
         assert "RESULT" not in out
         assert "n=4 family" in err
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--config", "instance.json"), ("--field", "Fp:5"), ("--dmax", "3")],
+    )
+    def test_l31_rejects_options_it_would_ignore(self, capsys, tmp_path, monkeypatch, option, value):
+        # --config /nonexistent.json --field Fp:5 used to exit 0, computing over Q on the fixed box
+        def no_work(*_args):
+            raise AssertionError("the box walk ran before the option was rejected")
+
+        monkeypatch.setattr("h14.cli.delta_box", no_work)
+        if option == "--config":
+            value = write_config(tmp_path, {"n": 4, "gamma": 1, "delta": [[1, 1, 1]] * 3})
+        code, out, err = run(capsys, "verify", "l3.1", option, value)
+        assert code == 2
+        assert out == ""
+        assert option in err
 
     def test_t28_rows_fail_separately(self, capsys, monkeypatch):
         monkeypatch.setattr(h14.cli, "intersection_generators", lambda gens: [])
@@ -419,10 +445,10 @@ CONFIG_TEXTS = st.one_of(
     INSTANCES.map(json.dumps), CONES.map(json.dumps),
     (MALFORMED_INSTANCES | MALFORMED_CONES | JUNK).map(json.dumps), st.text(max_size=8),
 )
-# every command but verify l3.1, whose fixed sweep of 3^9 tables takes 0.2-0.3 s
 COMMANDS = st.sampled_from(
     [["check-conditions"], ["hilbert"], ["intersect"], ["scan"]]
-    + [["verify", c] for c in ("t2.5i", "t2.5ii", "p2.6", "t2.8", "t2.14", "l2.13", "l2.15", "r2.16", "l3.2", "x")]
+    + [["verify", c] for c in ("t2.5i", "t2.5ii", "p2.6", "t2.8", "t2.14", "l2.13", "l2.15", "r2.16", "l3.1",
+                               "l3.2", "x")]
 )
 
 

@@ -1,5 +1,6 @@
 """Instance construction, ratio conditions, scans, certificate products."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,10 +13,14 @@ from h14.kuroda import (
     build_instance,
     check_star,
     check_starstar,
+    condition_holds,
+    delta_box,
     f0_is_polynomial,
     implication_scan,
     lemma31_find_p,
     random_instance,
+    star_value,
+    starstar_value,
     verify_t214,
 )
 from h14.laurent import LaurentPoly
@@ -43,6 +48,11 @@ class TestBuildInstance:
         a = build_instance(4, 1, [[1, 1, 1], [1, 1, 1], [1, 1, 1]])
         b = build_instance(4, 1, [[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0]])
         assert a.pis == b.pis
+
+    @pytest.mark.parametrize("n", [4.0, 3.0, True, "4", None, 2, 5])
+    def test_n_must_be_the_integer_3_or_4(self, n):
+        with pytest.raises(ValidationError, match=r"^n\b"):
+            build_instance(n, 1, [[1, 1, 1]] * 3)
 
     def test_validation_names_entry(self):
         with pytest.raises(ValidationError, match=r"delta\[0\]\[0\]"):
@@ -81,7 +91,105 @@ class TestConditions:
             check_starstar(build_instance(4, 1, [[1, 1, 1]] * 3))
 
 
+def hand_ratio_sum(delta):
+    """The ratio sum written out from the definitions, independent of h14."""
+    if len(delta) == 2:
+        (d11, d12), (d21, d22) = delta
+        return Fraction(d11, d11 + d21) + Fraction(d22, d22 + d12)
+    d = delta
+    return (Fraction(d[0][0], d[0][0] + min(d[1][0], d[2][0]))
+            + Fraction(d[1][1], d[1][1] + min(d[2][1], d[0][1]))
+            + Fraction(d[2][2], d[2][2] + min(d[0][2], d[1][2])))
+
+
+def hand_det_t(delta):
+    """det T, T the table with its diagonal negated, by the cofactor formula."""
+    if len(delta) == 2:
+        (d11, d12), (d21, d22) = delta
+        return d11 * d22 - d12 * d21
+    (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = (r[:3] for r in delta)
+    # T = [[-d11, d12, d13], [d21, -d22, d23], [d31, d32, -d33]], expanded along its first row
+    return -d11 * (d22 * d33 - d23 * d32) - d12 * (-d21 * d33 - d23 * d31) + d13 * (d21 * d32 + d22 * d31)
+
+
+class TestDeltaBoxAndCondition:
+    """The one delta-box walk and the one integer (*)/(**) decision, against
+    ``itertools.product`` and the ``Fraction`` sums."""
+
+    @pytest.mark.parametrize("n, bound", [(3, 1), (3, 4), (4, 1), (4, 2), (4, 3)])
+    def test_delta_box_is_the_product_in_rows(self, n, bound):
+        k = n - 1
+        flat = itertools.product(range(1, bound + 1), repeat=k * k)
+        expected = [tuple(tuple(f[i:i + k]) for i in range(0, k * k, k)) for f in flat]
+        tables = list(delta_box(n, bound))
+        assert tables == expected
+        assert len(tables) == bound ** (k * k)
+        assert all(type(t) is tuple and all(type(r) is tuple for r in t) for t in tables)
+
+    @pytest.mark.parametrize("n, bound", [(4.0, 2), (True, 2), (5, 2), (2, 2), (3, 5), (4, 0), (3, 2.0)])
+    def test_delta_box_checks_its_arguments_at_the_call(self, n, bound):
+        with pytest.raises(UsageError):
+            delta_box(n, bound)
+
+    def test_star_value_is_the_hand_sum_on_the_n4_box(self):
+        for rows in delta_box(4, 3):
+            assert star_value(rows) == hand_ratio_sum(rows)
+
+    def test_condition_holds_is_star_value_below_1_on_the_n4_box(self):
+        tables = list(delta_box(4, 3))
+        assert len(tables) == 19683
+        holds = [condition_holds(rows) for rows in tables]
+        assert holds == [star_value(rows) < 1 for rows in tables]
+        assert sum(holds) == 58
+
+    def test_condition_holds_is_starstar_value_below_half_on_the_n3_box(self):
+        tables = list(delta_box(3, 4))
+        assert len(tables) == 256
+        holds = [condition_holds(t) for t in tables]
+        assert holds == [starstar_value(*t[0], *t[1]) < Fraction(1, 2) for t in tables]
+        assert holds == [hand_ratio_sum(t) < Fraction(1, 2) for t in tables]
+        assert 0 < sum(holds) < 256
+
+    def test_condition_holds_on_instance_deltas(self):
+        rng = random.Random(16)
+        outcomes = set()
+        for _ in range(1500):
+            inst = random_instance(rng, 4, 5)
+            assert len(inst.delta[0]) == 4
+            outcomes.add(condition_holds(inst.delta))
+            assert condition_holds(inst.delta) == (sum(inst.xi) < 1) == check_star(inst)[1]
+        for _ in range(300):
+            inst = random_instance(rng, 3, 5)
+            assert condition_holds(inst.delta) == (hand_ratio_sum(inst.delta) < Fraction(1, 2))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("delta, holds", [
+        ([[1, 2, 2, 7], [2, 1, 2, 0], [2, 2, 1, 3]], False),  # sum exactly 1: the inequality is strict
+        ([[1, 3, 3, 7], [3, 1, 3, 0], [3, 3, 1, 3]], True),
+        ([[1, 1], [1, 1]], False),                           # sum exactly 1
+        ([[1, 3], [3, 1]], False),                           # sum exactly 1/2
+        ([[1, 4], [4, 1]], True),
+    ])
+    def test_condition_holds_at_the_threshold(self, delta, holds):
+        inst = build_instance(len(delta) + 1, 1, delta)
+        assert condition_holds(inst.delta) is holds
+
+
 class TestImplicationScan:
+    @pytest.mark.parametrize("n, bound", [(3, 4), (4, 2)])
+    def test_recorded_entries(self, n, bound):
+        limit = Fraction(1, 2) if n == 3 else 1
+        sc = implication_scan(n, bound)
+        assert sc.total == len(list(delta_box(n, bound)))
+        expected_witnesses = [t for t in delta_box(n, bound) if hand_det_t(t) and hand_ratio_sum(t) >= limit]
+        assert [e["delta"] for e in sc.converse_witnesses] == expected_witnesses
+        assert sc.implication_violations == ()
+        for e in sc.converse_witnesses:
+            delta = e["delta"]
+            assert type(delta) is tuple and all(type(r) is tuple for r in delta)
+            assert type(e["value"]) is Fraction and e["value"] == hand_ratio_sum(delta)
+            assert e["det"] == hand_det_t(delta) != 0
+
     def test_n3_bound1(self):
         sc = implication_scan(3, 1)
         assert sc.total == 1
