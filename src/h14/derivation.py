@@ -1,20 +1,21 @@
 """The equal-coefficient derivation on a polynomial ring in Y-variables.
 
 E sends f to the sum of its partial derivatives.  Its kernel in four
-variables is generated by the differences Y4-Y1, Y4-Y2, Y4-Y3; the module
-checks kernel membership symbolically and recovers bounded-degree kernel
-bases by exact linear algebra on monomial coefficients.
+variables is generated by the differences Y4-Y1, Y4-Y2, Y4-Y3, and in n
+variables it is Q[Y1-Yn, ..., Y(n-1)-Yn] (Freudenburg, Algebraic Theory of
+Locally Nilpotent Derivations).  The module checks kernel membership
+symbolically and writes bounded-degree kernel bases in that closed form.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
+from operator import sub
 
 from .errors import PreconditionError, UsageError, check_int
 from .laurent import QQ, LaurentPoly
-from .linalg import sparse_nullspace
 from .monoid import _check_budget
 
 # Resource guard on the degree bound of kernel_degree_basis.
@@ -41,14 +42,24 @@ def kernel_generators(nvars: int = 4, field=QQ):
 
 
 def kernel_degree_basis(d: int, nvars: int = 4, field=QQ):
-    """Basis of the kernel within polynomials of total degree <= d.
+    """Basis of the kernel within polynomials of total degree <= d, in closed
+    form: one polynomial f(Y1 - Yn, ..., Y(n-1) - Yn) per Yn-free monomial f
+    of degree <= d, in ascending order of f, with ``Fraction`` coefficients.
 
-    Solved as exact linear algebra over Q on monomial coefficients; the
-    dimension claim needs characteristic 0, so prime fields are rejected.
-    A table of more than ``monoid.ENUMERATION_BUDGET`` exponents (monomials
-    times nvars) is refused up front, and so is an elimination of more than
-    the budget of monomials times equations (one per monomial of degree
-    below d).
+    It is the canonical basis of the nullspace of E on monomial coefficients
+    (lex-ordered keys, pivots least), which needs no elimination.  E has one
+    equation per monomial m of degree < d, on the coefficients at m + e_i
+    with weights m_i + 1; its least key is m + e_n, weight m_n + 1 != 0 in
+    characteristic 0.  Distinct equations have distinct least keys, so the
+    pivots are the monomials with a positive last exponent and the free
+    variables are the Yn-free monomials f.  The null vector of f has 1 at f
+    and 0 at every other free monomial.  f(Y1 - Yn, ...) is killed by E,
+    since E(Yi - Yn) = 0, and setting Yn = 0 leaves f, so it is that vector.
+
+    The dimension claim needs characteristic 0, so prime fields are
+    rejected.  A table of more than ``monoid.ENUMERATION_BUDGET`` exponents
+    (monomials times nvars) is refused up front, and so is a system of E of
+    more than the budget of monomials times equations.
     """
     if field != QQ:
         raise UsageError("kernel degree bases are computed over Q (characteristic 0)")
@@ -58,21 +69,12 @@ def kernel_degree_basis(d: int, nvars: int = 4, field=QQ):
     count = comb(d + nvars, nvars)
     _check_budget(what, count * nvars, "exponents")
     _check_budget(what, count * comb(d - 1 + nvars, nvars), "constraint-matrix entries")
-    monomials = sorted(tuple(map(c.count, range(nvars)))
-                       for k in range(d + 1) for c in itertools.combinations_with_replacement(range(nvars), k))
-    # one homogeneous equation per image monomial: the e_i-weighted sum of the
-    # coefficients at e + unit_i must vanish
-    constraints = {}
-    for e in monomials:
-        for i in range(nvars):
-            if e[i] == 0:
-                continue
-            img = list(e)
-            img[i] -= 1
-            constraints.setdefault(tuple(img), {})[e] = Fraction(e[i])
-    rows = [constraints[img] for img in sorted(constraints)]
-    vecs = sparse_nullspace(rows, monomials, QQ)
-    return [LaurentPoly(nvars, QQ, v) for v in vecs]
+    free = sorted(tuple(map(c.count, range(nvars - 1)))
+                  for k in range(d + 1) for c in itertools.combinations_with_replacement(range(nvars - 1), k))
+    # (Y_i - Y_n)^(a_i) = sum over j_i of C(a_i, j_i) Y_i^(a_i - j_i) (-Y_n)^(j_i), for f = Y^a
+    return [LaurentPoly._trusted(nvars, QQ, {
+        tuple(map(sub, f, js)) + (sum(js),): Fraction((-1) ** sum(js) * prod(map(comb, f, js)))
+        for js in itertools.product(*(range(a + 1) for a in f))}) for f in free]
 
 
 def support_property_check(f: LaurentPoly) -> bool:

@@ -13,9 +13,9 @@ for byte.
 side of the intersection is spanned by all products of its generators of the
 given weighted degree, and the two coefficient spaces are intersected by
 ``linalg.span_intersection``.  Over Q the generators are scaled to integer
-coefficients (which changes no span); the ranks mod P are certified by
-independence, and dim_Q(A & B) <= dim A + dim B - rank_P(A + B) = m_P, so
-m_P = 0 proves a zero intersection without any lift.
+coefficients (which changes no span); when all products of A and B of one
+degree are independent mod P, they are independent over Q, which proves a
+zero intersection with one elimination and no lift.
 ``kuroda_intersection_basis`` works in the pi-coordinates of an instance: it
 looks for combinations of pi-monomials whose X-substitution has no negative
 exponents, one exact cancellation constraint per offending X-monomial.  The
@@ -571,10 +571,22 @@ def no_monomial_units_check(inst: KurodaInstance, dmax: int) -> bool:
     In the RREF of the X-substituted pi-monomials of degree <= dmax, a
     monomial {e: 1} reduces to zero only against a row equal to it, so a
     one-term row off key 0 (the constant) decides the check for the bound.
+
+    Over Q the integer images are first eliminated mod P, up to the first
+    dependent row.  If no row is dependent and no one-term row appears off
+    key 0, the answer is True with no lift.  Rows independent mod P are
+    independent over Q.  Let c * X^e = sum of a_i * img_i over Q, cleared to
+    integers with gcd(c, a) = 1.  If P | c, some a_i is a unit mod P and the
+    a_i give a dependence mod P, which cannot happen; so c is a unit mod P,
+    X^e lies in the span mod P and is a one-term row of its RREF.  Any other
+    outcome runs the elimination over Q.
     """
     _check_nonsingular(inst)
     check_int(dmax, "degree bound", high=UNITS_MAX_DEGREE)
-    span = SparseRREF(inst.field)
-    for beta, img in sorted(_pi_monomial_images(inst, dmax)[0].items()):
-        span.add(img)
+    images = [img for _, img in sorted(_pi_monomial_images(inst, dmax)[0].items())]
+    span = linalg.independent_rref(linalg.residues(images), linalg.P) if inst.field == QQ else None
+    if span is None or any(k and len(row) == 1 for k, row in span.rows.items()):
+        span = SparseRREF(inst.field)
+        for img in images:
+            span.add(img)
     return not any(k and len(row) == 1 for k, row in span.rows.items())

@@ -3,8 +3,8 @@
 ``SparseRREF`` is the one elimination engine: an incremental reduced row
 echelon form on sparse rows with sortable keys, over either coefficient field
 (Fraction entries over Q, ints in ``range(p)`` over F_p) through the field
-layer of :mod:`h14.laurent`.  It backs the graded-intersection and
-derivation-kernel computations directly.  ``row_reduce``,
+layer of :mod:`h14.laurent`.  It backs the intersection computations of
+:mod:`h14.intersect` directly.  ``row_reduce``,
 ``rational_nullspace`` and ``rational_solve`` are thin adapters that feed it
 dense rows over Q, keyed by column index, for the small systems of the monoid
 and lattice code (extreme rays, unit-row solves, rank checks); their outputs
@@ -16,6 +16,10 @@ rational reconstruction (Wang's algorithm, ``rational_reconstruction``), and
 the caller certifies the lifted rows exactly, falling back to ``Fraction``
 elimination when a residue, a lift or a check fails.  The pi-engine of
 :mod:`h14.intersect` and ``span_intersection`` over Q both work this way.
+Some answers need no lift: rows independent mod P are independent over Q,
+so ``independent_rref`` mod P certifies full rank, and with it a zero
+intersection (``span_intersection``) or the absence of monomials from a
+span (``intersect.no_monomial_units_check``).
 """
 
 from __future__ import annotations
@@ -233,16 +237,30 @@ def span_intersection(rows_a, rows_b, field):
     """Intersection of two spans of sparse vectors.
 
     Returns ``(dim_a, dim_b, inter_basis)`` where ``inter_basis`` is a
-    canonical (RREF) basis of span(rows_a) & span(rows_b).  Over Q the
-    elimination runs mod P first (see ``_modular_intersection``) and falls
-    back to ``Fraction``s only when its certificate fails.
+    canonical (RREF) basis of span(rows_a) & span(rows_b).  The rows may be
+    any iterables; they are read once.  First one joint test: if all rows of
+    A and B together are independent (``independent_rref``), the dimensions
+    are the row counts and the intersection is 0; only a dependent row leads
+    to the full elimination.  Over Q both run mod P first (see
+    ``_modular_intersection``) and fall back to ``Fraction``s only when a
+    certificate fails.
     """
+    rows_a, rows_b = list(rows_a), list(rows_b)
     if field == QQ:
         out = _modular_intersection(rows_a, rows_b)
         if out is not None:
             return out
+    elif independent_rref(rows_a + rows_b, field) is not None:
+        return len(rows_a), len(rows_b), []
     ra, rb, inter = _intersection(rows_a, rows_b, field)
     return ra.rank, rb.rank, inter
+
+
+def independent_rref(rows, field):
+    """The RREF of ``rows`` if they are linearly independent, else None;
+    stops at the first row that depends on those before it."""
+    rr = SparseRREF(field)
+    return rr if all(rr.add(r) is not None for r in rows) else None
 
 
 def _intersection(rows_a, rows_b, field):
@@ -252,13 +270,10 @@ def _intersection(rows_a, rows_b, field):
     ("m", k) < ("t", k).  The rows with a "t" pivot span the vectors (0, v),
     v in A & B, so their "t" parts are the RREF of A & B.
     """
-    ra = SparseRREF(field)
-    for r in rows_a:
-        ra.add(r)
-    rb = SparseRREF(field)
-    for r in rows_b:
-        rb.add(r)
-    tagged = SparseRREF(field)
+    ra, rb, tagged = SparseRREF(field), SparseRREF(field), SparseRREF(field)
+    for span, rows in ((ra, rows_a), (rb, rows_b)):
+        for r in rows:
+            span.add(r)
     for arow in ra.rows.values():
         res = {("m", k): v for k, v in rb.reduce(arow).items()}
         res.update((("t", k), v) for k, v in arow.items())
@@ -284,21 +299,24 @@ def _modular_intersection(rows_a, rows_b):
     """``span_intersection`` over Q by elimination mod P, certified exactly;
     None if a denominator is divisible by P or a lift or check fails.
 
-    Ranks: rows that stay independent mod P are independent over Q, so
-    dim_Q >= r_P, with equality when no row drops mod P and otherwise by
-    ``_certified_lift``.  Intersection: with both ranks certified,
-    dim_Q(A & B) = dim A + dim B - rank_Q(A + B) <= dim A + dim B -
-    rank_P(A + B) = m_P, the dimension found mod P.  So m_P = 0 proves the
-    intersection zero without a lift; otherwise the m_P lifted rows are
-    checked to lie in both lifted spans, and being in RREF they are
+    Certificate of a zero intersection, with no lift: rows that stay
+    independent mod P are independent over Q (a rational dependence,
+    cleared to coprime integers, stays a dependence mod P).  So if every row
+    of A and B together is independent mod P, the dimensions are the row
+    counts and A & B = 0.  Otherwise A, B and their intersection are
+    eliminated mod P.  Ranks: dim_Q >= r_P, with equality when no row drops
+    mod P and otherwise by ``_certified_lift``.  Intersection: with both
+    ranks certified, dim_Q(A & B) = dim A + dim B - rank_Q(A + B) <= dim A +
+    dim B - rank_P(A + B) = m_P, the dimension found mod P; the m_P lifted
+    rows are checked to lie in both lifted spans, and being in RREF they are
     independent, hence the unique RREF basis over Q.
     """
     res_a, res_b = residues(rows_a), residues(rows_b)
     if res_a is None or res_b is None:
         return None
+    if independent_rref(res_a + res_b, P) is not None:
+        return len(rows_a), len(rows_b), []
     ra, rb, inter = _intersection(res_a, res_b, P)
-    if not inter and ra.rank == len(rows_a) and rb.rank == len(rows_b):
-        return ra.rank, rb.rank, []
     span_a = _certified_lift(ra, rows_a)
     span_b = _certified_lift(rb, rows_b)
     basis = lift(inter)

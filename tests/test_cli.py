@@ -3,8 +3,10 @@
 import io
 import json
 import random
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -482,3 +484,11 @@ class TestExitCodeContract:
         assert code in (0, 1, 2, 3), (argv, config, err.getvalue())
         if code == 1:
             assert "RESULT\tfail" in out.getvalue(), (argv, config)
+
+
+def test_readme_lists_every_verify_id():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("The verification ids accepted by `h14 verify` are")
+    ids = re.findall(r"`([a-z]\d[\w.]*)`", readme[start:readme.index("Each prints", start)])
+    assert len(ids) == len(set(ids))
+    assert set(ids) == set(h14.cli.VERIFY_DISPATCH) | set(h14.cli.VERIFY_ALIASES)

@@ -1,7 +1,9 @@
 """The summing derivation, its kernel, and the support property."""
 
+import itertools
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from h14.derivation import (
 )
 from h14.errors import PreconditionError, UsageError
 from h14.laurent import QQ, LaurentPoly
+from h14.linalg import sparse_nullspace
 
 
 def y(i, n=4):
@@ -132,6 +135,51 @@ class TestKernelDegreeBasis:
         # 153 monomials; their kernel is spanned by the constant and the
         # 15 + 120 degree-1 and degree-2 polynomials in the 15 differences
         assert len(kernel_degree_basis(2, nvars=16)) == math.comb(2 + 15, 15)
+
+
+def reference_kernel_degree_basis(d, nvars):
+    """The kernel by elimination: one homogeneous equation per image monomial
+    m of degree < d (the coefficient of m in E(f), with weights m_i + 1 at the
+    keys m + e_i), solved over Q for the canonical nullspace basis."""
+    monomials = sorted(tuple(map(c.count, range(nvars)))
+                       for k in range(d + 1) for c in itertools.combinations_with_replacement(range(nvars), k))
+    constraints = {}
+    for e in monomials:
+        for i in range(nvars):
+            if e[i]:
+                img = e[:i] + (e[i] - 1,) + e[i + 1:]
+                constraints.setdefault(img, {})[e] = Fraction(e[i])
+    vecs = sparse_nullspace([constraints[img] for img in sorted(constraints)], monomials, QQ)
+    return [LaurentPoly(nvars, QQ, v) for v in vecs]
+
+
+KERNEL_ORACLE_CASES = (
+    [(d, 4) for d in range(9)]
+    + [(d, n) for n in range(1, 7) for d in range(4)]
+    + [(d, 5) for d in range(4, 7)]
+)
+
+
+class TestClosedFormKernel:
+    """The closed-form basis against the elimination it replaced."""
+
+    @pytest.mark.parametrize("d, nvars", KERNEL_ORACLE_CASES)
+    def test_matches_the_elimination(self, d, nvars):
+        basis = kernel_degree_basis(d, nvars=nvars)
+        expected = reference_kernel_degree_basis(d, nvars)
+        assert [b.to_text() for b in basis] == [b.to_text() for b in expected]
+        assert len(basis) == math.comb(d + nvars - 1, nvars - 1)
+        for b in basis:
+            assert apply_E(b).is_zero()
+            assert all(type(c) is Fraction for c in b.terms.values())
+
+    def test_free_monomials_in_ascending_order(self):
+        # the basis element of f is f(Y1 - Y3, Y2 - Y3): 1 at f, 0 at the
+        # other Y3-free monomials
+        basis = kernel_degree_basis(3, nvars=3)
+        free = [{e: c for e, c in b.terms.items() if e[-1] == 0} for b in basis]
+        assert all(len(f) == 1 and 1 in f.values() for f in free)
+        assert [min(f) for f in free] == sorted(e for e in itertools.product(range(4), range(4), [0]) if sum(e) <= 3)
 
 
 class TestSupportProperty:

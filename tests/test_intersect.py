@@ -23,7 +23,7 @@ from h14.intersect import (
     minimal_generator_degrees,
     no_monomial_units_check,
 )
-from h14.kuroda import build_f0, build_instance, lemma31_find_p, star_value
+from h14.kuroda import build_f0, build_instance, condition_holds, delta_box, lemma31_find_p, star_value
 from h14.laurent import QQ, LaurentPoly, coeff_of
 from h14.linalg import SparseRREF
 
@@ -775,6 +775,69 @@ class TestNoMonomialUnits:
     def test_degree_cap(self):
         with pytest.raises(UsageError):
             no_monomial_units_check(ONES, 9)
+
+
+def field_path_units(inst, dmax):
+    """``no_monomial_units_check`` with the elimination mod P switched off."""
+    with mock.patch.object(linalg, "independent_rref", lambda rows, field: None):
+        return no_monomial_units_check(inst, dmax)
+
+
+def count_units_fallbacks(monkeypatch):
+    """One entry, the field, per elimination that ``no_monomial_units_check``
+    runs in the instance's own field."""
+    calls = []
+
+    def counted(field):
+        calls.append(field)
+        return SparseRREF(field)
+
+    monkeypatch.setattr(intersect, "SparseRREF", counted)
+    return calls
+
+
+UNITS_CASES = DIFFERENTIAL_CASES + [(inst, 6) for inst in seeded_n4(3, 99, star=True)]
+STAR_TABLES = [build_instance(4, 1, [list(r) for r in t]) for t in delta_box(4, 3) if condition_holds(t)]
+
+
+class TestUnitsCertificate:
+    """Over Q a full-rank RREF mod P with no one-term row off key 0 proves
+    the check True; the field elimination is the oracle."""
+
+    @pytest.mark.parametrize("prime", [linalg.P, 3, 5])
+    @pytest.mark.parametrize("case", range(len(UNITS_CASES)))
+    def test_agrees_with_the_field_path(self, monkeypatch, case, prime):
+        inst, dmax = UNITS_CASES[case]
+        expected = field_path_units(inst, dmax)
+        monkeypatch.setattr(linalg, "P", prime)
+        assert no_monomial_units_check(inst, dmax) is expected
+
+    @pytest.mark.parametrize("prime", [linalg.P, 3, 5])
+    @pytest.mark.parametrize("table, expected", [
+        ({0: {0: 1}, 1: {5: 1, 7: 1}, 2: {7: 1}}, False),
+        ({0: {0: 1}, 1: {5: 1, 7: -1}, 2: {5: 2, 7: 3}}, False),
+        ({0: {0: 1}, 1: {5: 1, 7: 1}, 2: {6: 1, 7: 1}}, True),
+    ])
+    def test_synthetic_control(self, monkeypatch, prime, table, expected):
+        monkeypatch.setattr(intersect, "_pi_monomial_images", lambda inst, dmax: (table, None, None))
+        monkeypatch.setattr(linalg, "P", prime)
+        fallbacks = count_units_fallbacks(monkeypatch)
+        assert no_monomial_units_check(ONES, 4) is expected
+        # a monomial in the span always defeats the certificate
+        assert fallbacks == ([] if expected else [QQ])
+
+    def test_no_fallback_on_the_star_tables(self, monkeypatch):
+        assert len(STAR_TABLES) == 58 and all(inst.det_t for inst in STAR_TABLES)
+        fallbacks = count_units_fallbacks(monkeypatch)
+        for dmax in (4, 8):
+            assert all(no_monomial_units_check(inst, dmax) for inst in STAR_TABLES)
+        assert fallbacks == []
+
+    def test_prime_fields_take_the_field_path(self, monkeypatch):
+        fallbacks = count_units_fallbacks(monkeypatch)
+        inst = build_instance(4, 1, OFF3_DELTA, 32003)
+        assert no_monomial_units_check(inst, 4)
+        assert fallbacks == [32003]
 
 
 @pytest.mark.parametrize("dmax", [True, 2.5])

@@ -10,7 +10,9 @@ span intersections the tag-and-combine Zassenhaus loop.
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from h14 import linalg
@@ -249,3 +251,68 @@ class TestRationalReconstruction:
             {"a": 1, "b": Fraction(1, 2)}, {"c": Fraction(-3)}]
         bound = isqrt(MERSENNE_61 // 2)
         assert linalg.lift([{"a": 1}, {"b": 1, "c": pow(bound + 1, -1, MERSENNE_61)}]) is None
+
+
+def counted_intersections(calls):
+    """``linalg._intersection`` wrapped to append one entry per call."""
+    full = linalg._intersection
+
+    def counted(*args):
+        calls.append(args[2])
+        return full(*args)
+
+    return mock.patch.object(linalg, "_intersection", counted)
+
+
+class TestJointIndependence:
+    """``span_intersection`` skips the elimination when every row of A and B
+    together is independent; the full ``_intersection`` is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FIELDS), st.sampled_from([linalg.P, 3]), span_pairs())
+    def test_agrees_with_the_full_elimination(self, field, prime, pair):
+        _, rows_a, rows_b = pair
+        a = [sparse(r, field) for r in rows_a]
+        b = [sparse(r, field) for r in rows_b]
+        ra, rb, inter = linalg._intersection(a, b, field)
+        calls = []
+        with mock.patch.object(linalg, "P", prime), counted_intersections(calls):
+            assert linalg.span_intersection(a, b, field) == (ra.rank, rb.rank, inter)
+        modulus = prime if field == QQ else field
+        independent = minor_rank(rows_a + rows_b, modulus) == len(a) + len(b)
+        assert bool(calls) == (not independent)
+        if field == QQ and independent:
+            # independent mod the prime, hence over Q: dims are the counts
+            assert (ra.rank, rb.rank, inter) == (len(a), len(b), [])
+
+    def test_independent_over_q_but_dependent_mod_3_falls_through(self):
+        # det [[1, 1], [1, 4]] = 3: a zero intersection over Q that mod 3 is
+        # the whole line
+        a, b = [{0: 1, 1: 1}], [{0: 1, 1: 4}]
+        calls = []
+        with mock.patch.object(linalg, "P", 3), counted_intersections(calls):
+            assert linalg.span_intersection(a, b, QQ) == (1, 1, [])
+        assert calls == [3, QQ]  # mod 3, then the Fraction fallback
+        assert linalg.span_intersection([sparse([1, 1], 3)], [sparse([1, 4], 3)], 3) == (1, 1, [{0: 1, 1: 1}])
+
+    def test_independent_rref_stops_at_the_first_dependent_row(self):
+        seen = []
+
+        def rows():
+            for row in ({0: 1}, {1: 1}, {0: 2}, {2: 1}):
+                seen.append(row)
+                yield row
+
+        assert linalg.independent_rref(rows(), QQ) is None
+        assert len(seen) == 3
+        rr = linalg.independent_rref([{0: 1, 1: 1}, {1: 1}], QQ)
+        assert rr.basis() == [{0: 1}, {1: 1}]
+
+    @pytest.mark.parametrize("field", [QQ, 5])
+    def test_rows_may_be_iterators(self, field):
+        a = [sparse(r, field) for r in ([1, 2, 0, 0, 0], [0, 1, 1, 0, 0])]
+        b = [sparse(r, field) for r in ([1, 3, 1, 0, 0], [0, 0, 0, 1, 0])]
+        expected = linalg.span_intersection(a, b, field)
+        assert expected[2]  # (1, 3, 1) = row 0 + row 1 of A
+        assert linalg.span_intersection(iter(a), iter(b), field) == expected
+        assert linalg.span_intersection((r for r in a), (r for r in b[:1]), field) == (2, 1, [b[0]])
