@@ -93,8 +93,11 @@ class Report:
     def emit(self):
         text = "\n".join(self.lines) + "\n"
         if self.args.out:
-            with open(self.args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(self.args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as ex:
+                raise UsageError(f"cannot write report to {self.args.out}: {ex}")
         else:
             sys.stdout.write(text)
 

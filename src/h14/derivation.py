@@ -57,18 +57,16 @@ def kernel_degree_basis(d: int, nvars: int = 4, field=QQ):
     since E(Yi - Yn) = 0, and setting Yn = 0 leaves f, so it is that vector.
 
     The dimension claim needs characteristic 0, so prime fields are
-    rejected.  A table of more than ``monoid.ENUMERATION_BUDGET`` exponents
-    (monomials times nvars) is refused up front, and so is a system of E of
-    more than the budget of monomials times equations.
+    rejected.  A basis of more than ``monoid.ENUMERATION_BUDGET`` terms is
+    refused up front: f = Y^a has prod(a_i + 1) terms, C(d + 2n - 2, 2n - 2)
+    in all (one per choice of a - j and j, 2(n - 1) exponents of sum <= d).
     """
     if field != QQ:
         raise UsageError("kernel degree bases are computed over Q (characteristic 0)")
     check_int(d, "degree bound", high=MAX_DEGREE)
     check_int(nvars, "nvars", 1)
-    what = f"the table of degree-{d} monomials in {nvars} variables"
-    count = comb(d + nvars, nvars)
-    _check_budget(what, count * nvars, "exponents")
-    _check_budget(what, count * comb(d - 1 + nvars, nvars), "constraint-matrix entries")
+    terms = comb(d + 2 * nvars - 2, 2 * nvars - 2)
+    _check_budget(f"the degree-{d} kernel basis in {nvars} variables", terms, "terms")
     free = sorted(tuple(map(c.count, range(nvars - 1)))
                   for k in range(d + 1) for c in itertools.combinations_with_replacement(range(nvars - 1), k))
     # (Y_i - Y_n)^(a_i) = sum over j_i of C(a_i, j_i) Y_i^(a_i - j_i) (-Y_n)^(j_i), for f = Y^a

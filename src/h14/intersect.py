@@ -3,19 +3,15 @@
 Two engines share one report type and one product table: every product of a
 generator list up to a weighted degree bound, keyed by its exponent vector
 and built with one multiplication each (``_product_table``).  Over Q both
-feed it generators with integer coefficients, so the products are integers;
-both eliminate modulo the prime P = 2^61 - 1 of :mod:`h14.linalg`, certify
-the result exactly and fall back to the same computation with Fractions when
-a lift or a check fails; their reports equal those of the Fraction path byte
-for byte.
+feed it generators with integer coefficients, so the products are integers.
 
 ``graded_intersection`` works degree by degree under a weight grading: each
 side of the intersection is spanned by all products of its generators of the
 given weighted degree, and the two coefficient spaces are intersected by
-``linalg.span_intersection``.  Over Q the generators are scaled to integer
-coefficients (which changes no span); when all products of A and B of one
-degree are independent mod P, they are independent over Q, which proves a
-zero intersection with one elimination and no lift.
+``linalg.span_intersection``.  It certifies only zero intersections: when
+all products of A and B of one degree are independent (mod the prime P =
+2^61 - 1 of :mod:`h14.linalg` over Q, with no lift), the intersection is 0;
+any other degree is eliminated exactly in the field.
 ``kuroda_intersection_basis`` works in the pi-coordinates of an instance: it
 looks for combinations of pi-monomials whose X-substitution has no negative
 exponents, one exact cancellation constraint per offending X-monomial.  The
@@ -26,7 +22,8 @@ degree <= d is the whole constraint, so N_d = N_{d+1} & {v : v_b = 0 for
 every pi-monomial b of degree d + 1}, solved in the coordinates of the RREF
 of N_{d+1} for the RREF of N_d; rows new at d have pivots N_{d-1} lacks.  It
 lifts every basis entry by rational reconstruction and verifies every lifted
-vector exactly through its integer X-image.
+vector exactly through its integer X-image; a failed lift or check reruns
+the solves with Fractions.
 
 Both reports count their minimal generators with ``minimal_generator_degrees``.
 Over Q it counts mod P and certifies each degree: (a) a rank check shows the
@@ -204,11 +201,13 @@ def graded_intersection(gensA, gensB, weights, dmax):
     products of its generators of total weighted degree d; the intersection
     of the two spans is computed exactly and returned in canonical (RREF,
     lexicographic pivot) form.  Over Q the products are built from the
-    integer-scaled generators, so ``span_intersection`` gets exact integer
-    rows to reduce mod P and to certify with; its bases hold Fractions.
+    integer-scaled generators, so ``span_intersection`` gets integer rows;
+    its bases hold Fractions.  The generators may be any iterables; they are
+    read once.
     """
     check_int(dmax, "degree bound", high=GRADED_MAX_DEGREE)
-    all_gens = list(gensA) + list(gensB)
+    gensA, gensB = list(gensA), list(gensB)
+    all_gens = gensA + gensB
     if not all_gens:
         raise UsageError("need at least one generator")
     n, fld = all_gens[0].n, all_gens[0].field
@@ -221,7 +220,7 @@ def graded_intersection(gensA, gensB, weights, dmax):
     degs_b = _validate_gens("B", gensB, weights)
     if fld == QQ:
         gensA, gensB = [_integer_scaled(g) for g in gensA], [_integer_scaled(g) for g in gensB]
-    box = _Packing.around(list(gensA) + list(gensB), dmax)
+    box = _Packing.around(gensA + gensB, dmax)
     slices = []  # the packed rows of each side's product table, by degree
     for gens, degs in ((gensA, degs_a), (gensB, degs_b)):
         slices.append({d: [] for d in range(dmax + 1)})
@@ -572,19 +571,20 @@ def no_monomial_units_check(inst: KurodaInstance, dmax: int) -> bool:
     monomial {e: 1} reduces to zero only against a row equal to it, so a
     one-term row off key 0 (the constant) decides the check for the bound.
 
-    Over Q the integer images are first eliminated mod P, up to the first
-    dependent row.  If no row is dependent and no one-term row appears off
-    key 0, the answer is True with no lift.  Rows independent mod P are
-    independent over Q.  Let c * X^e = sum of a_i * img_i over Q, cleared to
-    integers with gcd(c, a) = 1.  If P | c, some a_i is a unit mod P and the
-    a_i give a dependence mod P, which cannot happen; so c is a unit mod P,
-    X^e lies in the span mod P and is a one-term row of its RREF.  Any other
-    outcome runs the elimination over Q.
+    The images are first eliminated by ``linalg.independent_rref`` (mod P
+    over Q), up to the first dependent row.  If no row is dependent and no
+    one-term row appears off key 0, the answer is True.  Over F_p that RREF
+    is the span's own.  Over Q, rows independent mod P are independent over
+    Q.  Let c * X^e = sum of a_i * img_i over Q, cleared to integers with
+    gcd(c, a) = 1.  If P | c, some a_i is a unit mod P and the a_i give a
+    dependence mod P, which cannot happen; so c is a unit mod P, X^e lies in
+    the span mod P and is a one-term row of its RREF.  Any other outcome runs
+    the elimination in the instance's field.
     """
     _check_nonsingular(inst)
     check_int(dmax, "degree bound", high=UNITS_MAX_DEGREE)
     images = [img for _, img in sorted(_pi_monomial_images(inst, dmax)[0].items())]
-    span = linalg.independent_rref(linalg.residues(images), linalg.P) if inst.field == QQ else None
+    span = linalg.independent_rref(images, inst.field)
     if span is None or any(k and len(row) == 1 for k, row in span.rows.items()):
         span = SparseRREF(inst.field)
         for img in images:

@@ -14,12 +14,13 @@ Modular layer over Q: ``residues`` reduces rows modulo the prime ``P`` =
 2^61 - 1, the elimination runs over F_P, ``lift`` takes its rows back to Q by
 rational reconstruction (Wang's algorithm, ``rational_reconstruction``), and
 the caller certifies the lifted rows exactly, falling back to ``Fraction``
-elimination when a residue, a lift or a check fails.  The pi-engine of
-:mod:`h14.intersect` and ``span_intersection`` over Q both work this way.
-Some answers need no lift: rows independent mod P are independent over Q,
-so ``independent_rref`` mod P certifies full rank, and with it a zero
-intersection (``span_intersection``) or the absence of monomials from a
-span (``intersect.no_monomial_units_check``).
+elimination when a residue, a lift or a check fails.  Only the pi-engine and
+the generator count of :mod:`h14.intersect` lift.  Every other answer over Q
+is either certified without a lift or computed exactly: ``independent_rref``
+eliminates mod P, and rows independent mod P are independent over Q, so it
+certifies full rank, and with it a zero intersection (``span_intersection``)
+or the absence of monomials from a span
+(``intersect.no_monomial_units_check``).
 """
 
 from __future__ import annotations
@@ -239,28 +240,35 @@ def span_intersection(rows_a, rows_b, field):
     Returns ``(dim_a, dim_b, inter_basis)`` where ``inter_basis`` is a
     canonical (RREF) basis of span(rows_a) & span(rows_b).  The rows may be
     any iterables; they are read once.  First one joint test: if all rows of
-    A and B together are independent (``independent_rref``), the dimensions
-    are the row counts and the intersection is 0; only a dependent row leads
-    to the full elimination.  Over Q both run mod P first (see
-    ``_modular_intersection``) and fall back to ``Fraction``s only when a
-    certificate fails.
+    A and B together are independent (``independent_rref``, mod P over Q),
+    the dimensions are the row counts and the intersection is 0; otherwise
+    both spans and their intersection are eliminated exactly in ``field``.
     """
     rows_a, rows_b = list(rows_a), list(rows_b)
-    if field == QQ:
-        out = _modular_intersection(rows_a, rows_b)
-        if out is not None:
-            return out
-    elif independent_rref(rows_a + rows_b, field) is not None:
+    if independent_rref(rows_a + rows_b, field) is not None:
         return len(rows_a), len(rows_b), []
     ra, rb, inter = _intersection(rows_a, rows_b, field)
     return ra.rank, rb.rank, inter
 
 
 def independent_rref(rows, field):
-    """The RREF of ``rows`` if they are linearly independent, else None;
-    stops at the first row that depends on those before it."""
-    rr = SparseRREF(field)
-    return rr if all(rr.add(r) is not None for r in rows) else None
+    """A certificate that ``rows`` are linearly independent over ``field``:
+    their RREF, or None; stops at the first row that depends on those before
+    it.
+
+    Over F_p the RREF is computed in the field and None means dependent.
+    Over Q each row is reduced mod P as it is read and the RREF is the one
+    over F_P; None then means only that no certificate was found: a row is
+    dependent mod P, or P divides a denominator.  Rows independent mod P are
+    independent over Q: a rational dependence, cleared to coprime integers,
+    has a coefficient that is a unit mod P and stays a dependence mod P.
+    """
+    rr = SparseRREF(P if field == QQ else field)
+    for row in rows:
+        res = residues([row]) if field == QQ else [row]
+        if res is None or rr.add(res[0]) is None:
+            return None
+    return rr
 
 
 def _intersection(rows_a, rows_b, field):
@@ -280,48 +288,3 @@ def _intersection(rows_a, rows_b, field):
         tagged.add(res)
     inter = [{k: v for (_, k), v in tagged.rows[pk].items()} for pk in sorted(tagged.rows) if pk[0] == "t"]
     return ra, rb, inter
-
-
-def _certified_lift(rr, rows):
-    """The lift of ``rr``, an RREF of ``rows`` mod P, as a ``SparseRREF`` over
-    Q, or None unless every row r equals the sum of r[k] * L_k over the
-    lifted rows L_k and their pivots k.  Rows independent mod P are
-    independent over Q, so then the lifted rows are the RREF of ``rows``."""
-    lifted = lift(rr.rows.values())
-    if lifted is None:
-        return None
-    span = SparseRREF(QQ)
-    span.rows = dict(zip(rr.rows, lifted))
-    return None if any(span.reduce(r) for r in rows) else span
-
-
-def _modular_intersection(rows_a, rows_b):
-    """``span_intersection`` over Q by elimination mod P, certified exactly;
-    None if a denominator is divisible by P or a lift or check fails.
-
-    Certificate of a zero intersection, with no lift: rows that stay
-    independent mod P are independent over Q (a rational dependence,
-    cleared to coprime integers, stays a dependence mod P).  So if every row
-    of A and B together is independent mod P, the dimensions are the row
-    counts and A & B = 0.  Otherwise A, B and their intersection are
-    eliminated mod P.  Ranks: dim_Q >= r_P, with equality when no row drops
-    mod P and otherwise by ``_certified_lift``.  Intersection: with both
-    ranks certified, dim_Q(A & B) = dim A + dim B - rank_Q(A + B) <= dim A +
-    dim B - rank_P(A + B) = m_P, the dimension found mod P; the m_P lifted
-    rows are checked to lie in both lifted spans, and being in RREF they are
-    independent, hence the unique RREF basis over Q.
-    """
-    res_a, res_b = residues(rows_a), residues(rows_b)
-    if res_a is None or res_b is None:
-        return None
-    if independent_rref(res_a + res_b, P) is not None:
-        return len(rows_a), len(rows_b), []
-    ra, rb, inter = _intersection(res_a, res_b, P)
-    span_a = _certified_lift(ra, rows_a)
-    span_b = _certified_lift(rb, rows_b)
-    basis = lift(inter)
-    if span_a is None or span_b is None or basis is None:
-        return None
-    if any(span_a.reduce(v) or span_b.reduce(v) for v in basis):
-        return None
-    return ra.rank, rb.rank, basis

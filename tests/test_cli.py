@@ -485,6 +485,15 @@ class TestExitCodeContract:
         if code == 1:
             assert "RESULT\tfail" in out.getvalue(), (argv, config)
 
+    @pytest.mark.parametrize("out", ["missing/x.txt", "."])
+    def test_unwritable_out_path_is_a_usage_error(self, capsys, tmp_path, out):
+        # it used to print "internal error: FileNotFoundError" and exit 4
+        path = tmp_path / out
+        code, stdout, err = run(capsys, "check-conditions", "--out", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write report to {path}: ")
+
 
 def test_readme_lists_every_verify_id():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

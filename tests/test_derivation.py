@@ -122,13 +122,16 @@ class TestKernelDegreeBasis:
             kernel_degree_basis(8, nvars=100)
         assert time.perf_counter() - start < 0.5
 
-    def test_elimination_budget_boundary(self):
-        # at d = 8 the constraint matrix has comb(8 + v, v) * comb(7 + v, v)
-        # entries: 1 019 304 for 5 variables, 5 153 148 for 6 (budget 2 000 000)
-        assert len(kernel_degree_basis(8, nvars=5)) == math.comb(8 + 4, 4)
+    def test_term_budget_boundary(self):
+        # at d = 8 the closed form writes comb(8 + 2v - 2, 2v - 2) terms:
+        # 1 562 275 for 10 variables, 3 108 105 for 11 (budget 2 000 000)
+        assert math.comb(8 + 18, 18) == 1_562_275 and math.comb(8 + 20, 20) == 3_108_105
+        basis = kernel_degree_basis(8, nvars=5)
+        assert len(basis) == math.comb(8 + 4, 4)
+        assert sum(len(b.terms) for b in basis) == math.comb(8 + 8, 8)
         start = time.perf_counter()
-        with pytest.raises(UsageError, match="5153148 constraint-matrix entries"):
-            kernel_degree_basis(8, nvars=6)
+        with pytest.raises(UsageError, match="3108105 terms"):
+            kernel_degree_basis(8, nvars=11)
         assert time.perf_counter() - start < 0.5
 
     def test_sixteen_variables_at_degree_two(self):

@@ -60,6 +60,15 @@ class TestGradedIntersection:
         assert all(rep.dims[d] == 0 for d in range(1, 17))
         assert rep.new_generators == ()
 
+    @pytest.mark.parametrize("field", [QQ, 5])
+    def test_generators_may_be_iterators(self, field):
+        # iterators were used up before the product tables read them, so
+        # both sides came out empty
+        gens_a, gens_b = pairwise_products_data(field)
+        rep = graded_intersection(gens_a, gens_b, WEIGHTS, 4)
+        assert rep.ambient_a == {0: 1, 1: 0, 2: 4, 3: 0, 4: 10}
+        assert graded_contents(graded_intersection(iter(gens_a), iter(gens_b), WEIGHTS, 4)) == graded_contents(rep)
+
     @pytest.mark.parametrize("p", [5, 7])
     def test_odd_prime_fields_trivial(self, p):
         gens_a, gens_b = pairwise_products_data(p)
@@ -463,85 +472,75 @@ def product_count(gens, weights, d):
     return sum(1 for deg in degree.values() if deg == d)
 
 
-def count_fallbacks(monkeypatch):
-    """Wrap the modular intersection; the list collects one entry per call,
-    True when it failed and span_intersection fell back to Fractions."""
+def count_intersections(monkeypatch):
+    """Wrap the exact elimination of ``span_intersection``; the list collects
+    the field of each call."""
     calls = []
-    modular = linalg._modular_intersection
+    full = linalg._intersection
 
-    def counted(*args):
-        out = modular(*args)
-        calls.append(out is None)
-        return out
+    def counted(rows_a, rows_b, field):
+        calls.append(field)
+        return full(rows_a, rows_b, field)
 
-    monkeypatch.setattr(linalg, "_modular_intersection", counted)
+    monkeypatch.setattr(linalg, "_intersection", counted)
     return calls
 
 
-class TestModularGradedIntersection:
-    """Over Q, span_intersection eliminates mod P and certifies; the Fraction
-    path is its oracle.  It is forced by disabling the modular attempt: a lift
-    that fails is not enough, since a zero intersection needs no lift."""
+class TestGradedIndependenceCertificate:
+    """Over Q, span_intersection proves a zero intersection by independence
+    mod P and otherwise eliminates exactly in Fractions; the oracle is the
+    run with the certificate switched off."""
 
-    def fraction_path(self, monkeypatch, case):
+    def exact_path(self, monkeypatch, case):
         with monkeypatch.context() as m:
-            m.setattr(linalg, "_modular_intersection", lambda rows_a, rows_b: None)
+            m.setattr(linalg, "independent_rref", lambda rows, field: None)
             return graded_intersection(*case)
 
     def test_cases_have_dropped_rows_and_intersections(self, monkeypatch):
-        # the certificate branches are all exercised by the cases below
-        reps = [self.fraction_path(monkeypatch, case) for case in GRADED_CASES]
+        # both outcomes of the certificate are exercised by the cases below
+        reps = [self.exact_path(monkeypatch, case) for case in GRADED_CASES]
         assert sum(any(r.dims[d] for d in r.dims if d) for r in reps) >= 4
         assert any(r.ambient_a[d] < product_count(case[0], case[2], d)
                    for r, case in zip(reps, GRADED_CASES) for d in r.dims)
 
+    @pytest.mark.parametrize("prime", [linalg.P, 3, 5])
     @pytest.mark.parametrize("case", range(len(GRADED_CASES)))
-    def test_real_prime_matches_fraction_path(self, monkeypatch, case):
-        expected = graded_contents(self.fraction_path(monkeypatch, GRADED_CASES[case]))
+    def test_certificate_matches_the_exact_path(self, monkeypatch, case, prime):
+        expected = graded_contents(self.exact_path(monkeypatch, GRADED_CASES[case]))
+        monkeypatch.setattr(linalg, "P", prime)
         rep = graded_intersection(*GRADED_CASES[case])
         assert graded_contents(rep) == expected
         for bs in rep.bases.values():
             for b in bs:
                 assert all(type(c) is Fraction for c in b.terms.values())
 
-    def test_real_prime_fallbacks(self, monkeypatch):
-        # one degree of seeded case 9 falls back: the RREF of A's degree-6
-        # span has an entry whose numerator or denominator exceeds
-        # isqrt(P // 2) = 2^30 - 1, its lift is wrong and the exact check of
-        # A's rows rejects it
-        per_case = []
+    def test_the_intersections_lift_nothing(self, monkeypatch):
+        # the generator count lifts its functionals by design; it is covered
+        # by TestModularGeneratorCount and left out here
+        def no_lift(rows):
+            raise AssertionError("graded_intersection lifted a row")
+
+        monkeypatch.setattr(linalg, "lift", no_lift)
+        monkeypatch.setattr(intersect, "minimal_generator_degrees", lambda report: ())
         for case in GRADED_CASES:
-            fallbacks = count_fallbacks(monkeypatch)
             graded_intersection(*case)
-            per_case.append(sum(fallbacks))
-        assert per_case == [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0]
 
-    @pytest.mark.parametrize("prime", [3, 5])
-    @pytest.mark.parametrize("case", range(len(GRADED_CASES)))
-    def test_tiny_prime_matches_fraction_path(self, monkeypatch, case, prime):
-        expected = graded_contents(self.fraction_path(monkeypatch, GRADED_CASES[case]))
-        monkeypatch.setattr(linalg, "P", prime)
-        assert graded_contents(graded_intersection(*GRADED_CASES[case])) == expected
-
-    def test_tiny_prime_really_falls_back(self, monkeypatch):
-        monkeypatch.setattr(linalg, "P", 3)
-        fallbacks = count_fallbacks(monkeypatch)
-        graded_intersection(*fractional_case())
-        assert any(fallbacks)
-
-    def test_l215_needs_no_fallback(self, monkeypatch):
-        fallbacks = count_fallbacks(monkeypatch)
+    def test_l215_eliminates_only_degree_0(self, monkeypatch):
+        # the certificate proves every positive degree zero; degree 0 is one
+        # constant against one constant
+        calls = count_intersections(monkeypatch)
         rep = graded_intersection(*pairwise_products_data(QQ), WEIGHTS, 16)
-        assert len(fallbacks) == 17 and not any(fallbacks)
-        assert all(rep.dims[d] == 0 for d in range(1, 17))
+        assert calls == [QQ]
+        assert rep.dims[0] == 1 and all(rep.dims[d] == 0 for d in range(1, 17))
 
-    def test_denominator_divisible_by_p_falls_back(self, monkeypatch):
+    def test_denominator_divisible_by_p_is_eliminated_exactly(self, monkeypatch):
         monkeypatch.setattr(linalg, "P", 3)
-        fallbacks = count_fallbacks(monkeypatch)
+        calls = count_intersections(monkeypatch)
         rows_a = [{(1, 0): Fraction(1, 3)}, {(0, 1): 1}]
         rows_b = [{(1, 0): 1, (0, 1): Fraction(2, 9)}]
+        assert linalg.independent_rref(rows_a + rows_b, QQ) is None
         assert linalg.span_intersection(rows_a, rows_b, QQ) == (2, 1, [{(0, 1): 1, (1, 0): Fraction(9, 2)}])
-        assert fallbacks == [True]
+        assert calls == [QQ]
 
 
 def reference_pi_images(inst, dmax):
@@ -833,11 +832,27 @@ class TestUnitsCertificate:
             assert all(no_monomial_units_check(inst, dmax) for inst in STAR_TABLES)
         assert fallbacks == []
 
-    def test_prime_fields_take_the_field_path(self, monkeypatch):
+    @pytest.mark.parametrize("table, expected", [
+        ({0: {0: 1}, 1: {5: 1, 7: 1}, 2: {7: 1}}, False),
+        ({0: {0: 1}, 1: {5: 1, 7: 4}, 2: {5: 2, 7: 1}}, False),  # (2, 1) - 2 (1, 4) = (0, 3) mod 5
+        ({0: {0: 1}, 1: {5: 1, 7: 1}, 2: {6: 1, 7: 1}}, True),
+    ])
+    def test_synthetic_control_over_f5(self, monkeypatch, table, expected):
+        monkeypatch.setattr(intersect, "_pi_monomial_images", lambda inst, dmax: (table, None, None))
         fallbacks = count_units_fallbacks(monkeypatch)
-        inst = build_instance(4, 1, OFF3_DELTA, 32003)
-        assert no_monomial_units_check(inst, 4)
-        assert fallbacks == [32003]
+        assert no_monomial_units_check(build_instance(4, 1, ONES_DELTA, 5), 4) is expected
+        assert fallbacks == ([] if expected else [5])
+
+    @pytest.mark.parametrize("field", [5, 32003])
+    def test_prime_field_certificate_agrees_with_the_field_path(self, monkeypatch, field):
+        # over F_p the independent RREF is the span's own, so a certificate
+        # that finds no one-term row proves True as over Q
+        deltas = [OFF3_DELTA, ONES_DELTA] + [[list(r) for r in inst.delta] for inst in STAR_TABLES[::6]]
+        cases = [(build_instance(4, 1, delta, field), dmax) for delta in deltas for dmax in (4, 6)]
+        expected = [field_path_units(inst, dmax) for inst, dmax in cases]
+        fallbacks = count_units_fallbacks(monkeypatch)
+        assert [no_monomial_units_check(inst, dmax) for inst, dmax in cases] == expected
+        assert len(fallbacks) < len(cases)  # the certificate decided some cases
 
 
 @pytest.mark.parametrize("dmax", [True, 2.5])

@@ -292,7 +292,7 @@ class TestJointIndependence:
         calls = []
         with mock.patch.object(linalg, "P", 3), counted_intersections(calls):
             assert linalg.span_intersection(a, b, QQ) == (1, 1, [])
-        assert calls == [3, QQ]  # mod 3, then the Fraction fallback
+        assert calls == [QQ]  # no certificate mod 3, so the exact elimination
         assert linalg.span_intersection([sparse([1, 1], 3)], [sparse([1, 4], 3)], 3) == (1, 1, [{0: 1, 1: 1}])
 
     def test_independent_rref_stops_at_the_first_dependent_row(self):
