@@ -1,9 +1,9 @@
 """Exact integer linear algebra on exponent vectors.
 
 Determinants (fraction-free), Smith normal form with unimodular
-transforms and its integer certificate, unit-row solving read off the Smith
-form, and subgroup/coset structure of Z^n.  Integers only, of arbitrary
-precision, throughout.
+transforms and its integer certificate, unit-row solving and left kernels
+read off the Smith form, and subgroup/coset structure of Z^n.  Integers
+only, of arbitrary precision, throughout.
 """
 
 from __future__ import annotations
@@ -209,6 +209,15 @@ def solve_unit_row(t: IntMatrix, i: int):
     vi = sf.v.entries[i]
     m = lcm(*(dj // gcd(dj, x) for dj, x in zip(d, vi)))
     return m, row_times_matrix([m * x // dj for dj, x in zip(d, vi)], sf.u)
+
+
+def left_kernel(m: IntMatrix):
+    """A basis of {x in Z^k : x m = 0}, first nonzero entries positive: rows
+    r, r+1, ... of U for D = U m V of rank r (those rows of D = (U m) V are
+    zero, and U is unimodular, so they are primitive and span the kernel)."""
+    sf = smith_normal_form(m)
+    rows = sf.u.entries[len(sf.invariants):]
+    return [row if next(x for x in row if x) > 0 else tuple(-x for x in row) for row in rows]
 
 
 # ---------------------------------------------------------------------------

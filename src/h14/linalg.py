@@ -5,10 +5,11 @@ echelon form on sparse rows with sortable keys, over either coefficient field
 (Fraction entries over Q, ints in ``range(p)`` over F_p) through the field
 layer of :mod:`h14.laurent`.  It backs the intersection computations of
 :mod:`h14.intersect` directly.  ``row_reduce``,
-``rational_nullspace`` and ``rational_solve`` are thin adapters that feed it
-dense rows over Q, keyed by column index, for the small systems of the monoid
-and lattice code (extreme rays, unit-row solves, rank checks); their outputs
-are ``Fraction`` lists.
+``rational_nullspace`` and ``rational_solve`` feed it dense rows over Q,
+keyed by column index, and return ``Fraction`` lists.  No module of the
+package calls them any more (:mod:`h14.lattice` and :mod:`h14.monoid` read
+their answers off the Smith form); they remain as the ``Fraction`` oracles of
+the lattice and monoid tests and as the dense layer the benchmark traces.
 
 Modular layer over Q: ``residues`` reduces rows modulo the prime ``P`` =
 2^61 - 1, the elimination runs over F_P, ``lift`` takes its rows back to Q by
@@ -26,7 +27,7 @@ or the absence of monomials from a span
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .laurent import QQ, _axpy, coeff_of, inverse
 
@@ -79,21 +80,6 @@ def rational_solve(rows, rhs):
         return None
     x = [rr.rows.get(j, {}).get(ncols, _ZERO) for j in range(ncols)]
     return x, _dense(rr.null_basis(range(ncols)), ncols)
-
-
-def primitive_vector(vec):
-    """Clear denominators and divide by the content; the sign is normalized so
-    that the first nonzero entry is positive."""
-    fracs = [Fraction(x) for x in vec]
-    den = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * den) for f in fracs]
-    g = gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
 
 
 def rational_reconstruction(u, m):

@@ -5,20 +5,21 @@ coordinate} cut out by a t x n integer matrix U whose rows are the exponent
 vectors of t Laurent monomials.  For pointed cones the unique minimal
 generating set (Hilbert basis) is computed by enumerating extreme rays,
 collecting lattice points of the spanned zonotope box, and sieving to the
-irreducible elements.
+irreducible elements.  Integers only: membership and rank are read off one
+certified Smith form per ``SubalgebraGens``, and kernels (rays, lines in a
+cone) are rows of a Smith transform (``lattice.left_kernel``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import prod
-from operator import ge
+from operator import ge, mul
 
 from .errors import IndependenceError, LinealityError, ShapeError, UsageError, int_vector
-from .lattice import IntMatrix, row_times_matrix
-from .linalg import primitive_vector, rational_nullspace, rational_solve, row_reduce
+from .lattice import IntMatrix, SmithForm, left_kernel, row_times_matrix, smith_certificate, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,17 @@ class SubalgebraGens:
     def t(self):
         return len(self.vectors)
 
-    @property
+    @cached_property
     def matrix(self) -> IntMatrix:
         return IntMatrix(self.t, self.n, self.vectors)
+
+    @cached_property
+    def smith(self) -> SmithForm:
+        """D = S U V for the generator matrix U, checked by ``smith_certificate``."""
+        sf = smith_normal_form(self.matrix)
+        if not smith_certificate(self.matrix, sf):
+            raise ArithmeticError("the Smith form of the generator matrix fails its certificate")
+        return sf
 
 
 # Largest box of lattice points an exhaustive enumeration may visit.  Every
@@ -83,23 +92,21 @@ class HilbertBasis:
 
 def cone_membership(u: IntMatrix, beta) -> bool:
     """True iff beta U >= 0 componentwise."""
-    return min(row_times_matrix(beta, u), default=0) >= 0
+    return min(row_times_matrix(int_vector(beta, "beta"), u), default=0) >= 0
 
 
 def _extreme_rays(u: IntMatrix):
     t, n = u.rows, u.cols
-    cols = u.columns
 
     def feasible(d):
-        return all(sum(x * c for x, c in zip(d, col)) >= 0 for col in cols)
+        return all(sum(map(mul, d, col)) >= 0 for col in u.columns)
 
     rays = set()
     for subset in itertools.combinations(range(n), t - 1):
-        mat = [cols[j] for j in subset]
-        ns = rational_nullspace(mat, ncols=t)
-        if len(ns) != 1:
+        kernel = left_kernel(IntMatrix(t, t - 1, tuple(tuple(row[j] for j in subset) for row in u.entries)))
+        if len(kernel) != 1:
             continue
-        d = primitive_vector(ns[0])
+        d = kernel[0]
         if feasible(d):
             rays.add(d)
         nd = tuple(-x for x in d)
@@ -117,10 +124,9 @@ def hilbert_basis(u: IntMatrix) -> HilbertBasis:
     greedily in increasing order of the additive level sum(beta U).
     """
     t = u.rows
-    # rows of the system are columns of U: beta U = 0
-    lineal = rational_nullspace(list(u.columns), ncols=t)
+    lineal = left_kernel(u)  # beta U = 0
     if lineal:
-        raise LinealityError(primitive_vector(lineal[0]))
+        raise LinealityError(lineal[0])
     rays = _extreme_rays(u)
     if not rays:
         return HilbertBasis(u, (), ())
@@ -152,34 +158,32 @@ def triangle_criterion(i: int, j: int, k: int) -> bool:
 def monomial_membership(gens: SubalgebraGens, target):
     """A witness beta >= 0 with beta U = target, or None.
 
-    When the generators are algebraically independent (rank U = t) the
-    rational solution is unique and is checked directly.  Otherwise an
-    exhaustive search runs over a box 0 <= beta_i <= B_i.  When every entry
-    of U is >= 0, beta_i * U[i][j] <= target_j bounds B_i by the least
-    target_j // U[i][j] over U[i][j] > 0 (0 for a zero row: any witness
-    stays one with beta_i = 0), so the search is complete.  Otherwise every
-    B_i = sum |target| * max |U entry|; a None answer is exhaustive within
-    that documented bound.
+    With D = S U V (``SubalgebraGens.smith``) and w = target V, beta = g S
+    solves beta U = target iff g D = w: an integer solution exists iff d_j
+    divides w_j below the rank r and w_j = 0 from r on.  For independent
+    generators (r = t) it is unique, g_j = w_j / d_j, checked exactly, and a
+    witness iff beta >= 0.  Only dependent generators are searched, over a box
+    0 <= beta_i <= B_i.  When every entry of U is >= 0, beta_i * U[i][j] <=
+    target_j bounds B_i by the least target_j // U[i][j] over U[i][j] > 0 (0
+    for a zero row: any witness stays one with beta_i = 0), so the search is
+    complete.  Otherwise every B_i = sum |target| * max |U entry|; a None
+    answer is exhaustive within that documented bound.
     """
     target = int_vector(target, "target")
     if len(target) != gens.n:
         raise ShapeError(f"target {target} has length != {gens.n}")
-    u = gens.matrix
-    t = gens.t
-    if t == 0:
-        return () if not any(target) else None
-    # equations: U^T beta = target
-    system = [[u.entries[i][j] for i in range(t)] for j in range(gens.n)]
-    sol = rational_solve(system, [Fraction(x) for x in target])
-    if sol is None:
+    u, t, sf = gens.matrix, gens.t, gens.smith
+    d = sf.invariants
+    w = row_times_matrix(target, sf.v)
+    if any(w[len(d):]) or any(x % dj for x, dj in zip(w, d)):
         return None
-    x, null = sol
-    if not null:
-        if all(f.denominator == 1 and f >= 0 for f in x):
-            return tuple(int(f) for f in x)
-        return None
+    if len(d) == t:
+        beta = row_times_matrix([x // dj for x, dj in zip(w, d)], sf.u)
+        if row_times_matrix(beta, u) != target:
+            raise ArithmeticError(f"the Smith solution {beta} does not give {target}")
+        return beta if min(beta, default=0) >= 0 else None
     if all(e >= 0 for row in u.entries for e in row):
-        if min(target) < 0:
+        if min(target, default=0) < 0:
             return None  # beta U >= 0
         bounds = [min((x_ // e for x_, e in zip(target, row) if e > 0), default=0) for row in u.entries]
     else:
@@ -192,8 +196,8 @@ def monomial_membership(gens: SubalgebraGens, target):
 
 
 def alg_independence(gens: SubalgebraGens) -> bool:
-    """True iff the exponent matrix has full row rank over Q."""
-    return row_reduce(gens.matrix.entries).rank == gens.t
+    """True iff the exponent matrix has full row rank (t Smith invariants)."""
+    return len(gens.smith.invariants) == gens.t
 
 
 def intersection_generators(gens: SubalgebraGens):

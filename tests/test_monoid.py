@@ -2,12 +2,15 @@
 
 import itertools
 import random
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 
 from h14 import monoid
-from h14.errors import IndependenceError, LinealityError, UsageError, ValidationError
-from h14.lattice import IntMatrix, row_times_matrix
+from h14.errors import IndependenceError, LinealityError, ShapeError, UsageError, ValidationError
+from h14.lattice import IntMatrix, coset_decomposition, left_kernel, row_times_matrix
+from h14.linalg import rational_nullspace, rational_solve, row_reduce
 from h14.monoid import (
     HilbertBasis,
     SubalgebraGens,
@@ -55,12 +58,181 @@ def make_representable(vectors, u):
     return rec
 
 
+def reference_membership(gens, target):
+    """The ``Fraction`` membership path the Smith form replaced: one rational
+    solve per target, then the same budgeted box search when the solution is
+    not unique."""
+    u, t = gens.matrix, gens.t
+    if t == 0:
+        return () if not any(target) else None
+    system = [[u.entries[i][j] for i in range(t)] for j in range(gens.n)]
+    sol = rational_solve(system, [Fraction(x) for x in target])
+    if sol is None:
+        return None
+    x, null = sol
+    if not null:
+        if all(f.denominator == 1 and f >= 0 for f in x):
+            return tuple(int(f) for f in x)
+        return None
+    if all(e >= 0 for row in u.entries for e in row):
+        if min(target) < 0:
+            return None
+        bounds = [min((x_ // e for x_, e in zip(target, row) if e > 0), default=0) for row in u.entries]
+    else:
+        bounds = [sum(map(abs, target)) * max(abs(e) for row in u.entries for e in row)] * t
+    monoid._check_budget("the membership search box", prod(b + 1 for b in bounds))
+    for beta in itertools.product(*(range(b + 1) for b in bounds)):
+        if row_times_matrix(beta, u) == target:
+            return beta
+    return None
+
+
+def primitive_vector(vec):
+    """Clear denominators, divide by the content, first nonzero entry > 0."""
+    fracs = [Fraction(x) for x in vec]
+    den = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * den) for f in fracs]
+    g = gcd(*ints)
+    ints = [x // g for x in ints] if g else ints
+    return tuple(-x for x in ints) if next((x for x in ints if x), 0) < 0 else tuple(ints)
+
+
+def reference_extreme_rays(u):
+    """Extreme rays from ``rational_nullspace`` and ``primitive_vector``."""
+    t, cols = u.rows, u.columns
+    rays = set()
+    for subset in itertools.combinations(range(u.cols), t - 1):
+        ns = rational_nullspace([cols[j] for j in subset], ncols=t)
+        if len(ns) != 1:
+            continue
+        d = primitive_vector(ns[0])
+        for d in (d, tuple(-x for x in d)):
+            if all(sum(x * c for x, c in zip(d, col)) >= 0 for col in cols):
+                rays.add(d)
+    return sorted(rays)
+
+
+def random_generators(rng):
+    """Distinct generator rows: t < n, t = n and t > n, negative entries,
+    zero rows and rows that are sums or multiples of others."""
+    while True:
+        n, t = rng.randint(1, 3), rng.randint(1, 4)
+        lo = rng.choice([-2, 0])
+        rows = [tuple(rng.randint(lo, 2) for _ in range(n)) for _ in range(t)]
+        if t > 1 and rng.random() < 0.3:
+            rows[-1] = (0,) * n
+        if t > 2 and rng.random() < 0.3:
+            rows[-2] = tuple(a + b for a, b in zip(rows[0], rows[1]))
+        if t > 1 and rng.random() < 0.2:
+            rows[-1] = tuple(2 * a for a in rows[0])
+        if len(set(rows)) == t:
+            return SubalgebraGens.of(n, rows)
+
+
+class TestSmithAgainstFractionPath:
+    """The Smith-form answers against the ``Fraction`` path they replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_membership_agrees(self, seed, monkeypatch):
+        # a small budget keeps the dependent searches short and makes refusals common
+        monkeypatch.setattr(monoid, "ENUMERATION_BUDGET", 3000)
+        rng = random.Random(seed)
+        shapes, outcomes = set(), set()
+        for _ in range(25):
+            gens = random_generators(rng)
+            u, n, t = gens.matrix, gens.n, gens.t
+            unique = row_reduce(u.entries).rank == t
+            shapes.add((t > n) - (t < n))
+            targets = [(0,) * n, tuple(rng.randint(-3, 3) for _ in range(n))]
+            targets += [row_times_matrix([rng.randint(lo, 2) for _ in range(t)], u) for lo in (0, 0, -2)]
+            for target in targets:
+                try:
+                    ref = reference_membership(gens, target)
+                except UsageError as exc:
+                    ref = exc
+                try:
+                    new = monomial_membership(gens, target)
+                except UsageError as exc:
+                    new = exc
+                if isinstance(ref, UsageError):
+                    outcomes.add("refused")
+                    if isinstance(new, UsageError):
+                        assert str(new) == str(ref)
+                    else:  # the integer test answers before the box is sized
+                        assert new is None and not coset_decomposition(gens.vectors, n).contains(target)
+                    continue
+                outcomes.add((unique, ref is None))
+                if unique:
+                    assert new == ref, (gens.vectors, target)
+                else:
+                    assert (new is None) == (ref is None), (gens.vectors, target)
+                if new is not None:
+                    assert min(new, default=0) >= 0 and row_times_matrix(new, u) == target
+        assert shapes == {-1, 0, 1}
+        assert {(True, True), (True, False), (False, False)} <= outcomes
+
+    def test_integer_test_answers_before_the_budget(self):
+        # rationally solvable, but 401 is odd: no integer witness, so no box is sized
+        gens = SubalgebraGens.of(2, [(2, 0), (0, 2), (2, 2)])
+        with pytest.raises(UsageError, match=f"{201 ** 3} lattice points"):
+            reference_membership(gens, (401, 401))
+        assert monomial_membership(gens, (401, 401)) is None
+
+    def test_rays_rank_and_lineality_agree(self):
+        rng = random.Random(7)
+        one_dim = 0
+        for _ in range(400):
+            t, n = rng.randint(1, 4), rng.randint(1, 4)
+            u = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(t)])
+            assert monoid._extreme_rays(u) == reference_extreme_rays(u), u.entries
+            assert alg_independence(SubalgebraGens(n, u.entries)) == (row_reduce(u.entries).rank == t)
+            old = rational_nullspace(list(u.columns), ncols=t)
+            if not old:
+                assert left_kernel(u) == []
+                continue
+            with pytest.raises(LinealityError) as exc:
+                hilbert_basis(u)
+            beta = exc.value.direction
+            assert any(beta) and gcd(*beta) == 1 and not any(row_times_matrix(beta, u))
+            if len(old) == 1:
+                one_dim += 1
+                assert beta == primitive_vector(old[0])
+        assert one_dim > 50
+
+    def test_one_smith_form_per_generator_set(self, monkeypatch):
+        built, checked = [], []
+        snf, cert = monoid.smith_normal_form, monoid.smith_certificate
+        monkeypatch.setattr(monoid, "smith_normal_form", lambda m: built.append(m) or snf(m))
+        monkeypatch.setattr(monoid, "smith_certificate", lambda m, sf: checked.append(m) or cert(m, sf))
+        gens = SubalgebraGens.of(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+        rng = random.Random(40)
+        for _ in range(40):
+            monomial_membership(gens, tuple(rng.randint(0, 12) for _ in range(3)))
+        assert alg_independence(gens)
+        assert built == checked == [gens.matrix]
+
+    def test_failed_certificate_is_an_arithmetic_error(self, monkeypatch):
+        monkeypatch.setattr(monoid, "smith_certificate", lambda m, sf: False)
+        with pytest.raises(ArithmeticError):
+            monomial_membership(SubalgebraGens.of(2, [(1, 1), (1, -1)]), (2, 0))
+
+
 class TestConeMembership:
     def test_examples(self):
         u = IntMatrix.from_rows([[1, 1], [1, -1]])
         assert cone_membership(u, (1, 1))
         assert cone_membership(u, (0, 0))
         assert not cone_membership(u, (0, 1))
+
+    @pytest.mark.parametrize("beta", [(0.5, 0.5), (True, False), (1, 1.0)])
+    def test_non_integers_rejected(self, beta):
+        with pytest.raises(ValidationError):
+            cone_membership(IntMatrix.from_rows([[1, 1], [1, -1]]), beta)
+
+    @pytest.mark.parametrize("beta", [(1,), (1, 1, 0), ()])
+    def test_wrong_length_rejected(self, beta):
+        with pytest.raises(ShapeError):
+            cone_membership(IntMatrix.from_rows([[1, 1], [1, -1]]), beta)
 
 
 class TestHilbertBasis:
@@ -197,6 +369,12 @@ class TestMonomialMembership:
         assert monomial_membership(gens, (2, 2, 2)) == (1, 1, 1)
         assert monomial_membership(gens, (0, 0, 0)) == (0, 0, 0)
         assert monomial_membership(gens, (2, 0, 0)) is None
+
+    def test_empty_shapes(self):
+        # no generators: only the zero target; one generator in no variables
+        assert monomial_membership(SubalgebraGens.of(2, []), (0, 0)) == ()
+        assert monomial_membership(SubalgebraGens.of(2, []), (1, 0)) is None
+        assert monomial_membership(SubalgebraGens.of(0, [()]), ()) == (0,)
 
     def test_nonnegative_generators_are_bounded_by_the_target(self):
         # the old box (B + 1)^3 with B = 126 was over budget here

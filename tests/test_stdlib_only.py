@@ -34,17 +34,18 @@ def test_imports_are_package_relative_or_stdlib(path):
         assert level or top == "h14" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
 
 
-def test_lattice_layer_is_integer_only():
-    """``h14.lattice`` works in integers alone: no ``Fraction`` and no
-    rational elimination from ``h14.linalg``."""
-    path = Path(h14.__file__).parent / "lattice.py"
+@pytest.mark.parametrize("name", ["lattice.py", "monoid.py"])
+def test_lattice_layer_is_integer_only(name):
+    """``h14.lattice`` and ``h14.monoid`` work in integers alone: no
+    ``Fraction`` and no rational elimination from ``h14.linalg``."""
+    path = Path(h14.__file__).parent / name
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             # module and imported names both count: ``from . import linalg`` too
             parts = {p for a in node.names for p in a.name.split(".")}
             if isinstance(node, ast.ImportFrom) and node.module:
                 parts.update(node.module.split("."))
-            assert not parts & {"fractions", "linalg"}, f"lattice.py imports {ast.unparse(node)}"
+            assert not parts & {"fractions", "linalg"}, f"{name} imports {ast.unparse(node)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
