@@ -25,11 +25,12 @@ lifts every basis entry by rational reconstruction and verifies every lifted
 vector exactly through its integer X-image; a failed lift or check reruns
 the solves with Fractions.
 
-Both reports count their minimal generators with ``minimal_generator_degrees``.
-Over Q it counts mod P and certifies each degree: (a) a rank check shows the
-count is not too small, (b) dual functionals lifted from the RREF mod P and
-checked in integers show it is not too large; a failed check recounts with
-Fractions.
+Both reports count their minimal generators with ``minimal_generator_degrees``,
+which reduces every product on the pivots of the report's basis only: exact,
+since both bases span graded subalgebras.  Over Q it counts mod P and
+certifies each degree: (a) a rank check shows the count is not too small, (b)
+dual functionals lifted from the RREF mod P and checked in integers show it
+is not too large; a failed check recounts with Fractions.
 
 Inside the engines exponent vectors are packed ``int`` keys (``_Packing``;
 Monagan and Pearce, CASC 2007): on a box, mixed-radix keys are injective,
@@ -63,7 +64,7 @@ from .monoid import _check_budget
 
 # Resource guards on the degree bounds, not correctness bounds.
 GRADED_MAX_DEGREE = 32
-PI_MAX_DEGREE = 16
+PI_MAX_DEGREE = 20
 UNITS_MAX_DEGREE = 8
 
 BOUND_NOTE = (
@@ -402,26 +403,41 @@ def minimal_generator_degrees(report: GradedIntersectionReport):
     Constants never count.  The answer is exact only up to the report's
     degree bound (see ``BOUND_NOTE``).
 
-    One pass per degree (``_generator_degrees``).  Over Q the pass runs mod
-    P on the basis scaled to integer coefficients (no span changes), so every
-    product is an integer row with a residue mod P.  Let F_d be the span of
-    the basis elements of degree <= d, V_d = F_{d-1} + the products tried at
-    d, and m the count mod P at d.  Two checks per degree make m exact:
+    One pass per degree (``_generator_degrees``).  It reduces every product
+    on the pivots of the basis only, the columns k = min(b) of its rows b,
+    never on the product's full support.  Let F_d be the span of the basis
+    elements of degree <= d.  The report's bases must span a graded
+    subalgebra: every product tried at d lies in F_d, inside F_top, the span
+    of the whole basis.  Both engines report one: X-substitution is a ring
+    map, so a product of polynomial images is polynomial, and (A & B)_d *
+    (A & B)_e lies in (A & B)_{d+e}.  The basis rows must have pairwise
+    distinct pivots (a ValueError otherwise); then the projection v ->
+    (v[k]) is injective on F_top: in a nonzero combination, the row of the
+    smallest pivot k with a nonzero coefficient is the only one nonzero at
+    k.  So every rank, and with it every count, is that of the full rows.
+
+    Over Q the pass runs mod P on the basis scaled to integer coefficients
+    (no span changes), so every product is an integer row with a residue mod
+    P.  Let V_d = F_{d-1} + the products tried at d, and m the count mod P
+    at d.  Two checks per degree make m exact, for the projected rows and
+    without the closure above:
 
     (a) The rank mod P is dim F_d = sum of len(bases[e]) over e <= d.  The
-        rows are independent mod P, hence over Q, so the kept products and
-        generators of label <= d are a basis of F_d over Q: the induction of
-        ``_generator_degrees`` holds over Q, V_d is the span S_d over Q, and
-        rank_P(V_d) <= dim_Q V_d gives m >= the true count.
+        projected rows are independent mod P, hence over Q, and so are the
+        rows, so the kept products and generators of label <= d are a basis
+        of F_d over Q: the induction of ``_generator_degrees`` holds over Q,
+        V_d is the span S_d over Q, and rank_P(V_d) <= dim_Q V_d gives m >=
+        the true count.
     (b) When m > 0, for the pivot k of each new generator, the functional
         phi_k(v) = v[k] - sum over pivots j of v[j] * L_j[k], with L the
         span's rows just before that generator, is lifted by rational
         reconstruction and checked in integers to vanish on every basis
-        element of degree < d and on every product tried at d.  Then the
-        phi_k vanish on V_d.  On the new generators their residues form a
-        triangular matrix with a nonzero diagonal, so they are independent
-        on F_d over Q, and dim_Q V_d <= dim F_d - m gives m <= the true
-        count.
+        element of degree < d and on every full product tried at d (it reads
+        pivots only, so it takes the same value on a row and on its
+        projection).  Then the phi_k vanish on V_d.  On the new generators
+        their residues form a triangular matrix with a nonzero diagonal, so
+        they are independent on F_d over Q, and dim_Q V_d <= dim F_d - m
+        gives m <= the true count.
 
     If a lift or a check fails, the pass runs again with Fractions.  Both
     passes run on packed keys: a product tried at d has at most d factors of
@@ -443,8 +459,11 @@ def _generator_degrees(bases, field, row=None, certify=None):
     """The one-pass count over ``field`` on the packed terms ``bases``; None
     as soon as ``certify(d, rank, tried, columns)`` rejects a degree.
 
-    Without ``row`` the products are reduced in ``field`` and are the span's
-    rows; with it they stay exact and the rows are ``row(product)``.
+    Every row enters the span restricted to the pivots of ``bases`` (see
+    ``minimal_generator_degrees``).  Without ``row`` the products are reduced
+    in ``field`` and their restrictions are the span's rows; with it they
+    stay exact and the rows are ``row`` of the restrictions.  ``kept`` and
+    ``tried`` hold full products: later products and ``certify`` use them.
 
     ``kept[e]`` holds the products and generators of label e that enlarged
     the span.  At degree d only the products p * g with label(p) = d -
@@ -460,8 +479,12 @@ def _generator_degrees(bases, field, row=None, certify=None):
     d, and for the pivot k of each new generator the column k of the span
     just before that generator was added.
     """
+    pivots = {min(r) for rs in bases.values() for r in rs}
+    if len(pivots) < sum(map(len, bases.values())):
+        raise ValueError("two basis rows share a pivot: the count's projection onto the pivots is not injective")
     p = 0 if row is not None or field == QQ else field
-    row = row or (lambda terms: terms)
+    reduced = row or (lambda terms: terms)
+    row = lambda terms: reduced({k: c for k, c in terms.items() if k in pivots})
     span = SparseRREF(field)
     gens = []   # (label, terms) minimal generators found so far
     kept = {}   # label -> products and generators that enlarged the span

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import FieldMismatchError, UsageError, check_int
 
@@ -109,6 +109,12 @@ def _axpy(terms: dict, c, row: dict, field):
             terms[k] = s
         else:
             terms.pop(k, None)
+
+
+@cache
+def _term_template(n):
+    """The text form of one term in n variables, ``"{} * X1^{} ... Xn^{}"``."""
+    return "{} * " + " ".join(f"X{i + 1}^{{}}" for i in range(n))
 
 
 class LaurentPoly:
@@ -335,11 +341,8 @@ class LaurentPoly:
         """Canonical text form: lex-sorted terms ``coef * X1^e1 ... Xn^en``."""
         if not self.terms:
             return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = " ".join(f"X{i + 1}^{x}" for i, x in enumerate(e))
-            parts.append(f"{c} * {mono}")
-        return " + ".join(parts)
+        template = _term_template(self.n)
+        return " + ".join(template.format(c, *e) for e, c in self.sorted_terms())
 
     @classmethod
     def from_text(cls, text: str, field=QQ, n=None):

@@ -5,11 +5,15 @@ pass/fail line; the conftest terminal-summary hook echoes the lines after the
 run so they always appear in the log.
 """
 
+import hashlib
+import io
 import itertools
 import math
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
+from h14.cli import main
 from h14.derivation import apply_E, kernel_degree_basis, support_property_check
 from h14.errors import LinealityError
 from h14.intersect import (
@@ -265,13 +269,21 @@ def test_13_new_generator_growth():
 
 
 def test_14_off3_counts_up_to_the_bound():
-    # OFF3 over F_32003 through dmax 16, intersect.PI_MAX_DEGREE: the table
-    # holds up to the bound only (see the report note)
-    rep = kuroda_intersection_basis(
-        build_instance(4, 1, [[1, 3, 3], [3, 1, 3], [3, 3, 1]], "Fp:32003"), 16)
-    dims = [1, 0, 0, 1, 3, 3, 4, 6, 9, 10, 12, 15, 19, 21, 24, 28, 33]
+    # OFF3 (the default instance) over F_32003 through dmax 20,
+    # intersect.PI_MAX_DEGREE: the table holds up to the bound only (see the
+    # report note).  The digest pins the report's rows: the table and every
+    # basis image, byte for byte.
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["intersect", "--dmax", "20", "--field", "Fp:32003"])
+    rows = [line for line in buf.getvalue().splitlines() if not line.startswith("#")]
+    table = [[int(cell) for cell in row.split("\t")] for row in rows[1:22]]
+    dims = [1, 0, 0, 1, 3, 3, 4, 6, 9, 10, 12, 15, 19, 21, 24, 28, 33, 36, 40, 45, 51]
     ok = (
-        [rep.dims[d] for d in range(17)] == dims
-        and rep.new_generators == ((3, 1),) + tuple((d, 3) for d in range(4, 17))
+        code == 0
+        and [d for d, *_ in table] == list(range(21)) and [r[3] for r in table] == dims
+        and [(r[0], r[4]) for r in table if r[4]] == [(3, 1)] + [(d, 3) for d in range(4, 21)]
+        and hashlib.sha256("".join(row + "\n" for row in rows).encode()).hexdigest()
+        == "cfd0668d8c3c9798a90cb984b7d34a6715e9e7c130e2501fb8e8fa00439c4e8b"
     )
     report(14, "off3-new-generators-up-to-the-bound", ok)

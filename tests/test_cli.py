@@ -305,10 +305,13 @@ class TestIntersectAndScan:
         assert "degree\tpi_monomials\tconstraints\tdim\tnew_generators" in out
         assert "1 * X1^0 X2^0 X3^0 X4^0" in out  # the constant basis element
 
-    def test_dmax_bound_of_the_pi_engine(self, capsys):
-        code, out, _ = run(capsys, "intersect", "--dmax", "16")
-        assert code == 0 and "# dmax: 16" in out
-        code, out, err = run(capsys, "intersect", "--dmax", "17")
+    def test_dmax_bound_of_the_pi_engine(self, capsys, tmp_path):
+        # on the n=3 instance, whose dmax-20 run is cheap; acceptance 14 runs
+        # the default n=4 instance through dmax 20
+        cfg = write_config(tmp_path, {"n": 3, "gamma": 1, "delta": [[3, 1], [1, 1]]})
+        code, out, _ = run(capsys, "intersect", "--dmax", "20", "--config", cfg)
+        assert code == 0 and "# dmax: 20" in out
+        code, out, err = run(capsys, "intersect", "--dmax", "21", "--config", cfg)
         assert code == 2 and out == "" and "degree bound" in err
 
     def test_scan(self, capsys):

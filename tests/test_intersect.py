@@ -959,18 +959,30 @@ class TestMinimalGeneratorDegrees:
 
 def rank_drop_case():
     # the degree-1 RREF rows z + x/15 and y + x/15 scale to 15z + x and
-    # 15y + x, equal mod 3 and mod 5: the rank mod p falls short of dim F_1
+    # 15y + x, which vanish mod 3 and mod 5 on the pivots z and y: the rank
+    # mod p falls short of dim F_1
     x, y, z = (LaurentPoly.variable(3, i) for i in range(3))
     gens = [x + 15 * y, x + 15 * z]
     return graded_intersection(gens, gens, (1, 1, 1), 4)
 
 
 def syzygy_case():
-    # w = xy + 15z is xy mod 3 and mod 5, so w^2 = x^2 * y^2 there: the
-    # degree-4 products lose rank mod p although they are independent over Q
+    # w = xy + 15z has the RREF row z + xy/15, which scales to w and vanishes
+    # mod 3 and mod 5 on the pivots z, y^2, x^2: the rank mod p falls short
+    # of dim F_2
     x, y, z = (LaurentPoly.variable(3, i) for i in range(3))
     gens = [x * x, y * y, x * y + 15 * z]
     return graded_intersection(gens, gens, (1, 1, 2), 8)
+
+
+def tried_overcount_case():
+    # the degree-4 products c^2 * (b^2 + 3a^2) and (bc)^2 differ by 3a^2c^2,
+    # and a^2c^2 is a basis element: on the pivots the two products agree
+    # mod 3, so the count mod 3 takes a^2c^2 for a new generator although
+    # the products span it over Q
+    a, b, c = (LaurentPoly.variable(3, i) for i in range(3))
+    gens = [c * c, b * c, b * b + 3 * a * a]
+    return graded_intersection(gens, gens, (1, 1, 1), 4)
 
 
 def filtered_case():
@@ -1000,9 +1012,14 @@ COUNT_CASES = (
     + [(f"pi-{i}", lambda case=case: kuroda_intersection_basis(*case))
        for i, case in enumerate(DIFFERENTIAL_CASES)]
     + [(f"graded-{i}", lambda case=case: graded_intersection(*case)) for i, case in enumerate(GRADED_CASES)]
-    + [("rank-drop", rank_drop_case), ("syzygy", syzygy_case), ("filtered", filtered_case)]
+    + [("rank-drop", rank_drop_case), ("syzygy", syzygy_case), ("tried-overcount", tried_overcount_case),
+       ("filtered", filtered_case)]
 )
 COUNT_IDS = [name for name, _ in COUNT_CASES]
+# the degree and the check at which each fixture's modular count is
+# rejected, at every tiny prime it is tried with
+REJECTED_AT = {"rank-drop": (1, "a"), "syzygy": (2, "a"), "tried-overcount": (4, "b on the tried products"),
+               "filtered": (4, "b on F_{d-1}")}
 
 
 @functools.cache
@@ -1030,11 +1047,41 @@ def count_generator_fallbacks(monkeypatch):
 
 
 def unchecked_count(rep, p):
-    """The one-pass count mod p on the integer-scaled basis, certified by
-    nothing."""
+    """The one-pass count mod p on the integer-scaled basis, projected on its
+    pivots like every count, and certified by nothing."""
     box = intersect._Packing.around([b for bs in rep.bases.values() for b in bs], max(rep.bases) + 1)
     ints = {d: [box.pack(intersect._integer_scaled(b).terms) for b in bs] for d, bs in rep.bases.items()}
     return intersect._generator_degrees(ints, p, lambda terms: {e: r for e, c in terms.items() if (r := c % p)})
+
+
+def rejected_by(monkeypatch, rep):
+    """Count on ``rep`` and name the check that rejected the modular count
+    at each degree where one did: "a", "b on F_{d-1}" or "b on the tried
+    products".  A rejection that a rerun without the tried products still
+    rejects is not theirs."""
+    rejections = []
+    count = intersect._generator_degrees
+
+    def spy(bases, field, row=None, certify=None):
+        if certify is None:
+            return count(bases, field, row)
+        dims = dict(zip(sorted(bases), itertools.accumulate(len(bases[d]) for d in sorted(bases))))
+
+        def checked(d, rank, tried, columns):
+            if certify(d, rank, tried, columns):
+                return True
+            if rank != dims[d]:
+                rejections.append((d, "a"))
+            elif not certify(d, rank, [], columns):
+                rejections.append((d, "b on F_{d-1}"))
+            else:
+                rejections.append((d, "b on the tried products"))
+            return False
+
+        return count(bases, field, row, checked)
+
+    monkeypatch.setattr(intersect, "_generator_degrees", spy)
+    return minimal_generator_degrees(rep), rejections
 
 
 class TestModularGeneratorCount:
@@ -1064,13 +1111,15 @@ class TestModularGeneratorCount:
         "name, prime, expected, unchecked",
         [
             # check (a): a rank short of dim F_1 undercounts
-            ("rank-drop", 3, [(1, 2)], [(1, 1)]),
-            ("rank-drop", 5, [(1, 2)], [(1, 1)]),
-            # check (b) on the tried products: products dependent only mod p overcount
-            ("syzygy", 3, [(2, 3)], [(2, 3), (4, 1)]),
-            ("syzygy", 5, [(2, 3)], [(2, 3), (4, 1)]),
+            ("rank-drop", 3, [(1, 2)], []),
+            ("rank-drop", 5, [(1, 2)], []),
+            # check (a): a rank short of dim F_2 undercounts
+            ("syzygy", 3, [(2, 3)], [(2, 2)]),
+            ("syzygy", 5, [(2, 3)], [(2, 2)]),
             # check (b) on F_{d-1}
             ("filtered", 3, [(1, 1), (2, 1)], [(1, 1), (2, 1), (4, 1)]),
+            # check (b) on the tried products: products dependent only mod p overcount
+            ("tried-overcount", 3, [(2, 3)], [(2, 3), (4, 1)]),
         ],
     )
     def test_checks_reject_a_wrong_unchecked_count(self, monkeypatch, name, prime, expected, unchecked):
@@ -1078,4 +1127,108 @@ class TestModularGeneratorCount:
         assert oracle == expected and unchecked_count(rep, prime) == unchecked
         monkeypatch.setattr(linalg, "P", prime)
         fallbacks = count_generator_fallbacks(monkeypatch)
-        assert minimal_generator_degrees(rep) == expected and fallbacks == [True]
+        assert rejected_by(monkeypatch, rep) == (expected, [REJECTED_AT[name]])
+        assert fallbacks == [True]
+
+    @pytest.mark.parametrize("field", [QQ, 32003])
+    def test_rows_sharing_a_pivot_are_refused(self, field):
+        # both degree-1 rows have the pivot y: a projection on the pivots
+        # would not be injective
+        x, y = (LaurentPoly.variable(2, i, field) for i in range(2))
+        bases = {0: [LaurentPoly.constant(2, 1, field)], 1: [y + x, y + 2 * x]}
+        rep = intersect.GradedIntersectionReport((1, 1), field, 1, {}, {}, {0: 1, 1: 2}, bases, ())
+        with pytest.raises(ValueError, match="share a pivot"):
+            minimal_generator_degrees(rep)
+
+
+def reference_generator_degrees(report):
+    """The unprojected one-pass count: every product is reduced over its full
+    support, exactly in the report's field (Fractions over Q).
+
+    The pass of ``minimal_generator_degrees`` before it reduced on the basis
+    pivots only, with the same packed keys, products and order of work.
+    """
+    box = intersect._Packing.around([b for bs in report.bases.values() for b in bs], max(report.bases) + 1)
+    p = 0 if report.field == QQ else report.field
+    span = SparseRREF(report.field)
+    gens, kept, out = [], {}, []
+    for d in sorted(report.bases):
+        level = []
+        for label, g in gens:
+            for f in kept.get(d - label, ()):
+                q = intersect._times(f, g, p)
+                if span.add(q) is not None:
+                    level.append(q)
+        new = 0
+        for b in report.bases[d]:
+            terms = box.pack(b.terms)
+            res = span.reduce(terms)
+            if res and any(terms):
+                gens.append((d, terms))
+                level.append(terms)
+                new += 1
+            if res:
+                span.add(res)
+        kept[d] = level
+        if new:
+            out.append((d, new))
+    return out
+
+
+PROJECTION_CASES = (
+    [(f"pi-{i}", case) for i, case in enumerate(DIFFERENTIAL_CASES)]
+    + [("OFF3-12", (OFF3, 12)), ("ONES-12", (ONES, 12))]
+    + [(f"star-{i}", (inst, 10)) for i, inst in enumerate(seeded_n4(8, 20, star=True))]
+    + [(f"graded-{i}", case) for i, case in enumerate(GRADED_CASES)]
+)
+PROJECTION_IDS = [name for name, _ in PROJECTION_CASES]
+
+
+@functools.cache
+def projection_case(name, field):
+    """The report of a PROJECTION_CASES case over ``field`` and its count by
+    the unprojected pass."""
+    case = dict(PROJECTION_CASES)[name]
+    if len(case) == 2:
+        inst, dmax = case
+        rep = kuroda_intersection_basis(build_instance(inst.n, inst.gamma, [list(r) for r in inst.delta], field), dmax)
+    else:
+        gens_a, gens_b, weights, dmax = case
+        rep = graded_intersection([LaurentPoly(g.n, field, g.terms) for g in gens_a],
+                                  [LaurentPoly(g.n, field, g.terms) for g in gens_b], weights, dmax)
+    return rep, reference_generator_degrees(rep)
+
+
+class TestProjectedCount:
+    """minimal_generator_degrees reduces every product on the basis pivots
+    only; the unprojected pass is its oracle, over Q at the real P and at
+    tiny ones, and over F_32003."""
+
+    @pytest.mark.parametrize("field, prime", [(QQ, None), (QQ, 3), (QQ, 5), (32003, None)],
+                             ids=["Q", "Q-P3", "Q-P5", "F32003"])
+    @pytest.mark.parametrize("name", PROJECTION_IDS)
+    def test_equals_the_unprojected_pass(self, monkeypatch, name, field, prime):
+        rep, expected = projection_case(name, field)
+        if prime is not None:
+            monkeypatch.setattr(linalg, "P", prime)
+        assert minimal_generator_degrees(rep) == expected
+
+    def test_off3_count_reduces_on_the_pivots(self, monkeypatch):
+        # the count's _axpy row entries on OFF3 at dmax 12 over Q: 53 741 on
+        # the products' full supports, 4 965 on the basis pivots
+        rep, expected = projection_case("OFF3-12", QQ)
+        entries = []
+        axpy = linalg._axpy
+
+        def counted(terms, c, row, field):
+            entries.append(len(row))
+            return axpy(terms, c, row, field)
+
+        monkeypatch.setattr(linalg, "_axpy", counted)
+        assert minimal_generator_degrees(rep) == expected and 0 < sum(entries) <= 6000
+
+    def test_cases_count_generators_and_nothing(self):
+        # 25 of the 36 cases count a new generator over Q, 11 none
+        counted = {name for name in PROJECTION_IDS if projection_case(name, QQ)[1]}
+        assert len(PROJECTION_IDS) == 36 and len(counted) == 25
+        assert "OFF3-12" in counted and "ONES-12" not in counted
