@@ -17,11 +17,14 @@ rational reconstruction (Wang's algorithm, ``rational_reconstruction``), and
 the caller certifies the lifted rows exactly, falling back to ``Fraction``
 elimination when a residue, a lift or a check fails.  Only the pi-engine and
 the generator count of :mod:`h14.intersect` lift.  Every other answer over Q
-is either certified without a lift or computed exactly: ``independent_rref``
-eliminates mod P, and rows independent mod P are independent over Q, so it
-certifies full rank, and with it a zero intersection (``span_intersection``)
-or the absence of monomials from a span
-(``intersect.no_monomial_units_check``).
+is either certified without a lift or computed exactly.  Two certificates
+eliminate mod P, and rows independent mod P are independent over Q, so each
+certifies full rank.  ``independent_echelon`` answers yes or no from an
+echelon form on each row's largest key, with no back-substitution; it
+certifies a zero intersection (``span_intersection``).
+``independent_rref`` keeps the full RREF, whose one-term rows show the
+absence of monomials from a span (``intersect.no_monomial_units_check``, its
+one caller).
 """
 
 from __future__ import annotations
@@ -226,21 +229,69 @@ def span_intersection(rows_a, rows_b, field):
     Returns ``(dim_a, dim_b, inter_basis)`` where ``inter_basis`` is a
     canonical (RREF) basis of span(rows_a) & span(rows_b).  The rows may be
     any iterables; they are read once.  First one joint test: if all rows of
-    A and B together are independent (``independent_rref``, mod P over Q),
-    the dimensions are the row counts and the intersection is 0; otherwise
-    both spans and their intersection are eliminated exactly in ``field``.
+    A and B together are independent (``independent_echelon``, mod P over
+    Q), the dimensions are the row counts and the intersection is 0;
+    otherwise both spans and their intersection are eliminated exactly in
+    ``field``.  The test needs only the rank, so it keeps no RREF.
     """
     rows_a, rows_b = list(rows_a), list(rows_b)
-    if independent_rref(rows_a + rows_b, field) is not None:
+    if independent_echelon(rows_a + rows_b, field):
         return len(rows_a), len(rows_b), []
     ra, rb, inter = _intersection(rows_a, rows_b, field)
     return ra.rank, rb.rank, inter
 
 
+def independent_echelon(rows, field) -> bool:
+    """A certificate that ``rows`` are linearly independent over ``field``:
+    True, or False at the first row that depends on those before it.
+
+    Rank only, by an echelon form without back-substitution.  While the
+    largest key of a row leads a stored row, the row takes away that row
+    times its own entry there over the stored row's; it is then stored,
+    unnormalised, under its new leading key.  Stored rows have pairwise
+    distinct leading keys, so they are independent; each step adds only keys
+    below the one it removes, so the reduction ends.  The largest key, not
+    the smallest: packed keys add under multiplication, so the largest key
+    of a product is the sum of its factors' largest keys, and products of
+    generators whose leading terms are independent lead with distinct keys.
+    Generators that share their smallest term (x - a^2, x - b^2, ...) would
+    collide there at every degree.
+
+    Over F_p the echelon form is computed in the field and False means
+    dependent.  Over Q each row is reduced mod P as it is read; False then
+    means only that no certificate was found: a row is dependent mod P, or P
+    divides a denominator.  Rows independent mod P are independent over Q
+    (see ``independent_rref``).
+    """
+    modulus = P if field == QQ else field
+    lead = {}  # leading key -> (stored row, inverse of its leading entry)
+    for row in rows:
+        if field == QQ:
+            res = residues([row])
+            if res is None:
+                return False
+            vec = res[0]
+        else:
+            vec = dict(row)
+        while vec:
+            k = max(vec)
+            stored = lead.get(k)
+            if stored is None:
+                break
+            prow, inv = stored
+            _axpy(vec, -vec[k] * inv % modulus, prow, modulus)
+        if not vec:
+            return False
+        lead[k] = vec, inverse(modulus, vec[k])
+    return True
+
+
 def independent_rref(rows, field):
     """A certificate that ``rows`` are linearly independent over ``field``:
     their RREF, or None; stops at the first row that depends on those before
-    it.
+    it.  Its one caller is ``intersect.no_monomial_units_check``, which reads
+    the one-term rows of the full RREF; a yes/no answer is
+    ``independent_echelon``'s, which is cheaper.
 
     Over F_p the RREF is computed in the field and None means dependent.
     Over Q each row is reduced mod P as it is read and the RREF is the one

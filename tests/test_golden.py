@@ -34,6 +34,7 @@ CASES = {
     "verify-r2.16": ["verify", "r2.16"],
     "verify-l2.15-d8-q": ["verify", "l2.15", "--dmax", "8"],
     "verify-l2.15-d16-q": ["verify", "l2.15"],
+    "verify-l2.15-d32-q": ["verify", "l2.15", "--dmax", "32"],
     "verify-l2.15-d8-fp5": ["verify", "l2.15", "--dmax", "8", "--field", "Fp:5"],
     "intersect-d8-q": ["intersect", "--dmax", "8"],
     "intersect-d12-q": ["intersect", "--dmax", "12"],
@@ -65,7 +66,7 @@ def test_optimized_interpreter_gives_the_same_report():
     # python -O strips assert statements; neither the certificates nor the
     # verdict of a checked report may rest on them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    for name in ("intersect-d8-q", "verify-t2.8"):
+    for name in ("intersect-d8-q", "verify-t2.8", "verify-l2.15-d16-q"):
         out = subprocess.run(
             [sys.executable, "-O", "-m", "h14.cli", *CASES[name]],
             cwd=GOLDEN, env=env, capture_output=True, check=True,

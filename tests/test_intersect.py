@@ -493,8 +493,12 @@ class TestGradedIndependenceCertificate:
 
     def exact_path(self, monkeypatch, case):
         with monkeypatch.context() as m:
-            m.setattr(linalg, "independent_rref", lambda rows, field: None)
-            return graded_intersection(*case)
+            m.setattr(linalg, "independent_echelon", lambda rows, field: False)
+            calls = count_intersections(m)
+            rep = graded_intersection(*case)
+        # the switch must reach span_intersection: every degree is eliminated
+        assert len(calls) == case[3] + 1
+        return rep
 
     def test_cases_have_dropped_rows_and_intersections(self, monkeypatch):
         # both outcomes of the certificate are exercised by the cases below
@@ -529,16 +533,17 @@ class TestGradedIndependenceCertificate:
         # the certificate proves every positive degree zero; degree 0 is one
         # constant against one constant
         calls = count_intersections(monkeypatch)
-        rep = graded_intersection(*pairwise_products_data(QQ), WEIGHTS, 16)
+        dmax = intersect.GRADED_MAX_DEGREE
+        rep = graded_intersection(*pairwise_products_data(QQ), WEIGHTS, dmax)
         assert calls == [QQ]
-        assert rep.dims[0] == 1 and all(rep.dims[d] == 0 for d in range(1, 17))
+        assert rep.dims[0] == 1 and all(rep.dims[d] == 0 for d in range(1, dmax + 1))
 
     def test_denominator_divisible_by_p_is_eliminated_exactly(self, monkeypatch):
         monkeypatch.setattr(linalg, "P", 3)
         calls = count_intersections(monkeypatch)
         rows_a = [{(1, 0): Fraction(1, 3)}, {(0, 1): 1}]
         rows_b = [{(1, 0): 1, (0, 1): Fraction(2, 9)}]
-        assert linalg.independent_rref(rows_a + rows_b, QQ) is None
+        assert linalg.independent_echelon(rows_a + rows_b, QQ) is False
         assert linalg.span_intersection(rows_a, rows_b, QQ) == (2, 1, [{(0, 1): 1, (1, 0): Fraction(9, 2)}])
         assert calls == [QQ]
 

@@ -295,7 +295,7 @@ class TestJointIndependence:
         assert calls == [QQ]  # no certificate mod 3, so the exact elimination
         assert linalg.span_intersection([sparse([1, 1], 3)], [sparse([1, 4], 3)], 3) == (1, 1, [{0: 1, 1: 1}])
 
-    def test_independent_rref_stops_at_the_first_dependent_row(self):
+    def test_certificates_stop_at_the_first_dependent_row(self):
         seen = []
 
         def rows():
@@ -307,6 +307,10 @@ class TestJointIndependence:
         assert len(seen) == 3
         rr = linalg.independent_rref([{0: 1, 1: 1}, {1: 1}], QQ)
         assert rr.basis() == [{0: 1}, {1: 1}]
+        for field in (QQ, 5):
+            seen.clear()
+            assert linalg.independent_echelon(rows(), field) is False
+            assert len(seen) == 3
 
     @pytest.mark.parametrize("field", [QQ, 5])
     def test_rows_may_be_iterators(self, field):
@@ -316,3 +320,72 @@ class TestJointIndependence:
         assert expected[2]  # (1, 3, 1) = row 0 + row 1 of A
         assert linalg.span_intersection(iter(a), iter(b), field) == expected
         assert linalg.span_intersection((r for r in a), (r for r in b[:1]), field) == (2, 1, [b[0]])
+
+
+@st.composite
+def sparse_row_lists(draw, field):
+    """Up to 5 random sparse rows in ``field`` on int keys 0..5 or on tuple
+    keys (0..2, 0..2), over Q with denominators 1 to 6, sometimes followed by
+    a combination of them, so that both answers occur."""
+    keys = draw(st.sampled_from([list(range(6)), [(i, j) for i in range(3) for j in range(3)]]))
+    entry = (st.fractions(-3, 3, max_denominator=6) if field == QQ else st.integers(-3, 3)).filter(bool)
+    rows = []
+    for raw in draw(st.lists(st.dictionaries(st.sampled_from(keys), entry, min_size=1, max_size=4), max_size=5)):
+        rows.append({k: c for k, x in raw.items() if (c := coeff_of(field, x))})
+    if rows and draw(st.booleans()):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        rows.append(linalg.combination({i: coeff_of(field, w) for i, w in enumerate(weights) if w}, rows, field))
+    return rows
+
+
+def sparse_rank(rows, field):
+    rr = SparseRREF(field)
+    for row in rows:
+        rr.add(row)
+    return rr.rank
+
+
+class TestIndependentEchelon:
+    """``independent_echelon`` against the rank of the full ``SparseRREF``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 5, 32003]), st.data())
+    def test_agrees_with_the_rank_over_fp(self, field, data):
+        rows = data.draw(sparse_row_lists(field))
+        assert linalg.independent_echelon(rows, field) == (sparse_rank(rows, field) == len(rows))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([3, 5]), sparse_row_lists(QQ))
+    def test_over_q_true_means_full_rank(self, prime, rows):
+        # with a small P both outcomes occur on rows independent over Q
+        with mock.patch.object(linalg, "P", prime):
+            certified = linalg.independent_echelon(rows, QQ)
+            mod_p = linalg.residues(rows)
+        assert certified == (mod_p is not None and sparse_rank(mod_p, prime) == len(rows))
+        if certified:
+            assert sparse_rank(rows, QQ) == len(rows)
+
+    @pytest.mark.parametrize("prime, expected", [(3, False), (5, True), (linalg.P, True)])
+    def test_independent_over_q_certified_iff_independent_mod_p(self, prime, expected):
+        # det [[1, 1], [1, 4]] = 3
+        with mock.patch.object(linalg, "P", prime):
+            assert linalg.independent_echelon([{0: 1, 1: 1}, {0: 1, 1: 4}], QQ) is expected
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_edge_cases(self, field):
+        one = coeff_of(field, 1)
+        assert linalg.independent_echelon([], field) is True
+        assert linalg.independent_echelon([{}], field) is False
+        assert linalg.independent_echelon([{(0, 1): one}, {}], field) is False
+        assert linalg.independent_echelon([{3: one}, {1: one, 3: one}], field) is True
+
+    def test_denominator_divisible_by_p_gives_false(self):
+        with mock.patch.object(linalg, "P", 3):
+            assert linalg.independent_echelon([{0: 1}, {1: Fraction(1, 6)}], QQ) is False
+            assert linalg.independent_echelon([{0: 1}, {1: Fraction(1, 5)}], QQ) is True
+        assert linalg.independent_echelon([{0: Fraction(1, linalg.P)}], QQ) is False
+
+    def test_rows_are_not_modified(self):
+        rows = [{0: 1, 1: 2}, {1: 3, 0: 1}]
+        linalg.independent_echelon(rows, 5)
+        assert rows == [{0: 1, 1: 2}, {1: 3, 0: 1}]
