@@ -30,7 +30,13 @@ which reduces every product on the pivots of the report's basis only: exact,
 since both bases span graded subalgebras.  Over Q it counts mod P and
 certifies each degree: (a) a rank check shows the count is not too small, (b)
 dual functionals lifted from the RREF mod P and checked in integers show it
-is not too large; a failed check recounts with Fractions.
+is not too large.  ``no_monomial_units_check`` eliminates the pi-monomial
+images mod P over Q; full rank with no one-term row off the constant
+certifies that no monomial lies in their span.
+
+So over Q the pi-engine, the count and the units check each run one function
+on the same integer rows, first mod P and, only if its certificate fails,
+again with Fractions.  Over F_p that function runs once, in the field.
 
 Inside the engines exponent vectors are packed ``int`` keys (``_Packing``;
 Monagan and Pearce, CASC 2007): on a box, mixed-radix keys are injective,
@@ -367,12 +373,9 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
     first = Counter(min(degree[b] for b in row) for row in constraints.values())
 
     bases = ximages = None
-    residues = linalg.residues(constraints.values()) if fld == QQ else None
-    if residues is not None:
-        bases = {
-            d: linalg.lift(rows)
-            for d, rows in _degree_bases(dict(zip(constraints, residues)), degree, dmax, linalg.P).items()
-        }
+    if fld == QQ:
+        modular = dict(zip(constraints, linalg.residues(constraints.values())))
+        bases = {d: linalg.lift(rows) for d, rows in _degree_bases(modular, degree, dmax, linalg.P).items()}
         if None not in bases.values():
             ximages = _certified_images(bases, images, fld, negative)
     if ximages is None:
@@ -439,31 +442,32 @@ def minimal_generator_degrees(report: GradedIntersectionReport):
         they are independent on F_d over Q, and dim_Q V_d <= dim F_d - m
         gives m <= the true count.
 
-    If a lift or a check fails, the pass runs again with Fractions.  Both
-    passes run on packed keys: a product tried at d has at most d factors of
-    degree >= 1 and one of degree 0, so it lies in the box of top + 1 factors.
+    If a lift or a check fails, the same pass runs again over Q, with
+    Fractions, on the same integer rows.  The basis is packed once: integer-
+    scaled over Q, as it is over F_p.  Packed keys suffice: a product tried
+    at d has at most d factors of degree >= 1 and one of degree 0, so it lies
+    in the box of top + 1 factors.
     """
     box = _Packing.around([b for bs in report.bases.values() for b in bs], max(report.bases, default=0) + 1)
-
-    def packed(scale):
-        return {d: [box.pack(scale(b).terms) for b in bs] for d, bs in report.bases.items()}
-
+    scale = _integer_scaled if report.field == QQ else (lambda b: b)
+    bases = {d: [box.pack(scale(b).terms) for b in bs] for d, bs in report.bases.items()}
     if report.field == QQ:
-        out = _modular_generator_degrees(packed(_integer_scaled))
+        out = _modular_generator_degrees(bases)
         if out is not None:
             return out
-    return _generator_degrees(packed(lambda b: b), report.field)
+    return _generator_degrees(bases, report.field)
 
 
-def _generator_degrees(bases, field, row=None, certify=None):
+def _generator_degrees(bases, field, certify=None):
     """The one-pass count over ``field`` on the packed terms ``bases``; None
     as soon as ``certify(d, rank, tried, columns)`` rejects a degree.
 
     Every row enters the span restricted to the pivots of ``bases`` (see
-    ``minimal_generator_degrees``).  Without ``row`` the products are reduced
-    in ``field`` and their restrictions are the span's rows; with it they
-    stay exact and the rows are ``row`` of the restrictions.  ``kept`` and
-    ``tried`` hold full products: later products and ``certify`` use them.
+    ``minimal_generator_degrees``), and reduced mod ``field`` when it is a
+    prime.  Products are reduced mod that prime as they are made, unless
+    ``certify`` is given: check (b) reads them in integers, so they stay
+    exact.  ``kept`` and ``tried`` hold full products: later products and
+    ``certify`` use them.
 
     ``kept[e]`` holds the products and generators of label e that enlarged
     the span.  At degree d only the products p * g with label(p) = d -
@@ -482,9 +486,9 @@ def _generator_degrees(bases, field, row=None, certify=None):
     pivots = {min(r) for rs in bases.values() for r in rs}
     if len(pivots) < sum(map(len, bases.values())):
         raise ValueError("two basis rows share a pivot: the count's projection onto the pivots is not injective")
-    p = 0 if row is not None or field == QQ else field
-    reduced = row or (lambda terms: terms)
-    row = lambda terms: reduced({k: c for k, c in terms.items() if k in pivots})
+    p = 0 if field == QQ else field
+    times_mod = p if certify is None else 0  # check (b) reads the products in integers
+    row = lambda terms: {k: r for k, c in terms.items() if k in pivots and (r := c % p if p else c)}
     span = SparseRREF(field)
     gens = []   # (label, terms) minimal generators found so far
     kept = {}   # label -> products and generators that enlarged the span
@@ -493,7 +497,7 @@ def _generator_degrees(bases, field, row=None, certify=None):
         level, tried = [], []  # level becomes kept[d] after this degree's pass
         for label, g in gens:
             for f in kept.get(d - label, ()):
-                q = _times(f, g, p)
+                q = _times(f, g, times_mod)
                 if certify is not None:
                     tried.append(q)
                 if span.add(row(q)) is not None:
@@ -539,8 +543,7 @@ def _modular_generator_degrees(bases):
         earlier.extend(bases[d])
         return True
 
-    p = linalg.P
-    return _generator_degrees(bases, p, lambda terms: {k: r for k, c in terms.items() if (r := c % p)}, certify)
+    return _generator_degrees(bases, linalg.P, certify)
 
 
 # ---------------------------------------------------------------------------
@@ -594,22 +597,26 @@ def no_monomial_units_check(inst: KurodaInstance, dmax: int) -> bool:
     monomial {e: 1} reduces to zero only against a row equal to it, so a
     one-term row off key 0 (the constant) decides the check for the bound.
 
-    The images are first eliminated by ``linalg.independent_rref`` (mod P
-    over Q), up to the first dependent row.  If no row is dependent and no
-    one-term row appears off key 0, the answer is True.  Over F_p that RREF
-    is the span's own.  Over Q, rows independent mod P are independent over
-    Q.  Let c * X^e = sum of a_i * img_i over Q, cleared to integers with
-    gcd(c, a) = 1.  If P | c, some a_i is a unit mod P and the a_i give a
-    dependence mod P, which cannot happen; so c is a unit mod P, X^e lies in
-    the span mod P and is a one-term row of its RREF.  Any other outcome runs
-    the elimination in the instance's field.
+    Over F_p that RREF is computed once, in the field.  Over Q the images
+    have integer coefficients and are first eliminated mod P: if they are
+    independent there and no one-term row appears off key 0, the answer is
+    True.  Rows independent mod P are independent over Q.  Let c * X^e = sum
+    of a_i * img_i over Q, cleared to integers with gcd(c, a) = 1.  If P | c,
+    some a_i is a unit mod P and the a_i give a dependence mod P, which
+    cannot happen; so c is a unit mod P, X^e lies in the span mod P and is a
+    one-term row of its RREF.  Any other outcome eliminates the images again,
+    over Q.
     """
     _check_nonsingular(inst)
     check_int(dmax, "degree bound", high=UNITS_MAX_DEGREE)
     images = [img for _, img in sorted(_pi_monomial_images(inst, dmax)[0].items())]
-    span = linalg.independent_rref(images, inst.field)
-    if span is None or any(k and len(row) == 1 for k, row in span.rows.items()):
-        span = SparseRREF(inst.field)
-        for img in images:
-            span.add(img)
-    return not any(k and len(row) == 1 for k, row in span.rows.items())
+
+    def units(field, rows):
+        span = SparseRREF(field)
+        for row in rows:
+            span.add(row)
+        return span.rank, any(k and len(row) == 1 for k, row in span.rows.items())
+
+    if inst.field == QQ and units(linalg.P, linalg.residues(images)) == (len(images), False):
+        return True
+    return not units(inst.field, images)[1]

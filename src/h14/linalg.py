@@ -17,14 +17,13 @@ rational reconstruction (Wang's algorithm, ``rational_reconstruction``), and
 the caller certifies the lifted rows exactly, falling back to ``Fraction``
 elimination when a residue, a lift or a check fails.  Only the pi-engine and
 the generator count of :mod:`h14.intersect` lift.  Every other answer over Q
-is either certified without a lift or computed exactly.  Two certificates
-eliminate mod P, and rows independent mod P are independent over Q, so each
-certifies full rank.  ``independent_echelon`` answers yes or no from an
-echelon form on each row's largest key, with no back-substitution; it
-certifies a zero intersection (``span_intersection``).
-``independent_rref`` keeps the full RREF, whose one-term rows show the
-absence of monomials from a span (``intersect.no_monomial_units_check``, its
-one caller).
+is either certified without a lift or computed exactly.  Rows independent
+mod P are independent over Q, so an elimination mod P that finds full rank
+certifies it.  ``independent_echelon`` is the one certificate here: a yes or
+no from an echelon form on each row's largest key, with no
+back-substitution; it certifies a zero intersection
+(``span_intersection``).  Callers that need more than the rank (the units
+check of :mod:`h14.intersect`) run ``SparseRREF`` mod P themselves.
 """
 
 from __future__ import annotations
@@ -260,8 +259,9 @@ def independent_echelon(rows, field) -> bool:
     Over F_p the echelon form is computed in the field and False means
     dependent.  Over Q each row is reduced mod P as it is read; False then
     means only that no certificate was found: a row is dependent mod P, or P
-    divides a denominator.  Rows independent mod P are independent over Q
-    (see ``independent_rref``).
+    divides a denominator.  Rows independent mod P are independent over Q:
+    a rational dependence, cleared to coprime integers, has a coefficient
+    that is a unit mod P and stays a dependence mod P.
     """
     modulus = P if field == QQ else field
     lead = {}  # leading key -> (stored row, inverse of its leading entry)
@@ -284,28 +284,6 @@ def independent_echelon(rows, field) -> bool:
             return False
         lead[k] = vec, inverse(modulus, vec[k])
     return True
-
-
-def independent_rref(rows, field):
-    """A certificate that ``rows`` are linearly independent over ``field``:
-    their RREF, or None; stops at the first row that depends on those before
-    it.  Its one caller is ``intersect.no_monomial_units_check``, which reads
-    the one-term rows of the full RREF; a yes/no answer is
-    ``independent_echelon``'s, which is cheaper.
-
-    Over F_p the RREF is computed in the field and None means dependent.
-    Over Q each row is reduced mod P as it is read and the RREF is the one
-    over F_P; None then means only that no certificate was found: a row is
-    dependent mod P, or P divides a denominator.  Rows independent mod P are
-    independent over Q: a rational dependence, cleared to coprime integers,
-    has a coefficient that is a unit mod P and stays a dependence mod P.
-    """
-    rr = SparseRREF(P if field == QQ else field)
-    for row in rows:
-        res = residues([row]) if field == QQ else [row]
-        if res is None or rr.add(res[0]) is None:
-            return None
-    return rr
 
 
 def _intersection(rows_a, rows_b, field):

@@ -66,7 +66,7 @@ def test_optimized_interpreter_gives_the_same_report():
     # python -O strips assert statements; neither the certificates nor the
     # verdict of a checked report may rest on them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    for name in ("intersect-d8-q", "verify-t2.8", "verify-l2.15-d16-q"):
+    for name in ("intersect-d8-q", "verify-t2.8", "verify-l2.15-d16-q", "verify-p2.6"):
         out = subprocess.run(
             [sys.executable, "-O", "-m", "h14.cli", *CASES[name]],
             cwd=GOLDEN, env=env, capture_output=True, check=True,

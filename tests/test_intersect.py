@@ -272,15 +272,19 @@ class _Captured(Exception):
 
 def cancellation_system(inst, dmax):
     """The integer cancellation constraints and the degree map that the Q
-    pi-engine hands to ``_degree_bases`` on its Fraction path."""
+    pi-engine hands to ``_degree_bases`` on its Fraction path, forced by
+    failing every lift of the pass mod P."""
     captured = []
+    degree_bases = intersect._degree_bases
 
-    def capture(constraints, degree, *_):
+    def capture(constraints, degree, dmax, fld):
+        if fld != inst.field:  # the pass mod P
+            return degree_bases(constraints, degree, dmax, fld)
         captured.append((constraints, degree))
         raise _Captured
 
     with mock.patch.object(intersect, "_degree_bases", capture), \
-            mock.patch.object(linalg, "residues", lambda rows: None), pytest.raises(_Captured):
+            mock.patch.object(linalg, "lift", lambda rows: None), pytest.raises(_Captured):
         kuroda_intersection_basis(inst, dmax)
     return captured[0]
 
@@ -782,14 +786,17 @@ class TestNoMonomialUnits:
 
 
 def field_path_units(inst, dmax):
-    """``no_monomial_units_check`` with the elimination mod P switched off."""
-    with mock.patch.object(linalg, "independent_rref", lambda rows, field: None):
-        return no_monomial_units_check(inst, dmax)
+    """The units check read off its definition: the RREF over the instance's
+    field of the X-substituted pi-monomials has no one-term row off key 0."""
+    span = SparseRREF(inst.field)
+    for img in intersect._pi_monomial_images(inst, dmax)[0].values():
+        span.add(img)
+    return not any(k and len(row) == 1 for k, row in span.rows.items())
 
 
-def count_units_fallbacks(monkeypatch):
+def count_units_eliminations(monkeypatch):
     """One entry, the field, per elimination that ``no_monomial_units_check``
-    runs in the instance's own field."""
+    runs: over Q first mod P, then in Q if the certificate fails."""
     calls = []
 
     def counted(field):
@@ -801,6 +808,11 @@ def count_units_fallbacks(monkeypatch):
 
 
 UNITS_CASES = DIFFERENTIAL_CASES + [(inst, 6) for inst in seeded_n4(3, 99, star=True)]
+F5_TABLES = [
+    ({0: {0: 1}, 1: {5: 1, 7: 1}, 2: {7: 1}}, False),
+    ({0: {0: 1}, 1: {5: 1, 7: 4}, 2: {5: 2, 7: 1}}, False),  # (2, 1) - 2 (1, 4) = (0, 3) mod 5
+    ({0: {0: 1}, 1: {5: 1, 7: 1}, 2: {6: 1, 7: 1}}, True),
+]
 STAR_TABLES = [build_instance(4, 1, [list(r) for r in t]) for t in delta_box(4, 3) if condition_holds(t)]
 
 
@@ -825,39 +837,50 @@ class TestUnitsCertificate:
     def test_synthetic_control(self, monkeypatch, prime, table, expected):
         monkeypatch.setattr(intersect, "_pi_monomial_images", lambda inst, dmax: (table, None, None))
         monkeypatch.setattr(linalg, "P", prime)
-        fallbacks = count_units_fallbacks(monkeypatch)
+        eliminations = count_units_eliminations(monkeypatch)
         assert no_monomial_units_check(ONES, 4) is expected
         # a monomial in the span always defeats the certificate
-        assert fallbacks == ([] if expected else [QQ])
+        assert eliminations == ([prime] if expected else [prime, QQ])
 
     def test_no_fallback_on_the_star_tables(self, monkeypatch):
         assert len(STAR_TABLES) == 58 and all(inst.det_t for inst in STAR_TABLES)
-        fallbacks = count_units_fallbacks(monkeypatch)
+        eliminations = count_units_eliminations(monkeypatch)
         for dmax in (4, 8):
             assert all(no_monomial_units_check(inst, dmax) for inst in STAR_TABLES)
-        assert fallbacks == []
+        assert eliminations == [linalg.P] * (2 * len(STAR_TABLES))
 
-    @pytest.mark.parametrize("table, expected", [
-        ({0: {0: 1}, 1: {5: 1, 7: 1}, 2: {7: 1}}, False),
-        ({0: {0: 1}, 1: {5: 1, 7: 4}, 2: {5: 2, 7: 1}}, False),  # (2, 1) - 2 (1, 4) = (0, 3) mod 5
-        ({0: {0: 1}, 1: {5: 1, 7: 1}, 2: {6: 1, 7: 1}}, True),
-    ])
+    @pytest.mark.parametrize("table, expected", F5_TABLES)
     def test_synthetic_control_over_f5(self, monkeypatch, table, expected):
         monkeypatch.setattr(intersect, "_pi_monomial_images", lambda inst, dmax: (table, None, None))
-        fallbacks = count_units_fallbacks(monkeypatch)
+        eliminations = count_units_eliminations(monkeypatch)
         assert no_monomial_units_check(build_instance(4, 1, ONES_DELTA, 5), 4) is expected
-        assert fallbacks == ([] if expected else [5])
+        assert eliminations == [5]
+
+    @pytest.mark.parametrize("table, expected", F5_TABLES)
+    def test_one_elimination_over_f5(self, monkeypatch, table, expected):
+        # over F_p the span's RREF decides the check: one SparseRREF, in
+        # the field, whichever module builds it
+        monkeypatch.setattr(intersect, "_pi_monomial_images", lambda inst, dmax: (table, None, None))
+        built = []
+
+        class Counted(SparseRREF):
+            def __init__(self, field):
+                built.append(field)
+                super().__init__(field)
+
+        monkeypatch.setattr(linalg, "SparseRREF", Counted)
+        monkeypatch.setattr(intersect, "SparseRREF", Counted)
+        assert no_monomial_units_check(build_instance(4, 1, ONES_DELTA, 5), 4) is expected
+        assert built == [5]
 
     @pytest.mark.parametrize("field", [5, 32003])
-    def test_prime_field_certificate_agrees_with_the_field_path(self, monkeypatch, field):
-        # over F_p the independent RREF is the span's own, so a certificate
-        # that finds no one-term row proves True as over Q
+    def test_prime_field_elimination_agrees_with_the_field_path(self, monkeypatch, field):
         deltas = [OFF3_DELTA, ONES_DELTA] + [[list(r) for r in inst.delta] for inst in STAR_TABLES[::6]]
         cases = [(build_instance(4, 1, delta, field), dmax) for delta in deltas for dmax in (4, 6)]
         expected = [field_path_units(inst, dmax) for inst, dmax in cases]
-        fallbacks = count_units_fallbacks(monkeypatch)
+        eliminations = count_units_eliminations(monkeypatch)
         assert [no_monomial_units_check(inst, dmax) for inst, dmax in cases] == expected
-        assert len(fallbacks) < len(cases)  # the certificate decided some cases
+        assert eliminations == [field] * len(cases)
 
 
 @pytest.mark.parametrize("dmax", [True, 2.5])
@@ -1056,7 +1079,7 @@ def unchecked_count(rep, p):
     pivots like every count, and certified by nothing."""
     box = intersect._Packing.around([b for bs in rep.bases.values() for b in bs], max(rep.bases) + 1)
     ints = {d: [box.pack(intersect._integer_scaled(b).terms) for b in bs] for d, bs in rep.bases.items()}
-    return intersect._generator_degrees(ints, p, lambda terms: {e: r for e, c in terms.items() if (r := c % p)})
+    return intersect._generator_degrees(ints, p)
 
 
 def rejected_by(monkeypatch, rep):
@@ -1067,9 +1090,9 @@ def rejected_by(monkeypatch, rep):
     rejections = []
     count = intersect._generator_degrees
 
-    def spy(bases, field, row=None, certify=None):
+    def spy(bases, field, certify=None):
         if certify is None:
-            return count(bases, field, row)
+            return count(bases, field)
         dims = dict(zip(sorted(bases), itertools.accumulate(len(bases[d]) for d in sorted(bases))))
 
         def checked(d, rank, tried, columns):
@@ -1083,7 +1106,7 @@ def rejected_by(monkeypatch, rep):
                 rejections.append((d, "b on the tried products"))
             return False
 
-        return count(bases, field, row, checked)
+        return count(bases, field, checked)
 
     monkeypatch.setattr(intersect, "_generator_degrees", spy)
     return minimal_generator_degrees(rep), rejections
@@ -1134,6 +1157,23 @@ class TestModularGeneratorCount:
         fallbacks = count_generator_fallbacks(monkeypatch)
         assert rejected_by(monkeypatch, rep) == (expected, [REJECTED_AT[name]])
         assert fallbacks == [True]
+
+    def test_both_passes_read_one_integer_basis(self, monkeypatch):
+        # the rank-drop basis has the rows z + x/15 and y + x/15: the
+        # Fraction pass reads the same integer-scaled rows as the pass mod P
+        rep, expected = count_case("rank-drop")
+        calls = []
+        count = intersect._generator_degrees
+
+        def spy(bases, field, certify=None):
+            calls.append((bases, field))
+            return None if certify is not None else count(bases, field)
+
+        monkeypatch.setattr(intersect, "_generator_degrees", spy)
+        assert minimal_generator_degrees(rep) == expected
+        [(modular, p), (exact, field)] = calls
+        assert (p, field) == (linalg.P, QQ) and modular == exact
+        assert all(type(c) is int for rows in exact.values() for row in rows for c in row.values())
 
     @pytest.mark.parametrize("field", [QQ, 32003])
     def test_rows_sharing_a_pivot_are_refused(self, field):

@@ -303,10 +303,6 @@ class TestJointIndependence:
                 seen.append(row)
                 yield row
 
-        assert linalg.independent_rref(rows(), QQ) is None
-        assert len(seen) == 3
-        rr = linalg.independent_rref([{0: 1, 1: 1}, {1: 1}], QQ)
-        assert rr.basis() == [{0: 1}, {1: 1}]
         for field in (QQ, 5):
             seen.clear()
             assert linalg.independent_echelon(rows(), field) is False
