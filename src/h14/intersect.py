@@ -16,14 +16,17 @@ any other degree is eliminated exactly in the field.
 looks for combinations of pi-monomials whose X-substitution has no negative
 exponents, one exact cancellation constraint per offending X-monomial.  The
 pis have integer coefficients, so over Q the constraints reduce mod P without
-an inverse.  It solves the whole system once, for the RREF of the nullspace
-N_dmax, and walks down: on a vector of degree <= d a constraint restricted to
-degree <= d is the whole constraint, so N_d = N_{d+1} & {v : v_b = 0 for
-every pi-monomial b of degree d + 1}, solved in the coordinates of the RREF
-of N_{d+1} for the RREF of N_d; rows new at d have pivots N_{d-1} lacks.  It
-lifts every basis entry by rational reconstruction and verifies every lifted
-vector exactly through its integer X-image; a failed lift or check reruns
-the solves with Fractions.
+an inverse.  The system splits into blocks of linked degrees (two degrees are
+linked when one constraint holds pi-monomials of both; for n = 4 every degree
+is its own block).  Each block is solved once, with its keys negated, so that
+its null basis is already the RREF of its part of N_dmax.  A block of several
+degrees then walks down them: on a vector of degree <= d a constraint
+restricted to degree <= d is the whole constraint, so N_d = N_{d+1} & {v :
+v_b = 0 for every pi-monomial b of degree d + 1}, solved in the coordinates
+of the RREF of N_{d+1} for the RREF of N_d; rows new at d have pivots N_{d-1}
+lacks.  It lifts every basis entry by rational reconstruction and verifies
+every lifted vector exactly through its integer X-image; a failed lift or
+check reruns the solves with Fractions.
 
 Both reports count their minimal generators with ``minimal_generator_degrees``,
 which reduces every product on the pivots of the report's basis only: exact,
@@ -289,34 +292,62 @@ def _x_image(row, images, fld):
 
 def _degree_bases(constraints, degree, dmax, fld):
     """The nullspaces N_d, d <= dmax, of the cancellation constraints over the
-    pi-monomials beta with ``degree[beta] <= d``: one solve per degree.
+    pi-monomials beta with ``degree[beta] <= d``, read off one solve per
+    degree.
 
-    Only N_dmax is solved over every pi-monomial, then put in RREF.  On a
-    vector supported in degree <= d a constraint restricted to degree <= d
-    is the whole constraint, so N_d = N_{d+1} & {v : v_b = 0 for every b of
-    degree d + 1}: one row {i: r_i[b]} per such b, in the coordinates of the
-    RREF rows r_i of N_{d+1}, pivots f_0 > f_1 > ...  A solution x maps to
-    v = sum of x_i * r_i, so v[f_i] = x_i; the one of free index j is 1 at j
-    and 0 above j and at the other free indices, so the solutions map to the
-    RREF of N_d, again in descending pivots.
+    Two degrees are linked when one constraint holds pi-monomials of both;
+    the blocks are the classes of degrees 0..dmax under that relation.  The
+    system is block-diagonal over disjoint pi-monomials, so N_d is the direct
+    sum of the blocks' spaces at d, and its RREF is the union of theirs.
+    Each block is solved once, over all its pi-monomials, with every key
+    negated: each pivot of the constraints is then the largest beta of its
+    row, so the null vector of a free beta f is 1 at f, nonzero only at
+    pivots above f and 0 at every other free beta.  The null basis is the
+    RREF of the block's N_dmax, in descending pivots.
+
+    A block of several degrees walks down them.  On a vector supported in
+    degree <= d a constraint restricted to degree <= d is the whole
+    constraint, so N_d = N_e & {v : v_b = 0 for every b of degree e}, for
+    the block's degree e above d: one row {i: r_i[b]} per such b, in the
+    coordinates of the RREF rows r_i of N_e, pivots f_0 > f_1 > ...  A
+    solution x maps to v = sum of x_i * r_i, so v[f_i] = x_i; the one of free
+    index j is 1 at j and 0 above j and at the other free indices, so the
+    solutions map to the RREF of N_d, again in descending pivots.
 
     Returns degree -> the RREF rows of N_d whose pivot is not one of N_{d-1}:
     they vanish at its pivots, so they are the RREF of N_d modulo N_{d-1},
     the span of all earlier rows, and unique.
     """
-    top = SparseRREF(fld)
-    for vec in sparse_nullspace(list(constraints.values()), degree, fld):
-        top.add(vec)
-    null = {dmax: top.basis()[::-1]}
-    for d in range(dmax - 1, -1, -1):
-        above = null[d + 1]
-        rows = [{i: v[b] for i, v in enumerate(above) if b in v} for b, deg in degree.items() if deg == d + 1]
-        null[d] = [linalg.combination(x, above, fld) for x in sparse_nullspace(rows, range(len(above)), fld)]
-    bases, pivots = {}, set()
-    for d in range(dmax + 1):
-        bases[d] = [row for row in reversed(null[d]) if min(row) not in pivots]
-        pivots.update(map(min, bases[d]))
-    return bases
+    label = list(range(dmax + 1))  # degree -> the smallest degree linked to it
+    rows = [row for row in constraints.values() if row]  # empty mod a tiny prime
+    for row in rows:
+        degs = set(map(degree.__getitem__, row))
+        if len(degs) > 1:
+            linked = {label[d] for d in degs}
+            label = [min(linked) if lab in linked else lab for lab in label]
+    blocks = {}  # smallest degree -> (the block's degrees, its rows)
+    for d, lab in enumerate(label):
+        blocks.setdefault(lab, ([], []))[0].append(d)
+    for row in rows:
+        blocks[label[degree[next(iter(row))]]][1].append(row)
+    negated = {d: [] for d in range(dmax + 1)}  # degree -> its pi-monomials, keys negated
+    for b, d in degree.items():
+        negated[d].append(-b)
+    bases = {}
+    for degs, block in blocks.values():
+        degs.reverse()
+        system = [{-b: c for b, c in row.items()} for row in block]
+        null = {degs[0]: sparse_nullspace(system, [b for d in degs for b in negated[d]], fld)}
+        for d, below in zip(degs, degs[1:]):
+            above = null[d]
+            system = [{i: v[b] for i, v in enumerate(above) if b in v} for b in negated[d]]
+            null[below] = [linalg.combination(x, above, fld) for x in sparse_nullspace(system, range(len(above)), fld)]
+        pivots = set()  # a row's pivot, its smallest beta, is its largest negated key
+        for d in reversed(degs):
+            new = [row for row in reversed(null[d]) if max(row) not in pivots]
+            pivots.update(map(max, new))
+            bases[d] = [{-b: c for b, c in row.items()} for row in new]
+    return dict(sorted(bases.items()))
 
 
 def _certified_images(bases, images, fld, negative):
@@ -353,8 +384,9 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
     over F_P is never smaller than over Q, and the certified lifts lie in the
     one over Q and are independent (their residues are), so the dimensions
     agree; lifting keeps zeros and ones, so the lifted rows are the unique
-    RREF the same loop computes over Q.  If a lift or a certificate fails,
-    that loop runs over Q with Fractions.
+    RREF the same solves compute over Q.  If a lift or a certificate fails,
+    those solves run over Q with Fractions.  Either way ``_degree_bases``
+    solves one degree block at a time (see there).
     """
     _check_nonsingular(inst, "exponent matrix is singular; the pis are dependent")
     check_int(dmax, "degree bound", high=PI_MAX_DEGREE)
@@ -363,7 +395,7 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
     images, degree, box = _pi_monomial_images(inst, dmax)
     vectors = {e: box.vector(e) for e in set().union(*images.values())}  # decoded once
     negative = {e for e, v in vectors.items() if min(v) < 0}
-    # cancellation constraints over the full variable set, restricted per degree
+    # one cancellation constraint per negative-exponent X-monomial, over every pi-monomial
     constraints = {}
     for beta, img in images.items():
         for e, c in img.items():

@@ -105,9 +105,13 @@ def rational_reconstruction(u, m):
 
 
 def residues(rows):
-    """Every row mod P, zeros dropped; None if a denominator is divisible by P."""
+    """Every row mod P, zeros dropped; None if a denominator is divisible by P.
+
+    ``int`` entries reduce with ``%``; only ``Fraction`` entries need
+    ``coeff_of`` and its inverse mod P."""
     try:
-        return [{k: r for k, c in row.items() if (r := coeff_of(P, c))} for row in rows]
+        return [{k: r for k, c in row.items() if (r := c % P if type(c) is int else coeff_of(P, c))}
+                for row in rows]
     except ZeroDivisionError:
         return None
 
@@ -206,12 +210,24 @@ def sparse_nullspace(constraints, variables, field):
     coefficients; each represents one homogeneous equation.  Returns a
     canonical basis of solution vectors (dicts over ``variables``), ordered
     by ascending free variable.
+
+    Singleton presolve first (Andersen and Andersen, 1995): a one-term
+    constraint pins its variable to 0, so the pinned variables are dropped
+    from every constraint until no one-term constraint is left, and only the
+    rest is eliminated, sparsest first.  The answer is the same: the unit
+    row {b: 1} lies in the row space and vanishes at every other pivot, so it
+    is the RREF row of b, and no other RREF row and no null vector holds b.
     """
+    rows, pinned = [row for row in constraints if row], set()
+    while single := {k for row in rows if len(row) == 1 for k in row}:
+        pinned |= single
+        rows = [row if pinned.isdisjoint(row) else {k: c for k, c in row.items() if k not in pinned}
+                for row in rows if len(row) > 1]
+        rows = [row for row in rows if row]
     rr = SparseRREF(field)
-    for row in sorted(constraints, key=len):  # sparsest first: less fill, same RREF
-        if row:
-            rr.add(row)
-    return rr.null_basis(variables)
+    for row in sorted(rows, key=len):  # sparsest first: less fill, same RREF
+        rr.add(row)
+    return rr.null_basis(v for v in variables if v not in pinned)
 
 
 def combination(coeffs, vecs, field):

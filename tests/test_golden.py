@@ -40,6 +40,7 @@ CASES = {
     "intersect-d12-q": ["intersect", "--dmax", "12"],
     "intersect-d12-fp32003": ["intersect", "--dmax", "12", "--field", "Fp:32003"],
     "intersect-d12-ones-q": ["intersect", "--dmax", "12", "--config", "ones.json"],
+    "intersect-n3-linked-d8-q": ["intersect", "--dmax", "8", "--config", "n3-linked.json"],
     "intersect-d8-fp32003": ["intersect", "--dmax", "8", "--field", "Fp:32003"],
     "intersect-d8-fp5": ["intersect", "--dmax", "8", "--field", "Fp:5"],
     "hilbert-cone": ["hilbert", "--config", "cone.json"],
@@ -66,7 +67,8 @@ def test_optimized_interpreter_gives_the_same_report():
     # python -O strips assert statements; neither the certificates nor the
     # verdict of a checked report may rest on them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    for name in ("intersect-d8-q", "verify-t2.8", "verify-l2.15-d16-q", "verify-p2.6"):
+    names = ("intersect-d8-q", "intersect-d12-q", "intersect-n3-linked-d8-q", "verify-t2.8", "verify-l2.15-d16-q", "verify-p2.6")
+    for name in names:
         out = subprocess.run(
             [sys.executable, "-O", "-m", "h14.cli", *CASES[name]],
             cwd=GOLDEN, env=env, capture_output=True, check=True,

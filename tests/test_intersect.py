@@ -346,18 +346,42 @@ class TestTopDownDegreeBases:
 
     @pytest.mark.parametrize("field", ["Q", "Fp:32003"])
     @pytest.mark.parametrize("inst, dmax", [(OFF3, 8), (ONES, 6)])
-    def test_one_full_solve_then_restrictions(self, monkeypatch, inst, dmax, field):
+    def test_one_solve_per_degree_block(self, monkeypatch, inst, dmax, field):
+        # n=4: every degree is its own block, solved over its own pi-monomials
         inst = build_instance(inst.n, inst.gamma, [list(r) for r in inst.delta], field)
+        degree = intersect._pi_monomial_images(inst, dmax)[1]
         calls = count_solves(monkeypatch)
         kuroda_intersection_basis(inst, dmax)
-        assert len(calls) == dmax + 1  # still one solve per degree
-        pi_monomials = sorted(intersect._pi_monomial_images(inst, dmax)[1])
-        full = [i for i, (variables, _) in enumerate(calls) if sorted(variables) == pi_monomials]
-        assert full == [0]
-        top_dim = calls[0][1]
-        for (variables, _), (_, above) in zip(calls[1:], calls):
-            assert variables == list(range(len(variables)))
-            assert len(variables) == above <= top_dim
+        assert len(calls) == dmax + 1
+        solved = [sorted(-b for b in variables) for variables, _ in calls]
+        assert sorted(solved) == sorted(sorted(b for b in degree if degree[b] == d) for d in range(dmax + 1))
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+    def test_a_linked_block_walks_down_its_degrees(self, monkeypatch, field):
+        inst = build_instance(3, 1, [[1, 3], [3, 1]], field)
+        degree = intersect._pi_monomial_images(inst, 8)[1]
+        calls = count_solves(monkeypatch)
+        kuroda_intersection_basis(inst, 8)
+        assert len(calls) == 9
+        covered, widest, i = [], 0, 0
+        while i < len(calls):
+            degs = {degree[-b] for b in calls[i][0]}
+            assert sorted(-b for b in calls[i][0]) == sorted(b for b in degree if degree[b] in degs)
+            for (variables, _), (_, above) in zip(calls[i + 1:i + len(degs)], calls[i:]):
+                assert variables == list(range(above))  # restrictions, one per lower degree
+            covered += degs
+            widest = max(widest, len(degs))
+            i += len(degs)
+        assert sorted(covered) == list(range(9)) and widest > 1
+
+    @pytest.mark.parametrize("case", [(OFF3, 12), (ONES, 12)]
+                             + [(inst, 10) for inst in seeded_n4(4, 2718, star=True) + seeded_n4(4, 7, star=False)]
+                             + [case for case in DIFFERENTIAL_CASES if case[0].n == 3])
+    def test_constraints_link_degrees_only_for_n3(self, case):
+        constraints, degree = cancellation_system(*case)
+        assert constraints
+        linked = any(len({degree[b] for b in row}) > 1 for row in constraints.values())
+        assert linked == (case[0].n == 3)
 
 
 class TestModularPiEngine:

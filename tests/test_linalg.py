@@ -385,3 +385,96 @@ class TestIndependentEchelon:
         rows = [{0: 1, 1: 2}, {1: 3, 0: 1}]
         linalg.independent_echelon(rows, 5)
         assert rows == [{0: 1, 1: 2}, {1: 3, 0: 1}]
+
+
+@st.composite
+def pinned_systems(draw, field):
+    """A sparse system on keys 0..9 whose singleton presolve has work to do:
+    random rows, planted one-term rows (some duplicated), cascades that
+    become one-term only once the key before them is pinned, rows that vanish
+    after peeling, and empty rows, shuffled."""
+    entry = (st.fractions(-3, 3, max_denominator=4) if field == QQ else st.integers(-3, 3)).map(
+        lambda x: coeff_of(field, x)).filter(bool)
+    keys = st.integers(0, 9)
+    rows = [dict(r) for r in draw(st.lists(st.dictionaries(keys, entry, min_size=2, max_size=4), max_size=6))]
+    planted = draw(st.lists(keys, max_size=4, unique=True))
+    rows += [{k: draw(entry)} for k in planted for _ in range(draw(st.integers(1, 2)))]
+    chain = draw(st.lists(keys, max_size=4, unique=True))
+    rows += [{a: draw(entry), b: draw(entry)} for a, b in zip(chain, chain[1:])]
+    if chain:
+        rows.append({chain[0]: draw(entry)})
+    pinned = planted + chain
+    if pinned:
+        rows += [{k: draw(entry) for k in draw(st.lists(st.sampled_from(pinned), min_size=1, max_size=3))}
+                 for _ in range(draw(st.integers(0, 2)))]
+    rows += [{}] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+def plain_null_basis(rows, variables, field):
+    rr = SparseRREF(field)
+    for row in rows:
+        if row:
+            rr.add(row)
+    return rr.null_basis(variables)
+
+
+class TestSparseNullspace:
+    """The singleton presolve of ``sparse_nullspace`` against a plain
+    ``SparseRREF`` of every row."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([QQ, 2, 5, 32003]), st.data())
+    def test_matches_the_plain_elimination(self, field, data):
+        rows = data.draw(pinned_systems(field))
+        copies = [dict(r) for r in rows]
+        variables = data.draw(st.sampled_from([range(10), range(12)]))
+        assert linalg.sparse_nullspace(rows, variables, field) == plain_null_basis(rows, variables, field)
+        assert rows == copies  # the caller's rows are not modified
+
+    @pytest.mark.parametrize("field", [QQ, 2, 5, 32003])
+    def test_edge_cases(self, field):
+        one, two = coeff_of(field, 1), coeff_of(field, 3)
+        ns = linalg.sparse_nullspace
+        assert ns([{0: one}, {1: two}, {2: one}], range(3), field) == []  # every variable pinned
+        assert ns([{0: one, 1: one}, {1: one}], range(2), field) == []  # pinned by a cascade
+        assert ns([{}, {}], range(2), field) == [{0: one}, {1: one}]  # empty rows
+        assert ns([{1: one}, {1: two}, {1: one}], range(3), field) == [{0: one}, {2: one}]  # duplicates
+        # rows that vanish once 0 and 1 are pinned
+        assert ns([{0: one}, {1: one}, {0: one, 1: two}, {0: two, 1: one}], range(3), field) == [{2: one}]
+        assert ns([], range(2), field) == [{0: one}, {1: one}]
+
+    def test_pinned_variables_never_reach_the_elimination(self):
+        added = []
+        add = SparseRREF.add
+
+        def spy(self, vec):
+            added.append(dict(vec))
+            return add(self, vec)
+
+        rows = [{0: 1}, {0: 2, 1: 1}, {1: 1, 2: 1, 3: 1}, {2: 1, 3: 2, 4: 1}, {4: 1, 1: 5}]
+        with mock.patch.object(SparseRREF, "add", spy):
+            null = linalg.sparse_nullspace(rows, range(6), QQ)
+        # 0 pins 1, and 1 then pins 4; only the rows on 2 and 3 are eliminated
+        assert added == [{2: 1, 3: 1}, {2: 1, 3: 2}]
+        assert null == [{5: Fraction(1)}]
+
+
+class TestResidues:
+    """``residues`` reduces ``int`` entries with ``%``; ``coeff_of`` is the
+    oracle for every entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([3, 5, linalg.P]), st.lists(st.dictionaries(
+        st.integers(0, 5), st.one_of(st.integers(-10**20, 10**20), st.fractions(max_denominator=12)), max_size=4),
+        max_size=4))
+    def test_matches_coeff_of(self, prime, rows):
+        with mock.patch.object(linalg, "P", prime):
+            got = linalg.residues(rows)
+        try:
+            expected = [{k: r for k, c in row.items() if (r := coeff_of(prime, c))} for row in rows]
+        except ZeroDivisionError:
+            expected = None
+        assert got == expected
+        if got is not None:
+            assert all(type(r) is int for row in got for r in row.values())
