@@ -26,7 +26,14 @@ v_b = 0 for every pi-monomial b of degree d + 1}, solved in the coordinates
 of the RREF of N_{d+1} for the RREF of N_d; rows new at d have pivots N_{d-1}
 lacks.  It lifts every basis entry by rational reconstruction and verifies
 every lifted vector exactly through its integer X-image; a failed lift or
-check reruns the solves with Fractions.
+check reruns the solves with Fractions.  The X-images of one degree are
+summed in one pass (``_certified_images``; Kronecker substitution along the
+row axis): each row, scaled to integers, takes a W-bit slot of one integer
+per pi-monomial, with W two bits above any sum a slot can hold, so the
+signed W-bit digits of the packed sum at an X-monomial are the rows'
+coefficients there.  Over Q a zero at every negative key certifies all rows
+at once; over F_p every digit is reduced mod p and a nonzero residue at a
+negative key rejects them.
 
 Both reports count their minimal generators with ``minimal_generator_degrees``,
 which reduces every product on the pivots of the report's basis only: exact,
@@ -146,9 +153,16 @@ class _Packing:
 
 def _times(f, g, p):
     """The product of the packed terms ``f`` and ``g``: exact if p is 0, else
-    reduced mod p."""
-    out = {}
-    for k1, c1 in f.items():
+    reduced mod p.  The shorter factor runs in the outer loop, and its first
+    term writes a fresh dict: the keys k1 + k2 are distinct for one k1."""
+    if len(f) > len(g):
+        f, g = g, f
+    if not f:
+        return {}
+    terms = iter(f.items())
+    k1, c1 = next(terms)
+    out = {k1 + k2: c1 * c2 for k2, c2 in g.items()}
+    for k1, c1 in terms:
         for k2, c2 in g.items():
             out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
     return {k: r for k, c in out.items() if (r := c % p if p else c)}
@@ -272,24 +286,6 @@ def _pi_monomial_images(inst: KurodaInstance, dmax: int):
     return (*_product_table(pis, (1,) * len(pis), dmax, box, inst.field), box)
 
 
-def _x_image(row, images, fld):
-    """X-image of the pi-combination ``row``, summed in integers.
-
-    The images have integer coefficients and the entries are put over their
-    common denominator D (1 over F_p), so every X-coefficient is one integer
-    sum s: ``Fraction(s, D)`` over Q, ``s mod p`` over F_p.
-    """
-    big = lcm(*(c.denominator for c in row.values()))
-    sums = {}
-    for beta, c in row.items():
-        m = c.numerator * (big // c.denominator)
-        for e, v in images[beta].items():
-            sums[e] = sums.get(e, 0) + m * v
-    if fld == QQ:
-        return {e: Fraction(s, big) for e, s in sums.items() if s}
-    return {e: r for e, s in sums.items() if (r := s % fld)}
-
-
 def _degree_bases(constraints, degree, dmax, fld):
     """The nullspaces N_d, d <= dmax, of the cancellation constraints over the
     pi-monomials beta with ``degree[beta] <= d``, read off one solve per
@@ -357,15 +353,56 @@ def _certified_images(bases, images, fld, negative):
     cancellation constraints, so a polynomial image proves A_d v = 0.  An
     image's keys are among the images' keys, so ``negative``, the set of
     those keys with a negative exponent, decides it.
+
+    One pass per degree sums all its rows at once.  The images have integer
+    coefficients and row r is put over its common denominator D_r (1 over
+    F_p) as the integers m_r, so each X-coefficient of its image is one
+    integer sum s_r with |s_r| <= sum of |m_r[beta]| * c_beta, c_beta the
+    largest |coefficient| of images[beta].  W, two bits above the largest
+    such bound, makes every |s_r| < 2^(W-1): V_beta = sum of m_r[beta] <<
+    W*r packs the rows, and sum of c * V_beta over the image terms c * X^e
+    is sum of s_r << W*r at e, whose signed W-bit digits are the s_r, with
+    no carry between slots.  Over Q that packing is injective, so a zero at
+    every negative key certifies every row at once; over F_p each digit is
+    reduced mod p.  A sum becomes ``Fraction(s_r, D_r)`` over Q and ``s_r
+    mod p`` over F_p.
     """
+    p = 0 if fld == QQ else fld
+    height = {}  # beta -> c_beta
     out = {}
     for d, rows in bases.items():
-        out[d] = []
-        for row in rows:
-            img = _x_image(row, images, fld)
-            if not negative.isdisjoint(img):
-                return None
-            out[d].append(img)
+        dens = [lcm(*(c.denominator for c in row.values())) for row in rows]
+        ints = [{b: c.numerator * (den // c.denominator) for b, c in row.items()} for row, den in zip(rows, dens)]
+        for b in set().union(*ints) - height.keys():
+            height[b] = max(map(abs, images[b].values()))
+        width = max((sum(abs(m) * height[b] for b, m in row.items()) for row in ints), default=0).bit_length() + 2
+        packed = {}
+        for r, row in enumerate(ints):
+            for b, m in row.items():
+                packed[b] = packed.get(b, 0) + (m << width * r)
+        acc = {}
+        for b, v in packed.items():
+            for e, c in images[b].items():
+                acc[e] = acc.get(e, 0) + c * v
+        half, mask = 1 << width - 1, (1 << width) - 1
+        out[d] = imgs = [{} for _ in rows]
+        for e, v in acc.items():
+            neg = e in negative
+            if neg and not p:
+                if v:
+                    return None
+                continue
+            r = 0
+            while v:  # the signed digits, lowest first
+                v += half
+                s, v = (v & mask) - half, v >> width
+                if p:
+                    s %= p
+                if s:
+                    if neg:
+                        return None
+                    imgs[r][e] = s if p else Fraction(s) if dens[r] == 1 else Fraction(s, dens[r])
+                r += 1
     return out
 
 
@@ -467,12 +504,12 @@ def minimal_generator_degrees(report: GradedIntersectionReport):
         phi_k(v) = v[k] - sum over pivots j of v[j] * L_j[k], with L the
         span's rows just before that generator, is lifted by rational
         reconstruction and checked in integers to vanish on every basis
-        element of degree < d and on every full product tried at d (it reads
-        pivots only, so it takes the same value on a row and on its
-        projection).  Then the phi_k vanish on V_d.  On the new generators
-        their residues form a triangular matrix with a nonzero diagonal, so
-        they are independent on F_d over Q, and dim_Q V_d <= dim F_d - m
-        gives m <= the true count.
+        element of degree < d and on every product tried at d, formed on
+        the pivots only (phi_k reads pivots only, so it takes the same value
+        on a row and on its projection).  Then the phi_k vanish on V_d.  On
+        the new generators their residues form a triangular matrix with a
+        nonzero diagonal, so they are independent on F_d over Q, and dim_Q
+        V_d <= dim F_d - m gives m <= the true count.
 
     If a lift or a check fails, the same pass runs again over Q, with
     Fractions, on the same integer rows.  The basis is packed once: integer-
@@ -496,10 +533,11 @@ def _generator_degrees(bases, field, certify=None):
 
     Every row enters the span restricted to the pivots of ``bases`` (see
     ``minimal_generator_degrees``), and reduced mod ``field`` when it is a
-    prime.  Products are reduced mod that prime as they are made, unless
-    ``certify`` is given: check (b) reads them in integers, so they stay
-    exact.  ``kept`` and ``tried`` hold full products: later products and
-    ``certify`` use them.
+    prime.  A tried product is formed on those pivots only, in integers:
+    the span and check (b) read nothing else.  Only a product that enlarges
+    the span is built in full, for later products: reduced mod that prime,
+    unless ``certify`` is given, since check (b) reads the products made
+    from it in integers.
 
     ``kept[e]`` holds the products and generators of label e that enlarged
     the span.  At degree d only the products p * g with label(p) = d -
@@ -519,8 +557,17 @@ def _generator_degrees(bases, field, certify=None):
     if len(pivots) < sum(map(len, bases.values())):
         raise ValueError("two basis rows share a pivot: the count's projection onto the pivots is not injective")
     p = 0 if field == QQ else field
-    times_mod = p if certify is None else 0  # check (b) reads the products in integers
+    times_mod = p if certify is None else 0  # later products feed check (b) in integers
     row = lambda terms: {k: r for k, c in terms.items() if k in pivots and (r := c % p if p else c)}
+
+    def on_pivots(f, g):
+        sums = {}
+        for k1, c1 in f.items():
+            for k2, c2 in g.items():
+                if (k := k1 + k2) in pivots:
+                    sums[k] = sums.get(k, 0) + c1 * c2
+        return sums
+
     span = SparseRREF(field)
     gens = []   # (label, terms) minimal generators found so far
     kept = {}   # label -> products and generators that enlarged the span
@@ -529,11 +576,11 @@ def _generator_degrees(bases, field, certify=None):
         level, tried = [], []  # level becomes kept[d] after this degree's pass
         for label, g in gens:
             for f in kept.get(d - label, ()):
-                q = _times(f, g, times_mod)
+                q = on_pivots(f, g)
                 if certify is not None:
                     tried.append(q)
                 if span.add(row(q)) is not None:
-                    level.append(q)
+                    level.append(_times(f, g, times_mod))
         columns = {}  # pivot of a new generator -> {pivot j: row j at it}
         for b in bases[d]:
             res = span.reduce(row(b))

@@ -113,8 +113,9 @@ def _axpy(terms: dict, c, row: dict, field):
 
 @cache
 def _term_template(n):
-    """The text form of one term in n variables, ``"{} * X1^{} ... Xn^{}"``."""
-    return "{} * " + " ".join(f"X{i + 1}^{{}}" for i in range(n))
+    """The text form of one term in n variables, ``"%s * X1^%s ... Xn^%s"``:
+    ``%s`` prints every value as ``str`` does."""
+    return "%s * " + " ".join(f"X{i + 1}^%s" for i in range(n))
 
 
 class LaurentPoly:
@@ -341,8 +342,8 @@ class LaurentPoly:
         """Canonical text form: lex-sorted terms ``coef * X1^e1 ... Xn^en``."""
         if not self.terms:
             return "0"
-        template = _term_template(self.n)
-        return " + ".join(template.format(c, *e) for e, c in self.sorted_terms())
+        template, terms = _term_template(self.n), self.terms
+        return " + ".join([template % (terms[e], *e) for e in sorted(terms)])
 
     @classmethod
     def from_text(cls, text: str, field=QQ, n=None):

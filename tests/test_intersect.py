@@ -6,11 +6,12 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from h14 import intersect, linalg
 from h14.derivation import support_property_check
@@ -428,6 +429,163 @@ class TestModularPiEngine:
         assert rep_p.dims == kuroda_intersection_basis(OFF3, 8).dims
         assert all(isinstance(c, int) for ims in rep_p.images.values()
                    for i in ims for c in i.terms.values())
+
+
+def reference_x_image(row, images, fld):
+    """X-image of the pi-combination ``row``, summed one row at a time.
+
+    The images have integer coefficients and the entries are put over their
+    common denominator D (1 over F_p), so every X-coefficient is one integer
+    sum s: ``Fraction(s, D)`` over Q, ``s mod p`` over F_p.
+    """
+    big = lcm(*(c.denominator for c in row.values()))
+    sums = {}
+    for beta, c in row.items():
+        m = c.numerator * (big // c.denominator)
+        for e, v in images[beta].items():
+            sums[e] = sums.get(e, 0) + m * v
+    if fld == QQ:
+        return {e: Fraction(s, big) for e, s in sums.items() if s}
+    return {e: r for e, s in sums.items() if (r := s % fld)}
+
+
+def reference_certified_images(bases, images, fld, negative):
+    """Every row's X-image by ``reference_x_image``, or None if one has a
+    key in ``negative``."""
+    out = {d: [reference_x_image(row, images, fld) for row in rows] for d, rows in bases.items()}
+    if any(not negative.isdisjoint(img) for imgs in out.values() for img in imgs):
+        return None
+    return out
+
+
+def assert_same_images(got, expected, fld):
+    assert got == expected
+    if got is not None:
+        kind = Fraction if fld == QQ else int
+        assert all(type(c) is kind for imgs in got.values() for img in imgs for c in img.values())
+
+
+IMAGE_FIELDS = (QQ, 2, 3, 5, 32003)
+
+
+@st.composite
+def image_cases(draw, poisoned):
+    """(bases, images, field, negative) for ``_certified_images``.
+
+    Pi-monomials 2i and 2i + 1 share their one negative key -(i + 1), with
+    one coefficient; every other image key is >= 0.  A row takes pairs as
+    lam * (beta_2i - beta_2i+1), whose images cancel at -(i + 1) (over F_p
+    only mod p: the entries are reduced), plus any images without a negative
+    key.  Coefficients and numerators reach 2^80, denominators 2^71, so the
+    slots are wider than 64 bits.  A poisoned case drops one pair's partner
+    from one row, which leaves lam * c != 0 at -(i + 1).
+    """
+    fld = draw(st.sampled_from(IMAGE_FIELDS))
+    p = 0 if fld == QQ else fld
+    coeff = st.one_of(st.integers(-9, 9), st.integers(2 ** 70, 2 ** 80), st.integers(-2 ** 80, -2 ** 70))
+    coeff = coeff.filter(lambda c: c % p if p else c)
+    dens = st.one_of(st.just(1), st.integers(1, 12), st.integers(2 ** 70, 2 ** 71))
+    entry = lambda lam, den: lam % p if p else Fraction(lam, den)
+    pairs, plain = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    images = {}
+    for i in range(pairs):
+        low = draw(coeff)
+        for b in (2 * i, 2 * i + 1):
+            images[b] = {**draw(st.dictionaries(st.integers(0, 6), coeff, max_size=4)), -(i + 1): low}
+    for b in range(2 * pairs, 2 * pairs + plain):
+        images[b] = draw(st.dictionaries(st.integers(0, 6), coeff, min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = {}
+        for i in draw(st.sets(st.integers(0, pairs - 1))) or {0}:
+            lam, den = draw(coeff), draw(dens)
+            row[2 * i], row[2 * i + 1] = entry(lam, den), entry(-lam, den)
+        for b in range(2 * pairs, 2 * pairs + plain):
+            if draw(st.booleans()):
+                row[b] = entry(draw(coeff), draw(dens))
+        rows.append(row)
+    if poisoned:
+        row, i = rows[draw(st.integers(0, len(rows) - 1))], draw(st.integers(0, pairs - 1))
+        if 2 * i in row:
+            del row[2 * i + 1]
+        else:
+            row[2 * i] = entry(draw(coeff), draw(dens))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), min_size=2, max_size=2)))
+    bases = {0: rows[:cuts[0]], 1: rows[cuts[0]:cuts[1]], 2: rows[cuts[1]:]}
+    return bases, images, fld, {-(i + 1) for i in range(pairs)}
+
+
+class TestCertifiedImages:
+    """``_certified_images`` packs a degree's rows into one integer per
+    pi-monomial; the per-row exact sum is its oracle."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(image_cases(poisoned=False))
+    def test_matches_the_per_row_sums(self, case):
+        expected = reference_certified_images(*case)
+        assert expected is not None
+        assert_same_images(intersect._certified_images(*case), expected, case[2])
+
+    @settings(max_examples=30, deadline=None)
+    @given(image_cases(poisoned=True))
+    def test_one_row_left_at_a_negative_key_gives_none(self, case):
+        assert reference_certified_images(*case) is None
+        assert intersect._certified_images(*case) is None
+
+    @pytest.mark.parametrize("field, prime", [(QQ, None), (QQ, 3), (2, None), (3, None), (32003, None)],
+                             ids=["Q", "Q-P3", "F2", "F3", "F32003"])
+    @pytest.mark.parametrize("case", [0, 1, len(DIFFERENTIAL_CASES) - 1], ids=["OFF3", "ONES", "n3"])
+    def test_matches_the_per_row_sums_on_pi_engine_inputs(self, monkeypatch, case, field, prime):
+        inst, dmax = DIFFERENTIAL_CASES[case]
+        inst = build_instance(inst.n, inst.gamma, [list(r) for r in inst.delta], field)
+        calls = []
+        certified = intersect._certified_images
+
+        def spy(bases, images, fld, negative):
+            out = certified(bases, images, fld, negative)
+            calls.append((out, reference_certified_images(bases, images, fld, negative), fld))
+            return out
+
+        monkeypatch.setattr(intersect, "_certified_images", spy)
+        if prime is not None:
+            monkeypatch.setattr(linalg, "P", prime)
+        kuroda_intersection_basis(inst, dmax)
+        for got, expected, fld in calls:
+            assert_same_images(got, expected, fld)
+        # mod 3 some lift of OFF3 is wrong, and only its X-image shows it
+        assert [got is None for got, _, _ in calls] == [True, False] if (case, prime) == (0, 3) else [False]
+
+
+def reference_times(f, g, p):
+    """The plain double loop over both factors: exact if p is 0, else mod p."""
+    out = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return {k: r for k, c in out.items() if (r := c % p if p else c)}
+
+
+packed_terms = st.dictionaries(st.integers(-20, 20), st.integers(-50, 50).filter(bool), max_size=6)
+
+
+class TestTimes:
+    @settings(max_examples=100, deadline=None)
+    @given(packed_terms, packed_terms, st.sampled_from([0, 2, 3, 5, 32003]))
+    def test_matches_the_double_loop_in_both_orders(self, f, g, p):
+        expected = reference_times(f, g, p)
+        assert intersect._times(f, g, p) == expected
+        assert intersect._times(g, f, p) == expected
+
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_an_empty_factor_gives_the_empty_product(self, p):
+        assert intersect._times({}, {1: 2}, p) == intersect._times({1: 2}, {}, p) == intersect._times({}, {}, p) == {}
+
+    def test_cancelled_terms_are_dropped(self):
+        # x = key 1, y = key 10: (x - y)(x + y) = x^2 - y^2, and mod 2 the
+        # term x^2 + y^2 is left of (x + y)^2
+        f, g = {1: 1, 10: -1}, {1: 1, 10: 1}
+        assert intersect._times(f, g, 0) == {2: 1, 20: -1}
+        assert intersect._times(g, g, 2) == {2: 1, 20: 1}
 
 
 def seeded_generator(rng, field=QQ):
@@ -1281,6 +1439,30 @@ class TestProjectedCount:
         if prime is not None:
             monkeypatch.setattr(linalg, "P", prime)
         assert minimal_generator_degrees(rep) == expected
+
+    def test_only_kept_products_are_built_in_full(self, monkeypatch):
+        # OFF3 at dmax 12 over Q: 234 products are tried, each on the pivots
+        # in integers; only the 54 that enlarge the span run _times, and they
+        # fill the span's rank 83 with the 28 generators and the constant
+        rep, expected = projection_case("OFF3-12", QQ)
+        pivots, tried, built = set(), [], []
+        count, times = intersect._generator_degrees, intersect._times
+
+        def spy(bases, field, certify=None):
+            pivots.update(min(r) for rs in bases.values() for r in rs)
+
+            def checked(d, rank, products, columns):
+                tried.extend(products)
+                return certify(d, rank, products, columns)
+
+            return count(bases, field, None if certify is None else checked)
+
+        monkeypatch.setattr(intersect, "_generator_degrees", spy)
+        monkeypatch.setattr(intersect, "_times", lambda f, g, p: built.append(p) or times(f, g, p))
+        assert minimal_generator_degrees(rep) == expected
+        assert len(tried) == 234 and all(q.keys() <= pivots and all(type(c) is int for c in q.values()) for q in tried)
+        generators = sum(c for _, c in expected)
+        assert built == [0] * 54 and len(built) + generators + 1 == sum(map(len, rep.bases.values())) == 83
 
     def test_off3_count_reduces_on_the_pivots(self, monkeypatch):
         # the count's _axpy row entries on OFF3 at dmax 12 over Q: 53 741 on

@@ -258,3 +258,26 @@ class TestTextForm:
         assert LaurentPoly.from_text("0", QQ, 3).is_zero()
         with pytest.raises(UsageError):
             LaurentPoly.from_text("0")
+
+    @staticmethod
+    def format_rendering(f):
+        """The text form with one ``str.format`` parse per term."""
+        if not f.terms:
+            return "0"
+        template = "{} * " + " ".join(f"X{i + 1}^{{}}" for i in range(f.n))
+        return " + ".join(template.format(c, *e) for e, c in f.sorted_terms())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(st.tuples(*[st.integers(-4, 4)] * n),
+                        st.one_of(st.fractions(max_denominator=99), st.integers(), st.booleans()), max_size=6),
+    )))
+    def test_same_text_as_one_format_parse_per_term(self, case):
+        # _trusted keeps every value as given, bools included; Q and F_p
+        # coefficients print alike, as their str
+        n, terms = case
+        f = LaurentPoly._trusted(n, QQ, terms)
+        assert f.to_text() == self.format_rendering(f)
+        fp = LaurentPoly(n, 32003, {e: int(c) for e, c in terms.items()})
+        assert fp.to_text() == self.format_rendering(fp)
