@@ -212,7 +212,7 @@ def cmd_scan(args, rep):
     rep.row("n", "bound", "instances", "implication_violations", "converse_witnesses")
     for n, bound in ((3, 4), (4, 2)):
         sc = implication_scan(n, bound)
-        rep.row(n, bound, sc.total, len(sc.implication_violations), len(sc.converse_witnesses))
+        rep.row(n, bound, sc.total, len(sc.implication_violations), sc.converse_witnesses)
         if sc.implication_violations:
             rep.failed = True
 

@@ -10,7 +10,6 @@ symbolically and writes bounded-degree kernel bases in that closed form.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb, prod
 from operator import sub
 
@@ -44,7 +43,8 @@ def kernel_generators(nvars: int = 4, field=QQ):
 def kernel_degree_basis(d: int, nvars: int = 4, field=QQ):
     """Basis of the kernel within polynomials of total degree <= d, in closed
     form: one polynomial f(Y1 - Yn, ..., Y(n-1) - Yn) per Yn-free monomial f
-    of degree <= d, in ascending order of f, with ``Fraction`` coefficients.
+    of degree <= d, in ascending order of f, with ``int`` coefficients (over
+    Q the field layer stores integral coefficients as ints).
 
     It is the canonical basis of the nullspace of E on monomial coefficients
     (lex-ordered keys, pivots least), which needs no elimination.  E has one
@@ -71,7 +71,7 @@ def kernel_degree_basis(d: int, nvars: int = 4, field=QQ):
                   for k in range(d + 1) for c in itertools.combinations_with_replacement(range(nvars - 1), k))
     # (Y_i - Y_n)^(a_i) = sum over j_i of C(a_i, j_i) Y_i^(a_i - j_i) (-Y_n)^(j_i), for f = Y^a
     return [LaurentPoly._trusted(nvars, QQ, {
-        tuple(map(sub, f, js)) + (sum(js),): Fraction((-1) ** sum(js) * prod(map(comb, f, js)))
+        tuple(map(sub, f, js)) + (sum(js),): (-1) ** sum(js) * prod(map(comb, f, js))
         for js in itertools.product(*(range(a + 1) for a in f))}) for f in free]
 
 

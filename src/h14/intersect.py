@@ -74,7 +74,7 @@ from . import linalg
 from .errors import GradingError, PreconditionError, SingularMatrixError, UsageError, check_int, int_vector
 from .kuroda import KurodaInstance
 from .lattice import coset_decomposition, smith_certificate
-from .laurent import QQ, LaurentPoly
+from .laurent import QQ, LaurentPoly, coeff_of
 from .linalg import SparseRREF, span_intersection, sparse_nullspace
 from .monoid import _check_budget
 
@@ -226,8 +226,8 @@ def graded_intersection(gensA, gensB, weights, dmax):
     of the two spans is computed exactly and returned in canonical (RREF,
     lexicographic pivot) form.  Over Q the products are built from the
     integer-scaled generators, so ``span_intersection`` gets integer rows;
-    its bases hold Fractions.  The generators may be any iterables; they are
-    read once.
+    its bases hold ints and Fractions (integral coefficients are ints).  The
+    generators may be any iterables; they are read once.
     """
     check_int(dmax, "degree bound", high=GRADED_MAX_DEGREE)
     gensA, gensB = list(gensA), list(gensB)
@@ -289,17 +289,17 @@ def _pi_monomial_images(inst: KurodaInstance, dmax: int):
 def _degree_bases(constraints, degree, dmax, fld):
     """The nullspaces N_d, d <= dmax, of the cancellation constraints over the
     pi-monomials beta with ``degree[beta] <= d``, read off one solve per
-    degree.
+    degree.  The constraints are keyed by -beta (see below).
 
     Two degrees are linked when one constraint holds pi-monomials of both;
     the blocks are the classes of degrees 0..dmax under that relation.  The
     system is block-diagonal over disjoint pi-monomials, so N_d is the direct
     sum of the blocks' spaces at d, and its RREF is the union of theirs.
     Each block is solved once, over all its pi-monomials, with every key
-    negated: each pivot of the constraints is then the largest beta of its
-    row, so the null vector of a free beta f is 1 at f, nonzero only at
-    pivots above f and 0 at every other free beta.  The null basis is the
-    RREF of the block's N_dmax, in descending pivots.
+    negated (as the constraints come): each pivot of the constraints is then
+    the largest beta of its row, so the null vector of a free beta f is 1 at
+    f, nonzero only at pivots above f and 0 at every other free beta.  The
+    null basis is the RREF of the block's N_dmax, in descending pivots.
 
     A block of several degrees walks down them.  On a vector supported in
     degree <= d a constraint restricted to degree <= d is the whole
@@ -317,7 +317,7 @@ def _degree_bases(constraints, degree, dmax, fld):
     label = list(range(dmax + 1))  # degree -> the smallest degree linked to it
     rows = [row for row in constraints.values() if row]  # empty mod a tiny prime
     for row in rows:
-        degs = set(map(degree.__getitem__, row))
+        degs = {degree[-b] for b in row}
         if len(degs) > 1:
             linked = {label[d] for d in degs}
             label = [min(linked) if lab in linked else lab for lab in label]
@@ -325,15 +325,14 @@ def _degree_bases(constraints, degree, dmax, fld):
     for d, lab in enumerate(label):
         blocks.setdefault(lab, ([], []))[0].append(d)
     for row in rows:
-        blocks[label[degree[next(iter(row))]]][1].append(row)
+        blocks[label[degree[-next(iter(row))]]][1].append(row)
     negated = {d: [] for d in range(dmax + 1)}  # degree -> its pi-monomials, keys negated
     for b, d in degree.items():
         negated[d].append(-b)
     bases = {}
     for degs, block in blocks.values():
         degs.reverse()
-        system = [{-b: c for b, c in row.items()} for row in block]
-        null = {degs[0]: sparse_nullspace(system, [b for d in degs for b in negated[d]], fld)}
+        null = {degs[0]: sparse_nullspace(block, [b for d in degs for b in negated[d]], fld)}
         for d, below in zip(degs, degs[1:]):
             above = null[d]
             system = [{i: v[b] for i, v in enumerate(above) if b in v} for b in negated[d]]
@@ -364,8 +363,8 @@ def _certified_images(bases, images, fld, negative):
     is sum of s_r << W*r at e, whose signed W-bit digits are the s_r, with
     no carry between slots.  Over Q that packing is injective, so a zero at
     every negative key certifies every row at once; over F_p each digit is
-    reduced mod p.  A sum becomes ``Fraction(s_r, D_r)`` over Q and ``s_r
-    mod p`` over F_p.
+    reduced mod p.  A sum becomes ``s_r / D_r`` over Q, in the field
+    layer's form (``s_r`` itself when D_r = 1), and ``s_r mod p`` over F_p.
     """
     p = 0 if fld == QQ else fld
     height = {}  # beta -> c_beta
@@ -401,7 +400,7 @@ def _certified_images(bases, images, fld, negative):
                 if s:
                     if neg:
                         return None
-                    imgs[r][e] = s if p else Fraction(s) if dens[r] == 1 else Fraction(s, dens[r])
+                    imgs[r][e] = s if p or dens[r] == 1 else coeff_of(QQ, Fraction(s, dens[r]))
                 r += 1
     return out
 
@@ -432,14 +431,15 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
     images, degree, box = _pi_monomial_images(inst, dmax)
     vectors = {e: box.vector(e) for e in set().union(*images.values())}  # decoded once
     negative = {e for e, v in vectors.items() if min(v) < 0}
-    # one cancellation constraint per negative-exponent X-monomial, over every pi-monomial
+    # one cancellation constraint per negative-exponent X-monomial, over every
+    # pi-monomial beta, keyed by -beta as _degree_bases solves it
     constraints = {}
     for beta, img in images.items():
         for e, c in img.items():
             if e in negative:
-                constraints.setdefault(e, {})[beta] = c
+                constraints.setdefault(e, {})[-beta] = c
     # a constraint counts from the lowest degree of its pi-monomials on
-    first = Counter(min(degree[b] for b in row) for row in constraints.values())
+    first = Counter(min(degree[-b] for b in row) for row in constraints.values())
 
     bases = ximages = None
     if fld == QQ:

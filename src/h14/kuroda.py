@@ -167,22 +167,24 @@ class ScanReport:
     bound: int
     total: int
     implication_violations: tuple  # condition holds but det T == 0 (expected empty)
-    converse_witnesses: tuple      # det T != 0 but condition fails
+    converse_witnesses: int        # how many tables have det T != 0 but fail the condition
 
 
 def implication_scan(n: int, bound: int) -> ScanReport:
     """Exhaustive scan of ``delta_box(n, bound)`` for condition => det T != 0:
-    collects the violations and every converse witness (det T != 0, the
-    condition fails), with the exact ratio sum as ``value``."""
-    violations, witnesses, total = [], [], 0
+    collects the violations, with the exact ratio sum as ``value``, and
+    counts the converse witnesses (det T != 0, the condition fails), which
+    ``h14 scan`` reports only as a number."""
+    violations, witnesses, total = [], 0, 0
     for delta in delta_box(n, bound):
         total += 1
         holds = condition_holds(delta)
         dt = det(IntMatrix(n - 1, n - 1, _flip_diagonal(delta)))
-        if holds == (dt == 0):  # an implication violation, or a converse witness
-            entry = {"delta": delta, "value": sum(_xi(delta)), "det": dt}
-            (violations if holds else witnesses).append(entry)
-    return ScanReport(n, bound, total, tuple(violations), tuple(witnesses))
+        if holds and dt == 0:
+            violations.append({"delta": delta, "value": sum(_xi(delta)), "det": dt})
+        elif not holds and dt:
+            witnesses += 1
+    return ScanReport(n, bound, total, tuple(violations), witnesses)
 
 
 def lemma31_find_p(xi):

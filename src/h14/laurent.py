@@ -1,13 +1,19 @@
 """Sparse multivariate Laurent polynomials over exact coefficient fields.
 
 A field is tagged by ``"Q"`` or by the prime ``p`` (an int), and the tag is
-the only field object.  Coefficients are ``fractions.Fraction`` over Q and
-plain ints in ``range(p)`` over F_p, combined with native ``+ - *``; the
-field layer is :func:`coeff_of` (coercion of outside input), :func:`inverse`
-and the in-place :func:`_axpy`, which reduces mod p only over F_p.  Exponent
-vectors are integer tuples of fixed length and may have negative entries.
-Everything is exact; no floats.  Mixed-field polynomial arithmetic is
-rejected rather than coerced.
+the only field object.  Coefficients over F_p are plain ints in
+``range(p)``.  Over Q a coefficient is an exact ``int`` when it is integral
+and a ``fractions.Fraction`` with denominator > 1 otherwise; never a bool,
+never a float.  Most coefficients the package meets are integers, and
+native ``int`` arithmetic skips the gcd of every ``Fraction`` operation; the
+two forms print, compare and hash alike (``str(3) == str(Fraction(3))``).
+Coefficients are combined with native ``+ - *``; the field layer is
+:func:`coeff_of` (coercion of outside input), :func:`inverse` and the
+in-place :func:`_axpy`, which reduces mod p over F_p and turns an integral
+``Fraction`` into its numerator over Q.  These three keep the invariant.
+Exponent vectors are integer tuples of fixed length and may have negative
+entries.  Everything is exact; no floats.  Mixed-field polynomial arithmetic
+is rejected rather than coerced.
 """
 
 from __future__ import annotations
@@ -78,25 +84,30 @@ def field_name(field) -> str:
 
 
 def coeff_of(field, value):
-    """Coerce an int or Fraction into the field (a Fraction, or an int mod p)."""
-    if isinstance(value, (int, Fraction)):
+    """Coerce an int (or bool) or Fraction into the field: over Q an int when
+    integral and a Fraction otherwise, over F_p an int mod p."""
+    if isinstance(value, int):
+        return int(value) if field == QQ else value % field
+    if isinstance(value, Fraction):
         if field == QQ:
-            return Fraction(value)
-        if isinstance(value, int):
-            return value % field
+            return value.numerator if value.denominator == 1 else value
         return value.numerator * inverse(field, value.denominator % field) % field
     raise UsageError(f"unsupported coefficient {value!r}")
 
 
 def inverse(field, c):
-    """Multiplicative inverse of a nonzero coefficient (a Fraction over Q)."""
+    """Multiplicative inverse of a nonzero coefficient, in the field's form."""
     if not c:
         raise ZeroDivisionError(f"zero has no inverse in {field_name(field)}")
-    return 1 / Fraction(c) if field == QQ else pow(c, -1, field)
+    if field != QQ:
+        return pow(c, -1, field)
+    q = 1 / Fraction(c)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _axpy(terms: dict, c, row: dict, field):
-    """``terms += c * row`` in place, dropping zero sums; reduced mod p over F_p."""
+    """``terms += c * row`` in place, dropping zero sums; reduced mod p over
+    F_p, and an integral Fraction sum stored as its numerator over Q."""
     p = 0 if field == QQ else field
     for k, v in row.items():
         s = c * v
@@ -105,6 +116,8 @@ def _axpy(terms: dict, c, row: dict, field):
             s = old + s
         if p:
             s %= p
+        elif type(s) is Fraction and s.denominator == 1:
+            s = s.numerator
         if s:
             terms[k] = s
         else:
@@ -140,7 +153,8 @@ class LaurentPoly:
     @classmethod
     def _trusted(cls, n, field, terms):
         """Wrap ``terms`` without copying or coercion: the keys must be length-n
-        tuples and the values nonzero coefficients of the parsed ``field``."""
+        tuples and the values nonzero coefficients of the parsed ``field``, in
+        the field layer's form (no integral Fraction over Q)."""
         poly = object.__new__(cls)
         poly.n, poly.field, poly.terms = n, field, terms
         return poly

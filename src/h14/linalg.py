@@ -2,14 +2,15 @@
 
 ``SparseRREF`` is the one elimination engine: an incremental reduced row
 echelon form on sparse rows with sortable keys, over either coefficient field
-(Fraction entries over Q, ints in ``range(p)`` over F_p) through the field
-layer of :mod:`h14.laurent`.  It backs the intersection computations of
-:mod:`h14.intersect` directly.  ``row_reduce``,
-``rational_nullspace`` and ``rational_solve`` feed it dense rows over Q,
-keyed by column index, and return ``Fraction`` lists.  No module of the
-package calls them any more (:mod:`h14.lattice` and :mod:`h14.monoid` read
-their answers off the Smith form); they remain as the ``Fraction`` oracles of
-the lattice and monoid tests and as the dense layer the benchmark traces.
+(over Q an ``int`` when integral and a ``Fraction`` otherwise, ints in
+``range(p)`` over F_p) through the field layer of :mod:`h14.laurent`.  It
+backs the intersection computations of :mod:`h14.intersect` directly.
+``row_reduce``, ``rational_nullspace`` and ``rational_solve`` feed it dense
+rows over Q, keyed by column index, and return lists of such rationals.  No
+module of the package calls them any more (:mod:`h14.lattice` and
+:mod:`h14.monoid` read their answers off the Smith form); they remain as the
+exact rational oracles of the lattice and monoid tests and as the dense
+layer the benchmark traces.
 
 Modular layer over Q: ``residues`` reduces rows modulo the prime ``P`` =
 2^61 - 1, the elimination runs over F_P, ``lift`` takes its rows back to Q by
@@ -33,8 +34,6 @@ from math import gcd, isqrt
 
 from .laurent import QQ, _axpy, coeff_of, inverse
 
-_ZERO = Fraction(0)
-
 # The prime of modular elimination over Q (a Mersenne prime, 2^61 - 1).
 P = 2**61 - 1
 
@@ -53,7 +52,7 @@ def row_reduce(rows) -> SparseRREF:
 
 
 def _dense(vecs, ncols):
-    return [[v.get(j, _ZERO) for j in range(ncols)] for v in vecs]
+    return [[v.get(j, 0) for j in range(ncols)] for v in vecs]
 
 
 def rational_nullspace(rows, ncols=None):
@@ -80,13 +79,14 @@ def rational_solve(rows, rhs):
     rr = row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
     if ncols in rr.rows:
         return None
-    x = [rr.rows.get(j, {}).get(ncols, _ZERO) for j in range(ncols)]
+    x = [rr.rows.get(j, {}).get(ncols, 0) for j in range(ncols)]
     return x, _dense(rr.null_basis(range(ncols)), ncols)
 
 
 def rational_reconstruction(u, m):
     """The fraction n/d with n = d*u (mod m), |n| <= N and 0 < d <= N for
-    N = isqrt(m // 2), or None if there is none (Wang's algorithm).
+    N = isqrt(m // 2), or None if there is none (Wang's algorithm); an
+    ``int`` when d = 1, as the field layer stores rationals.
 
     For an odd m, 2*N*N < m, so such a fraction is unique when it exists.
     The extended Euclidean algorithm on (m, u) stops at the first remainder
@@ -101,7 +101,7 @@ def rational_reconstruction(u, m):
         s0, s1 = s1, s0 - q * s1
     if not 0 < abs(s1) <= bound or gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return r1 * s1 if abs(s1) == 1 else Fraction(r1, s1)
 
 
 def residues(rows):

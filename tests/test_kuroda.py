@@ -182,25 +182,21 @@ class TestImplicationScan:
         sc = implication_scan(n, bound)
         assert sc.total == len(list(delta_box(n, bound)))
         expected_witnesses = [t for t in delta_box(n, bound) if hand_det_t(t) and hand_ratio_sum(t) >= limit]
-        assert [e["delta"] for e in sc.converse_witnesses] == expected_witnesses
+        assert sc.converse_witnesses == len(expected_witnesses) > 0
         assert sc.implication_violations == ()
-        for e in sc.converse_witnesses:
-            delta = e["delta"]
-            assert type(delta) is tuple and all(type(r) is tuple for r in delta)
-            assert type(e["value"]) is Fraction and e["value"] == hand_ratio_sum(delta)
-            assert e["det"] == hand_det_t(delta) != 0
 
     def test_n3_bound1(self):
         sc = implication_scan(3, 1)
         assert sc.total == 1
         assert sc.implication_violations == ()
-        assert sc.converse_witnesses == ()
+        assert sc.converse_witnesses == 0
 
     def test_n3_bound3_contains_witness(self):
         sc = implication_scan(3, 3)
         assert sc.implication_violations == ()
-        deltas = [w["delta"] for w in sc.converse_witnesses]
-        assert ((3, 1), (1, 1)) in deltas
+        witnesses = [t for t in delta_box(3, 3) if hand_det_t(t) and hand_ratio_sum(t) >= Fraction(1, 2)]
+        assert ((3, 1), (1, 1)) in witnesses
+        assert sc.converse_witnesses == len(witnesses)
 
     def test_n4_bound2(self):
         sc = implication_scan(4, 2)

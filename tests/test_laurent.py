@@ -65,18 +65,22 @@ class TestFieldTags:
             inverse(7, coeff_of(7, 14))
 
     def test_coefficient_types(self):
-        assert type(coeff_of(QQ, 3)) is Fraction
+        # over Q an int when integral, else a Fraction with denominator > 1
+        assert type(coeff_of(QQ, 3)) is int and type(coeff_of(QQ, True)) is int
+        assert type(coeff_of(QQ, Fraction(6, 3))) is int and type(coeff_of(QQ, Fraction(3, 2))) is Fraction
         assert type(coeff_of(5, 8)) is int
         assert inverse(QQ, 4) == Fraction(1, 4) and type(inverse(QQ, 4)) is Fraction
+        assert inverse(QQ, Fraction(-1, 4)) == -4 and type(inverse(QQ, Fraction(-1, 4))) is int
+        assert type(inverse(QQ, -1)) is int
         with pytest.raises(ZeroDivisionError):
             inverse(QQ, Fraction(0))
         with pytest.raises(UsageError):
             coeff_of(QQ, 0.5)
 
-    def test_int_rows_give_fraction_nullspace(self):
+    def test_int_rows_give_int_nullspace(self):
         basis = sparse_nullspace([{0: 1, 1: 1}], [0, 1, 2], "Q")
         assert basis == [{1: 1, 0: -1}, {2: 1}]
-        assert all(type(c) is Fraction for vec in basis for c in vec.values())
+        assert all(type(c) is int for vec in basis for c in vec.values())
 
 
 class TestRingOps:

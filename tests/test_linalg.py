@@ -25,6 +25,7 @@ from h14.linalg import (
     rational_solve,
     row_reduce,
 )
+from test_coefficients import canonical
 
 FIELDS = [QQ, 2, 3, 5, 32003]
 SPAN_FIELDS = FIELDS + [linalg.P]
@@ -168,7 +169,7 @@ class TestDenseAdapters:
         ncols = len(rows[0])
         null = rational_nullspace(rows)
         for v in null:
-            assert all(isinstance(x, Fraction) for x in v)
+            assert all(canonical(QQ, x) for x in v)
             assert times(rows, v) == [0] * len(rows)
         assert len(null) == ncols - row_reduce(rows).rank == ncols - minor_rank(rows)
 
@@ -183,7 +184,7 @@ class TestDenseAdapters:
         x0 = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows[0]), max_size=len(rows[0])))
         b = times(rows, x0)
         x, null = rational_solve(rows, b)
-        assert all(isinstance(c, Fraction) for c in x)
+        assert all(canonical(QQ, c) for c in x)
         assert times(rows, x) == b
         assert null == rational_nullspace(rows)
 

@@ -75,3 +75,40 @@ def test_unused_import_is_caught():
     source = "from __future__ import annotations\nfrom .laurent import QQ, coeff_of\nimport os.path\n\nx = QQ\n"
     tree = ast.parse(source)
     assert unused_imports(tree) == ["coeff_of", "os"]
+
+
+def true_divisions(tree):
+    """(enclosing function, source) of every true division (``/``, ``/=``)
+    in ``tree``."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((func, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+# Every true division of the package, each with a Fraction operand.  Over Q
+# an integral coefficient is an int, so an int / int elsewhere would make a
+# float silently; a new division belongs here only with a Fraction operand.
+DIVISIONS = {
+    ("laurent.py", "inverse", "1 / Fraction(c)"),
+    ("kuroda.py", "lemma31_find_p", "Fraction(3) / (1 - s)"),
+}
+
+
+def test_every_true_division_has_a_fraction_operand():
+    found = {(path.name, func, source)
+             for path in MODULES for func, source in true_divisions(ast.parse(path.read_text(), str(path)))}
+    assert found == DIVISIONS
+
+
+def test_true_division_is_caught():
+    source = "def f(a, b):\n    a /= 2\n    return a // b + a / b\n\nx = 1 / 3\n"
+    assert true_divisions(ast.parse(source)) == [("f", "a /= 2"), ("f", "a / b"), (None, "1 / 3")]
