@@ -37,16 +37,11 @@ negative key rejects them.
 
 Both reports count their minimal generators with ``minimal_generator_degrees``,
 which reduces every product on the pivots of the report's basis only: exact,
-since both bases span graded subalgebras.  Over Q it counts mod P and
-certifies each degree: (a) a rank check shows the count is not too small, (b)
-dual functionals lifted from the RREF mod P and checked in integers show it
-is not too large.  ``no_monomial_units_check`` eliminates the pi-monomial
-images mod P over Q; full rank with no one-term row off the constant
-certifies that no monomial lies in their span.
-
-So over Q the pi-engine, the count and the units check each run one function
-on the same integer rows, first mod P and, only if its certificate fails,
-again with Fractions.  Over F_p that function runs once, in the field.
+since both bases span graded subalgebras.  ``no_monomial_units_check``
+eliminates the pi-monomial images; a one-term row off the constant puts a
+monomial in their span.  Both run once, exactly in the field: over Q on
+integer rows, with Fractions where the elimination makes them.  Only the
+pi-engine lifts from mod P.
 
 Inside the engines exponent vectors are packed ``int`` keys (``_Packing``;
 Monagan and Pearce, CASC 2007): on a box, mixed-radix keys are injective,
@@ -488,56 +483,26 @@ def minimal_generator_degrees(report: GradedIntersectionReport):
     smallest pivot k with a nonzero coefficient is the only one nonzero at
     k.  So every rank, and with it every count, is that of the full rows.
 
-    Over Q the pass runs mod P on the basis scaled to integer coefficients
-    (no span changes), so every product is an integer row with a residue mod
-    P.  Let V_d = F_{d-1} + the products tried at d, and m the count mod P
-    at d.  Two checks per degree make m exact, for the projected rows and
-    without the closure above:
-
-    (a) The rank mod P is dim F_d = sum of len(bases[e]) over e <= d.  The
-        projected rows are independent mod P, hence over Q, and so are the
-        rows, so the kept products and generators of label <= d are a basis
-        of F_d over Q: the induction of ``_generator_degrees`` holds over Q,
-        V_d is the span S_d over Q, and rank_P(V_d) <= dim_Q V_d gives m >=
-        the true count.
-    (b) When m > 0, for the pivot k of each new generator, the functional
-        phi_k(v) = v[k] - sum over pivots j of v[j] * L_j[k], with L the
-        span's rows just before that generator, is lifted by rational
-        reconstruction and checked in integers to vanish on every basis
-        element of degree < d and on every product tried at d, formed on
-        the pivots only (phi_k reads pivots only, so it takes the same value
-        on a row and on its projection).  Then the phi_k vanish on V_d.  On
-        the new generators their residues form a triangular matrix with a
-        nonzero diagonal, so they are independent on F_d over Q, and dim_Q
-        V_d <= dim F_d - m gives m <= the true count.
-
-    If a lift or a check fails, the same pass runs again over Q, with
-    Fractions, on the same integer rows.  The basis is packed once: integer-
-    scaled over Q, as it is over F_p.  Packed keys suffice: a product tried
-    at d has at most d factors of degree >= 1 and one of degree 0, so it lies
-    in the box of top + 1 factors.
+    Over Q the pass runs exactly on the basis scaled to integer coefficients
+    (no span changes), so every product is an integer row.  The basis is
+    packed once.  Packed keys suffice: a product tried at d has at most d
+    factors of degree >= 1 and one of degree 0, so it lies in the box of top
+    + 1 factors.
     """
     box = _Packing.around([b for bs in report.bases.values() for b in bs], max(report.bases, default=0) + 1)
     scale = _integer_scaled if report.field == QQ else (lambda b: b)
     bases = {d: [box.pack(scale(b).terms) for b in bs] for d, bs in report.bases.items()}
-    if report.field == QQ:
-        out = _modular_generator_degrees(bases)
-        if out is not None:
-            return out
     return _generator_degrees(bases, report.field)
 
 
-def _generator_degrees(bases, field, certify=None):
-    """The one-pass count over ``field`` on the packed terms ``bases``; None
-    as soon as ``certify(d, rank, tried, columns)`` rejects a degree.
+def _generator_degrees(bases, field):
+    """The one-pass count over ``field`` on the packed terms ``bases``.
 
     Every row enters the span restricted to the pivots of ``bases`` (see
     ``minimal_generator_degrees``), and reduced mod ``field`` when it is a
-    prime.  A tried product is formed on those pivots only, in integers:
-    the span and check (b) read nothing else.  Only a product that enlarges
-    the span is built in full, for later products: reduced mod that prime,
-    unless ``certify`` is given, since check (b) reads the products made
-    from it in integers.
+    prime.  A tried product is formed on those pivots only: the span reads
+    nothing else.  Only a product that enlarges the span is built in full,
+    for later products.
 
     ``kept[e]`` holds the products and generators of label e that enlarged
     the span.  At degree d only the products p * g with label(p) = d -
@@ -548,16 +513,11 @@ def _generator_degrees(bases, field, certify=None):
     all generator products of label <= d, whichever products were kept, and
     the counts cannot depend on the choice.  The constant 1 of ``bases[0]``
     enters the span as a basis element.
-
-    ``certify`` gets the span's rank after degree d, the products tried at
-    d, and for the pivot k of each new generator the column k of the span
-    just before that generator was added.
     """
     pivots = {min(r) for rs in bases.values() for r in rs}
     if len(pivots) < sum(map(len, bases.values())):
         raise ValueError("two basis rows share a pivot: the count's projection onto the pivots is not injective")
     p = 0 if field == QQ else field
-    times_mod = p if certify is None else 0  # later products feed check (b) in integers
     row = lambda terms: {k: r for k, c in terms.items() if k in pivots and (r := c % p if p else c)}
 
     def on_pivots(f, g):
@@ -573,56 +533,23 @@ def _generator_degrees(bases, field, certify=None):
     kept = {}   # label -> products and generators that enlarged the span
     out = []
     for d in sorted(bases):
-        level, tried = [], []  # level becomes kept[d] after this degree's pass
+        level, new = [], 0  # level becomes kept[d] after this degree's pass
         for label, g in gens:
             for f in kept.get(d - label, ()):
-                q = on_pivots(f, g)
-                if certify is not None:
-                    tried.append(q)
-                if span.add(row(q)) is not None:
-                    level.append(_times(f, g, times_mod))
-        columns = {}  # pivot of a new generator -> {pivot j: row j at it}
+                if span.add(row(on_pivots(f, g))) is not None:
+                    level.append(_times(f, g, p))
         for b in bases[d]:
             res = span.reduce(row(b))
             if res and any(b):  # key 0 is the zero vector: b is not constant
-                k = min(res)
-                columns[k] = {j: r[k] for j, r in span.rows.items() if k in r}
+                new += 1
                 gens.append((d, b))
                 level.append(b)
             if res:
                 span.add(res)
         kept[d] = level
-        if certify is not None and not certify(d, span.rank, tried, columns):
-            return None
-        if columns:
-            out.append((d, len(columns)))
+        if new:
+            out.append((d, new))
     return out
-
-
-def _modular_generator_degrees(bases):
-    """The count over Q mod P on the packed integer-scaled ``bases``, with
-    checks (a) and (b) of ``minimal_generator_degrees`` at every degree; None
-    if a lift or a check fails."""
-    dims = dict(zip(sorted(bases), itertools.accumulate(len(bases[d]) for d in sorted(bases))))
-    earlier = []  # integer rows of the basis elements of lower degree
-
-    def certify(d, rank, tried, columns):
-        if rank != dims[d]:
-            return False
-        rows = earlier + tried
-        for k, column in columns.items():
-            lifted = linalg.lift([column])
-            if lifted is None:
-                return False
-            den = lcm(*(c.denominator for c in lifted[0].values()))
-            phi = {j: -c.numerator * (den // c.denominator) for j, c in lifted[0].items()}
-            phi[k] = den
-            if any(sum(c * v.get(j, 0) for j, c in phi.items()) for v in rows):
-                return False
-        earlier.extend(bases[d])
-        return True
-
-    return _generator_degrees(bases, linalg.P, certify)
 
 
 # ---------------------------------------------------------------------------
@@ -672,30 +599,16 @@ def freeness_coset_check(inst: KurodaInstance, box_bound: int) -> bool:
 def no_monomial_units_check(inst: KurodaInstance, dmax: int) -> bool:
     """No nonconstant Laurent monomial lies in the bounded-degree pi-span.
 
-    In the RREF of the X-substituted pi-monomials of degree <= dmax, a
-    monomial {e: 1} reduces to zero only against a row equal to it, so a
-    one-term row off key 0 (the constant) decides the check for the bound.
-
-    Over F_p that RREF is computed once, in the field.  Over Q the images
-    have integer coefficients and are first eliminated mod P: if they are
-    independent there and no one-term row appears off key 0, the answer is
-    True.  Rows independent mod P are independent over Q.  Let c * X^e = sum
-    of a_i * img_i over Q, cleared to integers with gcd(c, a) = 1.  If P | c,
-    some a_i is a unit mod P and the a_i give a dependence mod P, which
-    cannot happen; so c is a unit mod P, X^e lies in the span mod P and is a
-    one-term row of its RREF.  Any other outcome eliminates the images again,
-    over Q.
+    In the RREF over the instance's field of the X-substituted pi-monomials
+    of degree <= dmax, a monomial {e: 1} reduces to zero only against a row
+    equal to it, so a one-term row off key 0 (the constant) decides the
+    check for the bound.  The images enter in packed-key order: the RREF is
+    the same in any order, and this one eliminates faster than the product
+    table's own order.
     """
     _check_nonsingular(inst)
     check_int(dmax, "degree bound", high=UNITS_MAX_DEGREE)
-    images = [img for _, img in sorted(_pi_monomial_images(inst, dmax)[0].items())]
-
-    def units(field, rows):
-        span = SparseRREF(field)
-        for row in rows:
-            span.add(row)
-        return span.rank, any(k and len(row) == 1 for k, row in span.rows.items())
-
-    if inst.field == QQ and units(linalg.P, linalg.residues(images)) == (len(images), False):
-        return True
-    return not units(inst.field, images)[1]
+    span = SparseRREF(inst.field)
+    for _, img in sorted(_pi_monomial_images(inst, dmax)[0].items()):
+        span.add(img)
+    return not any(k and len(row) == 1 for k, row in span.rows.items())

@@ -16,15 +16,14 @@ Modular layer over Q: ``residues`` reduces rows modulo the prime ``P`` =
 2^61 - 1, the elimination runs over F_P, ``lift`` takes its rows back to Q by
 rational reconstruction (Wang's algorithm, ``rational_reconstruction``), and
 the caller certifies the lifted rows exactly, falling back to ``Fraction``
-elimination when a residue, a lift or a check fails.  Only the pi-engine and
-the generator count of :mod:`h14.intersect` lift.  Every other answer over Q
-is either certified without a lift or computed exactly.  Rows independent
-mod P are independent over Q, so an elimination mod P that finds full rank
-certifies it.  ``independent_echelon`` is the one certificate here: a yes or
-no from an echelon form on each row's largest key, with no
-back-substitution; it certifies a zero intersection
-(``span_intersection``).  Callers that need more than the rank (the units
-check of :mod:`h14.intersect`) run ``SparseRREF`` mod P themselves.
+elimination when a residue, a lift or a check fails.  Only the pi-engine of
+:mod:`h14.intersect` lifts.  Every other answer over Q is either certified
+without a lift or computed exactly.  Rows independent mod P are independent
+over Q, so an elimination mod P that finds full rank certifies it.
+``independent_echelon`` is the one certificate here: a yes or no from an
+echelon form on each row's largest key, with no back-substitution; it
+certifies a zero intersection (``span_intersection``).  The generator count
+and the units check of :mod:`h14.intersect` eliminate exactly, in the field.
 """
 
 from __future__ import annotations
@@ -138,8 +137,10 @@ def lift(rows):
 class SparseRREF:
     """Incremental reduced row echelon form on sparse rows.
 
-    Rows are dicts mapping sortable keys to nonzero field elements.  The
-    pivot of a row is its smallest key; inserted rows are kept mutually
+    Rows are dicts mapping sortable keys to nonzero field elements, which
+    must already be in the field layer's form (``coeff_of``): ``add`` and
+    ``reduce`` coerce no entry, so over F_p a ``Fraction`` would stay one.
+    The pivot of a row is its smallest key; inserted rows are kept mutually
     reduced, so the stored rows form a canonical basis of the span.
     """
 
@@ -231,10 +232,11 @@ def sparse_nullspace(constraints, variables, field):
 
 
 def combination(coeffs, vecs, field):
-    """The sparse vector sum of c * vecs[i] over the entries i: c of ``coeffs``."""
+    """The sparse vector sum of c * vecs[i] over the entries i: c of
+    ``coeffs``, each c coerced into ``field`` first."""
     out = {}
     for i, c in coeffs.items():
-        _axpy(out, c, vecs[i], field)
+        _axpy(out, coeff_of(field, c), vecs[i], field)
     return out
 
 

@@ -107,6 +107,13 @@ class TestLinalg:
         vecs.append(linalg.combination(dict(enumerate(coeffs)), vecs, field))
         assert all(canonical(field, c) for vec in vecs for c in vec.values())
 
+    def test_combination_coerces_its_coefficients(self):
+        # a Fraction coefficient over F_p becomes the field's int, as the
+        # rows' entries are
+        out = linalg.combination({0: Fraction(1)}, [{0: 1}], 2)
+        assert out == {0: 1} and type(out[0]) is int
+        assert linalg.combination({0: Fraction(1, 2)}, [{0: 1}], 5) == {0: 3}
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.dictionaries(st.integers(0, 5), units(QQ).map(lambda c: coeff_of(QQ, c)), max_size=4)))
     def test_lift(self, rows):

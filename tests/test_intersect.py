@@ -707,13 +707,11 @@ class TestGradedIndependenceCertificate:
                 assert canonical_poly(b)
 
     def test_the_intersections_lift_nothing(self, monkeypatch):
-        # the generator count lifts its functionals by design; it is covered
-        # by TestModularGeneratorCount and left out here
+        # neither the certificate nor the generator count lifts a row
         def no_lift(rows):
             raise AssertionError("graded_intersection lifted a row")
 
         monkeypatch.setattr(linalg, "lift", no_lift)
-        monkeypatch.setattr(intersect, "minimal_generator_degrees", lambda report: ())
         for case in GRADED_CASES:
             graded_intersection(*case)
 
@@ -969,9 +967,23 @@ class TestNoMonomialUnits:
             no_monomial_units_check(ONES, 9)
 
 
+def monomial_units_oracle(inst, dmax):
+    """The units check read off monomial by monomial: no X^e, e a nonconstant
+    key of the images' supports, reduces to zero against the RREF over the
+    instance's field of the X-substituted pi-monomials.  A monomial outside
+    every support is outside their span."""
+    images = intersect._pi_monomial_images(inst, dmax)[0].values()
+    span = SparseRREF(inst.field)
+    for img in images:
+        span.add(img)
+    one = coeff_of(inst.field, 1)
+    return all(span.reduce({e: one}) for e in set().union(*images) if e)
+
+
 def field_path_units(inst, dmax):
-    """The units check read off its definition: the RREF over the instance's
-    field of the X-substituted pi-monomials has no one-term row off key 0."""
+    """The units check read off its definition with the images in the
+    product table's order: the RREF over the instance's field of the
+    X-substituted pi-monomials has no one-term row off key 0."""
     span = SparseRREF(inst.field)
     for img in intersect._pi_monomial_images(inst, dmax)[0].values():
         span.add(img)
@@ -980,7 +992,7 @@ def field_path_units(inst, dmax):
 
 def count_units_eliminations(monkeypatch):
     """One entry, the field, per elimination that ``no_monomial_units_check``
-    runs: over Q first mod P, then in Q if the certificate fails."""
+    runs."""
     calls = []
 
     def counted(field):
@@ -1001,12 +1013,19 @@ STAR_TABLES = [build_instance(4, 1, [list(r) for r in t]) for t in delta_box(4, 
 
 
 class TestUnitsCertificate:
-    """Over Q a full-rank RREF mod P with no one-term row off key 0 proves
-    the check True; the field elimination is the oracle."""
+    """One RREF in the instance's field decides the check; the monomial
+    read-off is its oracle."""
+
+    @pytest.mark.parametrize("case", range(len(UNITS_CASES)))
+    def test_agrees_with_the_monomial_read_off(self, case):
+        inst, dmax = UNITS_CASES[case]
+        assert no_monomial_units_check(inst, dmax) is monomial_units_oracle(inst, dmax)
 
     @pytest.mark.parametrize("prime", [linalg.P, 3, 5])
     @pytest.mark.parametrize("case", range(len(UNITS_CASES)))
     def test_agrees_with_the_field_path(self, monkeypatch, case, prime):
+        # the check eliminates in packed-key order, the field path in the
+        # product table's: the RREF is the same, and no prime is read
         inst, dmax = UNITS_CASES[case]
         expected = field_path_units(inst, dmax)
         monkeypatch.setattr(linalg, "P", prime)
@@ -1019,19 +1038,22 @@ class TestUnitsCertificate:
         ({0: {0: 1}, 1: {5: 1, 7: 1}, 2: {6: 1, 7: 1}}, True),
     ])
     def test_synthetic_control(self, monkeypatch, prime, table, expected):
+        # one elimination over Q whatever the prime, a monomial in the span
+        # or not
         monkeypatch.setattr(intersect, "_pi_monomial_images", lambda inst, dmax: (table, None, None))
         monkeypatch.setattr(linalg, "P", prime)
         eliminations = count_units_eliminations(monkeypatch)
         assert no_monomial_units_check(ONES, 4) is expected
-        # a monomial in the span always defeats the certificate
-        assert eliminations == ([prime] if expected else [prime, QQ])
+        assert eliminations == [QQ]
 
-    def test_no_fallback_on_the_star_tables(self, monkeypatch):
+    def test_one_elimination_over_q_on_the_star_tables(self):
         assert len(STAR_TABLES) == 58 and all(inst.det_t for inst in STAR_TABLES)
-        eliminations = count_units_eliminations(monkeypatch)
-        for dmax in (4, 8):
-            assert all(no_monomial_units_check(inst, dmax) for inst in STAR_TABLES)
-        assert eliminations == [linalg.P] * (2 * len(STAR_TABLES))
+        cases = [(inst, dmax) for dmax in (4, 8) for inst in STAR_TABLES]
+        expected = [monomial_units_oracle(inst, dmax) for inst, dmax in cases]
+        with pytest.MonkeyPatch.context() as m:
+            eliminations = count_units_eliminations(m)
+            assert [no_monomial_units_check(inst, dmax) for inst, dmax in cases] == expected
+        assert all(expected) and eliminations == [QQ] * 116
 
     @pytest.mark.parametrize("table, expected", F5_TABLES)
     def test_synthetic_control_over_f5(self, monkeypatch, table, expected):
@@ -1061,7 +1083,7 @@ class TestUnitsCertificate:
     def test_prime_field_elimination_agrees_with_the_field_path(self, monkeypatch, field):
         deltas = [OFF3_DELTA, ONES_DELTA] + [[list(r) for r in inst.delta] for inst in STAR_TABLES[::6]]
         cases = [(build_instance(4, 1, delta, field), dmax) for delta in deltas for dmax in (4, 6)]
-        expected = [field_path_units(inst, dmax) for inst, dmax in cases]
+        expected = [monomial_units_oracle(inst, dmax) for inst, dmax in cases]
         eliminations = count_units_eliminations(monkeypatch)
         assert [no_monomial_units_check(inst, dmax) for inst, dmax in cases] == expected
         assert eliminations == [field] * len(cases)
@@ -1158,12 +1180,9 @@ class TestMinimalGeneratorDegrees:
             assert bool(build().new_generators) == (not name.startswith("ONES")), name
 
     @pytest.mark.parametrize("field", [QQ, 32003])
-    def test_off3_paper_signal(self, monkeypatch, field):
-        fallbacks = count_generator_fallbacks(monkeypatch)
+    def test_off3_paper_signal(self, field):
         rep = kuroda_intersection_basis(build_instance(4, 1, OFF3_DELTA, field), 12)
         assert rep.new_generators == ((3, 1),) + tuple((d, 3) for d in range(4, 13))
-        # over Q the modular count is certified at the real P; F_p skips it
-        assert fallbacks == ([False] if field == QQ else [])
 
     def test_monomial_algebra_generators_in_degree_two_only(self):
         assert monomial_algebra(10).new_generators == ((2, 3),)
@@ -1228,136 +1247,109 @@ COUNT_CASES = (
        ("filtered", filtered_case)]
 )
 COUNT_IDS = [name for name, _ in COUNT_CASES]
-# the degree and the check at which each fixture's modular count is
-# rejected, at every tiny prime it is tried with
-REJECTED_AT = {"rank-drop": (1, "a"), "syzygy": (2, "a"), "tried-overcount": (4, "b on the tried products"),
-               "filtered": (4, "b on F_{d-1}")}
 
 
 @functools.cache
 def count_case(name):
-    """A Q report of COUNT_CASES and its count by the Fraction pass, forced
-    by failing the modular attempt."""
+    """A Q report of COUNT_CASES and its count by the all-products oracle."""
     rep = dict(COUNT_CASES)[name]()
-    with mock.patch.object(intersect, "_modular_generator_degrees", lambda bases: None):
-        return rep, minimal_generator_degrees(rep)
+    return rep, oracle_new_generators(rep)
 
 
-def count_generator_fallbacks(monkeypatch):
-    """Wrap the modular count; one entry per call, True when it failed and
-    the Fraction pass ran."""
-    calls = []
-    modular = intersect._modular_generator_degrees
-
-    def counted(bases):
-        out = modular(bases)
-        calls.append(out is None)
-        return out
-
-    monkeypatch.setattr(intersect, "_modular_generator_degrees", counted)
-    return calls
-
-
-def unchecked_count(rep, p):
+def count_mod(rep, p):
     """The one-pass count mod p on the integer-scaled basis, projected on its
-    pivots like every count, and certified by nothing."""
+    pivots like every count: a count over Q run mod p, which no check
+    corrects."""
     box = intersect._Packing.around([b for bs in rep.bases.values() for b in bs], max(rep.bases) + 1)
     ints = {d: [box.pack(intersect._integer_scaled(b).terms) for b in bs] for d, bs in rep.bases.items()}
     return intersect._generator_degrees(ints, p)
 
 
-def rejected_by(monkeypatch, rep):
-    """Count on ``rep`` and name the check that rejected the modular count
-    at each degree where one did: "a", "b on F_{d-1}" or "b on the tried
-    products".  A rejection that a rerun without the tried products still
-    rejects is not theirs."""
-    rejections = []
-    count = intersect._generator_degrees
-
-    def spy(bases, field, certify=None):
-        if certify is None:
-            return count(bases, field)
-        dims = dict(zip(sorted(bases), itertools.accumulate(len(bases[d]) for d in sorted(bases))))
-
-        def checked(d, rank, tried, columns):
-            if certify(d, rank, tried, columns):
-                return True
-            if rank != dims[d]:
-                rejections.append((d, "a"))
-            elif not certify(d, rank, [], columns):
-                rejections.append((d, "b on F_{d-1}"))
-            else:
-                rejections.append((d, "b on the tried products"))
-            return False
-
-        return count(bases, field, checked)
-
-    monkeypatch.setattr(intersect, "_generator_degrees", spy)
-    return minimal_generator_degrees(rep), rejections
+def count_calls(monkeypatch):
+    """Every call of ``linalg.residues`` and ``linalg.lift``, by name."""
+    calls = []
+    for name in ("residues", "lift"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda rows, name=name, original=original:
+                            calls.append(name) or original(rows))
+    return calls
 
 
 class TestModularGeneratorCount:
-    """Over Q minimal_generator_degrees counts mod P and certifies each
-    degree; the Fraction pass is its oracle."""
+    """Over Q minimal_generator_degrees counts once, exactly, on the integer-
+    scaled basis, never mod a prime: the adversarial fixtures defeat the same
+    pass mod p.  The all-products oracle and the unprojected pass are its
+    oracles."""
 
     def test_cases_are_over_q_and_the_oracle_agrees(self):
         for name in COUNT_IDS:
             rep, expected = count_case(name)
-            assert rep.field == QQ and expected == oracle_new_generators(rep), name
+            assert rep.field == QQ and expected == reference_generator_degrees(rep), name
 
     @pytest.mark.parametrize("name", COUNT_IDS)
     def test_real_prime_matches_fraction_path_without_fallback(self, monkeypatch, name):
+        # one exact pass over Q: nothing is reduced mod P, lifted or redone
         rep, expected = count_case(name)
-        fallbacks = count_generator_fallbacks(monkeypatch)
+        passes, count = [], intersect._generator_degrees
+        monkeypatch.setattr(intersect, "_generator_degrees",
+                            lambda bases, field: passes.append(field) or count(bases, field))
+        calls = count_calls(monkeypatch)
         assert minimal_generator_degrees(rep) == expected
-        assert fallbacks == [False]
+        assert passes == [QQ] and calls == []
 
     @pytest.mark.parametrize("prime", [3, 5])
     @pytest.mark.parametrize("name", COUNT_IDS)
     def test_tiny_prime_matches_fraction_path(self, monkeypatch, name, prime):
+        # the count over Q reads no prime: a count mod 3 or 5 fails the
+        # adversarial fixtures (test_fixtures_defeat_a_count_mod_p)
         rep, expected = count_case(name)
         monkeypatch.setattr(linalg, "P", prime)
         assert minimal_generator_degrees(rep) == expected
 
     @pytest.mark.parametrize(
-        "name, prime, expected, unchecked",
+        "name, prime, expected, modular",
         [
-            # check (a): a rank short of dim F_1 undercounts
+            # a rank short of dim F_1 undercounts
             ("rank-drop", 3, [(1, 2)], []),
             ("rank-drop", 5, [(1, 2)], []),
-            # check (a): a rank short of dim F_2 undercounts
+            # a rank short of dim F_2 undercounts
             ("syzygy", 3, [(2, 3)], [(2, 2)]),
             ("syzygy", 5, [(2, 3)], [(2, 2)]),
-            # check (b) on F_{d-1}
+            # a basis element of F_{d-1} enters mod p as new at d
             ("filtered", 3, [(1, 1), (2, 1)], [(1, 1), (2, 1), (4, 1)]),
-            # check (b) on the tried products: products dependent only mod p overcount
+            # products dependent only mod p overcount
             ("tried-overcount", 3, [(2, 3)], [(2, 3), (4, 1)]),
         ],
     )
-    def test_checks_reject_a_wrong_unchecked_count(self, monkeypatch, name, prime, expected, unchecked):
+    def test_fixtures_defeat_a_count_mod_p(self, name, prime, expected, modular):
         rep, oracle = count_case(name)
-        assert oracle == expected and unchecked_count(rep, prime) == unchecked
-        monkeypatch.setattr(linalg, "P", prime)
-        fallbacks = count_generator_fallbacks(monkeypatch)
-        assert rejected_by(monkeypatch, rep) == (expected, [REJECTED_AT[name]])
-        assert fallbacks == [True]
+        assert oracle == expected and count_mod(rep, prime) == modular
+        assert minimal_generator_degrees(rep) == expected
 
-    def test_both_passes_read_one_integer_basis(self, monkeypatch):
-        # the rank-drop basis has the rows z + x/15 and y + x/15: the
-        # Fraction pass reads the same integer-scaled rows as the pass mod P
+    def test_the_pass_reads_the_integer_scaled_basis(self, monkeypatch):
+        # the rank-drop basis has the rows z + x/15 and y + x/15: the one
+        # pass over Q reads them scaled to 15z + x and 15y + x
         rep, expected = count_case("rank-drop")
         calls = []
         count = intersect._generator_degrees
-
-        def spy(bases, field, certify=None):
-            calls.append((bases, field))
-            return None if certify is not None else count(bases, field)
-
-        monkeypatch.setattr(intersect, "_generator_degrees", spy)
+        monkeypatch.setattr(intersect, "_generator_degrees",
+                            lambda bases, field: calls.append((bases, field)) or count(bases, field))
         assert minimal_generator_degrees(rep) == expected
-        [(modular, p), (exact, field)] = calls
-        assert (p, field) == (linalg.P, QQ) and modular == exact
-        assert all(type(c) is int for rows in exact.values() for row in rows for c in row.values())
+        [(bases, field)] = calls
+        assert field == QQ and all(type(c) is int for rows in bases.values() for row in rows for c in row.values())
+        assert sorted(bases[1][0].values()) == [1, 15]
+
+    @pytest.mark.parametrize("inst, dmax", [(OFF3, 8), (build_instance(3, 1, [[1, 3], [3, 1]]), 8)],
+                             ids=["OFF3-8", "n3-8"])
+    def test_count_and_units_check_neither_reduce_nor_lift(self, monkeypatch, inst, dmax):
+        rep = kuroda_intersection_basis(inst, dmax)
+        assert rep.new_generators
+        calls = count_calls(monkeypatch)
+        assert minimal_generator_degrees(rep) == list(rep.new_generators)
+        assert no_monomial_units_check(inst, dmax) is monomial_units_oracle(inst, dmax)
+        assert calls == []
+        kuroda_intersection_basis(inst, dmax)  # the spy sees the pi-engine's lifts
+        assert {"residues", "lift"} <= set(calls)
 
     @pytest.mark.parametrize("field", [QQ, 32003])
     def test_rows_sharing_a_pivot_are_refused(self, field):
@@ -1430,8 +1422,8 @@ def projection_case(name, field):
 
 class TestProjectedCount:
     """minimal_generator_degrees reduces every product on the basis pivots
-    only; the unprojected pass is its oracle, over Q at the real P and at
-    tiny ones, and over F_32003."""
+    only; the unprojected pass is its oracle, over Q and over F_32003.  The
+    count over Q reads no prime, so it is the same at tiny ones."""
 
     @pytest.mark.parametrize("field, prime", [(QQ, None), (QQ, 3), (QQ, 5), (32003, None)],
                              ids=["Q", "Q-P3", "Q-P5", "F32003"])
@@ -1443,28 +1435,31 @@ class TestProjectedCount:
         assert minimal_generator_degrees(rep) == expected
 
     def test_only_kept_products_are_built_in_full(self, monkeypatch):
-        # OFF3 at dmax 12 over Q: 234 products are tried, each on the pivots
-        # in integers; only the 54 that enlarge the span run _times, and they
-        # fill the span's rank 83 with the 28 generators and the constant
+        # OFF3 at dmax 12 over Q: 234 products are tried, each on the pivots;
+        # only the 54 that enlarge the span run _times, and they fill the
+        # span's rank 83 with the 28 generators and the constant
         rep, expected = projection_case("OFF3-12", QQ)
-        pivots, tried, built = set(), [], []
+        pivots, added, built = set(), [], []
         count, times = intersect._generator_degrees, intersect._times
 
-        def spy(bases, field, certify=None):
+        class Spied(SparseRREF):
+            def add(self, vec):
+                added.append((vec, super().add(vec)))
+                return added[-1][1]
+
+        def spy(bases, field):
             pivots.update(min(r) for rs in bases.values() for r in rs)
-
-            def checked(d, rank, products, columns):
-                tried.extend(products)
-                return certify(d, rank, products, columns)
-
-            return count(bases, field, None if certify is None else checked)
+            return count(bases, field)
 
         monkeypatch.setattr(intersect, "_generator_degrees", spy)
+        monkeypatch.setattr(intersect, "SparseRREF", Spied)
         monkeypatch.setattr(intersect, "_times", lambda f, g, p: built.append(p) or times(f, g, p))
         assert minimal_generator_degrees(rep) == expected
-        assert len(tried) == 234 and all(q.keys() <= pivots and all(type(c) is int for c in q.values()) for q in tried)
         generators = sum(c for _, c in expected)
-        assert built == [0] * 54 and len(built) + generators + 1 == sum(map(len, rep.bases.values())) == 83
+        # every add is a tried product or one of the generators and the constant
+        assert len(added) == 234 + generators + 1 and all(q.keys() <= pivots for q, _ in added)
+        rank = sum(k is not None for _, k in added)
+        assert built == [0] * 54 and len(built) + generators + 1 == rank == sum(map(len, rep.bases.values())) == 83
 
     def test_off3_count_reduces_on_the_pivots(self, monkeypatch):
         # the count's _axpy row entries on OFF3 at dmax 12 over Q: 53 741 on
