@@ -3,10 +3,11 @@
 Subcommands: ``check-conditions``, ``verify <id>``, ``hilbert``,
 ``intersect``, ``scan``.  A config is a JSON object with exactly the keys the
 command needs (``{n, gamma, delta}``, or ``{U}`` for ``hilbert``) plus an
-optional ``field``; an empty or partial config is a config error.  Each
-command fills one :class:`Report`: ``#`` header lines with the effective
-field, degree bound and seed of those the command uses, then tab-separated
-rows.  Checked rows end in ``ok`` or ``FAIL`` and alone decide the verdict.
+optional ``field``; an empty or partial config is a config error.  A command
+or verify id accepts only the options it reads (its ``reads``), and ``--out``.
+Each command fills one :class:`Report`: ``#`` header lines with the effective
+field, degree bound and seed of those it reads, then tab-separated rows.
+Checked rows end in ``ok`` or ``FAIL`` and alone decide the verdict.
 
 Exit codes: 0 all checks pass, 1 a checked row failed (``verify`` printed
 ``RESULT fail``, or ``scan`` found an implication violation), 2 usage or
@@ -31,14 +32,13 @@ from .intersect import (
 from .kuroda import (
     build_G,
     build_instance,
-    check_star,
-    check_starstar,
     condition_holds,
     delta_box,
     f0_is_polynomial,
     implication_scan,
     lemma31_find_p,
     random_instance,
+    ratio_sum,
     verify_t214,
 )
 from .lattice import solve_unit_row
@@ -73,10 +73,10 @@ class Report:
         if not ok:
             self.failed = True
 
-    def header(self, field=None, dmax=None, seed=False, extra=()):
+    def header(self, field=None, dmax=None, extra=()):
         """The ``#`` lines that open the report.  ``field`` (parsed) and ``dmax``
         are the effective values of a command that resolves them, and only
-        those are printed; ``seed`` is True only for a command that uses one."""
+        those are printed; the seed is printed for a command that reads one."""
         args = self.args
         self.comment(f"h14 {__version__}")
         self.comment(f"command: {args.command}" + (f" {args.check_id}" if getattr(args, "check_id", None) else ""))
@@ -85,8 +85,8 @@ class Report:
             self.comment(f"field: {field_name(field)}")
         if dmax is not None:
             self.comment(f"dmax: {dmax}")
-        if seed:
-            self.comment(f"seed: {args.seed}")
+        if "seed" in args.reads:
+            self.comment(f"seed: {args.seed or 0}")
         for line in extra:
             self.comment(line)
 
@@ -123,13 +123,6 @@ def load_config(path, required):
     return data
 
 
-def _reject_inputs(args, name, why):
-    """A command of fixed inputs refuses the options it would ignore."""
-    given = [f"--{opt}" for opt in ("config", "field", "dmax") if getattr(args, opt) is not None]
-    if given:
-        raise UsageError(f"{name} takes no {', '.join(given)}: {why}")
-
-
 def _bound(args, default):
     """The effective degree bound: ``--dmax`` if given, else the command's default."""
     return default if args.dmax is None else args.dmax
@@ -159,15 +152,13 @@ def cmd_check_conditions(args, rep):
     rep.header(inst.field)
     rep.row("quantity", "value")
     if inst.n == 4:
-        value, holds = check_star(inst)
         rep.row("condition", "three-ratio sum < 1")
         for i, x in enumerate(inst.xi):
             rep.row(f"xi_{i + 1}", x)
     else:
-        value, holds = check_starstar(inst)
         rep.row("condition", "two-ratio sum < 1/2")
-    rep.row("value", value)
-    rep.row("holds", holds)
+    rep.row("value", ratio_sum(inst.delta))
+    rep.row("holds", condition_holds(inst.delta))
     rep.row("det_T", inst.det_t)
 
 
@@ -207,7 +198,6 @@ def cmd_intersect(args, rep):
 
 
 def cmd_scan(args, rep):
-    _reject_inputs(args, "scan", "its boxes are fixed and it builds no polynomials")
     rep.header()
     rep.row("n", "bound", "instances", "implication_violations", "converse_witnesses")
     for n, bound in ((3, 4), (4, 2)):
@@ -250,10 +240,10 @@ def _verify_p26(args, rep):
 
 
 def _verify_t28(args, rep):
-    rep.header(seed=True)
+    rep.header()
     gens = SubalgebraGens.of(2, [(1, 1), (1, -1)])
     rep.check("worked_example", ok=intersection_generators(gens) == [(0, 2), (1, 1), (2, 0)])
-    rng = random.Random(args.seed)
+    rng = random.Random(args.seed or 0)
     checked = 0
     in_cone = True
     for _ in range(10):
@@ -271,9 +261,9 @@ def _verify_t28(args, rep):
 
 def _verify_t214(args, rep):
     inst = _instance(args, DEFAULT_N3)
-    rep.header(inst.field, seed=True)
+    rep.header(inst.field)
     rep.check("default_instance", ok=verify_t214(inst))
-    rng = random.Random(args.seed)
+    rng = random.Random(args.seed or 0)
     rep.check("random_instances", 50, ok=all(verify_t214(random_instance(rng, 3, 5)) for _ in range(50)))
     mono = lambda e: LaurentPoly.monomial(3, e, 1, inst.field)
     (d11, d12), (d21, d22) = inst.delta
@@ -320,7 +310,6 @@ def _verify_r216(args, rep):
 
 
 def _verify_l31(args, rep):
-    _reject_inputs(args, "verify l3.1", "its box of tables is fixed and it works over Q")
     rep.header(QQ)
     tables = [[list(r) for r in delta] for delta in filter(condition_holds, delta_box(4, 3))]
     ok = True
@@ -344,26 +333,40 @@ def _verify_l32(args, rep):
     rep.check("support_property", ok=all(support_property_check(img) for img in nonconstant))
 
 
+# each check and the options it reads
 VERIFY_DISPATCH = {
-    "t2.5i": _verify_t25i,
-    "t2.5ii": _verify_t25ii,
-    "p2.6": _verify_p26,
-    "t2.8": _verify_t28,
-    "t2.14": _verify_t214,
-    "l2.15": _verify_l215,
-    "r2.16": _verify_r216,
-    "l3.1": _verify_l31,
-    "l3.2": _verify_l32,
+    "t2.5i": (_verify_t25i, ("config", "field")),
+    "t2.5ii": (_verify_t25ii, ("config", "field")),
+    "p2.6": (_verify_p26, ("config", "field", "dmax")),
+    "t2.8": (_verify_t28, ("seed",)),
+    "t2.14": (_verify_t214, ("config", "field", "seed")),
+    "l2.15": (_verify_l215, ("field", "dmax")),
+    "r2.16": (_verify_r216, ("field",)),
+    "l3.1": (_verify_l31, ()),
+    "l3.2": (_verify_l32, ("config", "field", "dmax")),
 }
 
 
 def cmd_verify(args, rep):
-    check_id = VERIFY_ALIASES.get(args.check_id, args.check_id)
-    if check_id not in VERIFY_DISPATCH:
-        valid = ", ".join(sorted(VERIFY_DISPATCH) + sorted(VERIFY_ALIASES))
-        raise UsageError(f"unknown check id {args.check_id!r}; valid ids: {valid}")
-    VERIFY_DISPATCH[check_id](args, rep)
+    args.check(args, rep)
     rep.row("RESULT", "fail" if rep.failed else "pass")
+
+
+def _reject_unread(args):
+    """Resolve a verify id to its check, then refuse every given option the
+    command does not read."""
+    name = args.command
+    if name == "verify":
+        check_id = VERIFY_ALIASES.get(args.check_id, args.check_id)
+        if check_id not in VERIFY_DISPATCH:
+            valid = ", ".join(sorted(VERIFY_DISPATCH) + sorted(VERIFY_ALIASES))
+            raise UsageError(f"unknown check id {args.check_id!r}; valid ids: {valid}")
+        args.check, args.reads = VERIFY_DISPATCH[check_id]
+        name += f" {args.check_id}"
+    unread = [f"--{opt}" for opt in ("config", "dmax", "field", "seed")
+              if getattr(args, opt) is not None and opt not in args.reads]
+    if unread:
+        raise UsageError(f"{name} does not read {', '.join(unread)}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +387,20 @@ def build_parser():
     common.add_argument("--config", help="JSON instance config {n, gamma, delta, field} (or {U})")
     common.add_argument("--dmax", type=int, help="degree bound for bounded-degree computations")
     common.add_argument("--field", help="coefficient field: Q or Fp:<prime>")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    common.add_argument("--seed", type=int, help="seed for randomized checks (default 0)")
     common.add_argument("--out", help="write the report to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("check-conditions", parents=[common],
-                   help="exact ratio-condition values and det T").set_defaults(func=cmd_check_conditions)
+    sub.add_parser("check-conditions", parents=[common], help="exact ratio-condition values and det T"
+                   ).set_defaults(func=cmd_check_conditions, reads=("config", "field"))
     p_verify = sub.add_parser("verify", parents=[common], help="run one named batch check")
     p_verify.add_argument("check_id", help="one of: " + ", ".join(VERIFY_DISPATCH))
     p_verify.set_defaults(func=cmd_verify)
-    sub.add_parser("hilbert", parents=[common],
-                   help="Hilbert basis and generator monomials for a config U").set_defaults(func=cmd_hilbert)
-    sub.add_parser("intersect", parents=[common],
-                   help="bounded-degree polynomial part of the pi-span").set_defaults(func=cmd_intersect)
-    sub.add_parser("scan", parents=[common],
-                   help="exhaustive condition/determinant box scans").set_defaults(func=cmd_scan)
+    sub.add_parser("hilbert", parents=[common], help="Hilbert basis and generator monomials for a config U"
+                   ).set_defaults(func=cmd_hilbert, reads=("config", "field"))
+    sub.add_parser("intersect", parents=[common], help="bounded-degree polynomial part of the pi-span"
+                   ).set_defaults(func=cmd_intersect, reads=("config", "field", "dmax"))
+    sub.add_parser("scan", parents=[common], help="exhaustive condition/determinant box scans"
+                   ).set_defaults(func=cmd_scan, reads=())
     return parser
 
 
@@ -408,6 +411,7 @@ def main(argv=None) -> int:
         parser.error("--dmax must be >= 0")
     rep = Report(args)
     try:
+        _reject_unread(args)
         if args.field is not None:
             parse_field(args.field)
         args.func(args, rep)

@@ -13,7 +13,7 @@ import itertools
 from math import comb, prod
 from operator import sub
 
-from .errors import PreconditionError, UsageError, check_int
+from .errors import PreconditionError, check_int
 from .laurent import QQ, LaurentPoly
 from .monoid import _check_budget
 
@@ -40,7 +40,7 @@ def kernel_generators(nvars: int = 4, field=QQ):
     return [y[-1] - y[i] for i in range(nvars - 1)]
 
 
-def kernel_degree_basis(d: int, nvars: int = 4, field=QQ):
+def kernel_degree_basis(d: int, nvars: int = 4):
     """Basis of the kernel within polynomials of total degree <= d, in closed
     form: one polynomial f(Y1 - Yn, ..., Y(n-1) - Yn) per Yn-free monomial f
     of degree <= d, in ascending order of f, with ``int`` coefficients (over
@@ -56,13 +56,11 @@ def kernel_degree_basis(d: int, nvars: int = 4, field=QQ):
     and 0 at every other free monomial.  f(Y1 - Yn, ...) is killed by E,
     since E(Yi - Yn) = 0, and setting Yn = 0 leaves f, so it is that vector.
 
-    The dimension claim needs characteristic 0, so prime fields are
-    rejected.  A basis of more than ``monoid.ENUMERATION_BUDGET`` terms is
-    refused up front: f = Y^a has prod(a_i + 1) terms, C(d + 2n - 2, 2n - 2)
-    in all (one per choice of a - j and j, 2(n - 1) exponents of sum <= d).
+    The dimension claim needs characteristic 0, so the basis is over Q.  A
+    basis of more than ``monoid.ENUMERATION_BUDGET`` terms is refused up
+    front: f = Y^a has prod(a_i + 1) terms, C(d + 2n - 2, 2n - 2) in all
+    (one per choice of a - j and j, 2(n - 1) exponents of sum <= d).
     """
-    if field != QQ:
-        raise UsageError("kernel degree bases are computed over Q (characteristic 0)")
     check_int(d, "degree bound", high=MAX_DEGREE)
     check_int(nvars, "nvars", 1)
     terms = comb(d + 2 * nvars - 2, 2 * nvars - 2)

@@ -276,7 +276,6 @@ def _pi_monomial_images(inst: KurodaInstance, dmax: int):
         for pi in pis:
             if any(c.denominator != 1 for c in pi.terms.values()):
                 raise PreconditionError(f"pi {pi} has a non-integral coefficient")
-        pis = [_integer_scaled(pi) for pi in pis]
     box = _Packing.around(pis, dmax)
     return (*_product_table(pis, (1,) * len(pis), dmax, box, inst.field), box)
 

@@ -96,20 +96,6 @@ def build_instance(n, gamma, delta, field_tag=QQ) -> KurodaInstance:
     return KurodaInstance(3, gamma, dmat, fld, t_matrix, None, (pi1, pi2, pi3), None)
 
 
-def check_star(inst: KurodaInstance):
-    """Exact value of the three-ratio sum and whether (*) holds (n=4)."""
-    if inst.n != 4:
-        raise UsageError("the three-ratio condition applies to the n=4 family")
-    return star_value(inst.delta), condition_holds(inst.delta)
-
-
-def check_starstar(inst: KurodaInstance):
-    """Exact value of the two-ratio sum and whether (**) holds (n=3)."""
-    if inst.n != 3:
-        raise UsageError("the two-ratio condition applies to the n=3 family")
-    return starstar_value(*inst.delta[0], *inst.delta[1]), condition_holds(inst.delta)
-
-
 def _ratio_terms(d):
     """(numerator, denominator) of each ratio: the xi_i above for the 3 rows of
     n=4 (3x3 or 3x4), d11 / (d11 + d21) and d22 / (d22 + d12) for n=3 (2x2)."""
@@ -135,14 +121,10 @@ def _xi(delta):
     return tuple(Fraction(a, b) for a, b in _ratio_terms(delta))
 
 
-def starstar_value(d11, d12, d21, d22):
-    """The two-ratio sum of an n=3 instance."""
-    return sum(_xi(((d11, d12), (d21, d22))))
-
-
-def star_value(rows):
-    """The three-ratio sum of an n=4 instance (delta rows)."""
-    return sum(_xi(rows))
+def ratio_sum(delta):
+    """The exact ratio sum of a delta table: the three xi_i of n=4, or the two
+    ratios of n=3 (see :func:`_ratio_terms`)."""
+    return sum(_xi(delta))
 
 
 def _flip_diagonal(rows):
@@ -181,7 +163,7 @@ def implication_scan(n: int, bound: int) -> ScanReport:
         holds = condition_holds(delta)
         dt = det(IntMatrix(n - 1, n - 1, _flip_diagonal(delta)))
         if holds and dt == 0:
-            violations.append({"delta": delta, "value": sum(_xi(delta)), "det": dt})
+            violations.append({"delta": delta, "value": ratio_sum(delta), "det": dt})
         elif not holds and dt:
             witnesses += 1
     return ScanReport(n, bound, total, tuple(violations), witnesses)

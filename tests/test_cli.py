@@ -188,7 +188,8 @@ class TestVerify:
         ["t2.5i", "t2.5ii", "p2.6", "t2.8", "t2.14", "l2.13", "l2.15", "r2.16", "l3.2"],
     )
     def test_all_pass(self, capsys, check_id):
-        code, out, _ = run(capsys, "verify", check_id, "--dmax", "6")
+        bound = ["--dmax", "6"] if check_id in ("p2.6", "l2.15", "l3.2") else []
+        code, out, _ = run(capsys, "verify", check_id, *bound)
         assert code == 0, out
         assert "RESULT\tpass" in out
 
@@ -223,7 +224,7 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--config", "instance.json"), ("--field", "Fp:5"), ("--dmax", "3")],
+        [("--config", "instance.json"), ("--field", "Fp:5"), ("--dmax", "3"), ("--seed", "3")],
     )
     def test_l31_rejects_options_it_would_ignore(self, capsys, tmp_path, monkeypatch, option, value):
         # --config /nonexistent.json --field Fp:5 used to exit 0, computing over Q on the fixed box
@@ -265,7 +266,7 @@ class TestVerify:
         def crash(_args, _rep):
             raise RuntimeError("worker crashed")
 
-        monkeypatch.setitem(h14.cli.VERIFY_DISPATCH, "t2.8", crash)
+        monkeypatch.setitem(h14.cli.VERIFY_DISPATCH, "t2.8", (crash, ("seed",)))
         code, out, err = run(capsys, "verify", "t2.8")
         assert code == 4
         assert "RESULT" not in out
@@ -324,7 +325,7 @@ class TestIntersectAndScan:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--config", "instance.json"), ("--field", "Fp:5"), ("--dmax", "3")],
+        [("--config", "instance.json"), ("--field", "Fp:5"), ("--dmax", "3"), ("--seed", "3")],
     )
     def test_scan_rejects_options_it_would_ignore(self, capsys, tmp_path, monkeypatch, option, value):
         def no_work(*_args):
@@ -358,9 +359,11 @@ class TestIntersectAndScan:
         ["intersect", "--dmax", "1"], ["verify", "l2.15", "--dmax", "1"],
     ])
     def test_commands_without_randomness_print_no_seed(self, capsys, argv):
-        code, out, _ = run(capsys, *argv, "--seed", "7")
-        assert code == 0
-        assert "seed" not in out
+        # they used to accept --seed 7 and ignore it; now they refuse it
+        code, out, err = run(capsys, *argv, "--seed", "7")
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
 
     @pytest.mark.parametrize(
         "argv, config_field, expected",
@@ -371,11 +374,10 @@ class TestIntersectAndScan:
             (["intersect"], "Fp:5", ["# field: Fp:5", "# dmax: 6"]),
             (["check-conditions"], "Fp:7", ["# field: Fp:7"]),
             (["verify", "l3.2", "--dmax", "3"], "F5", ["# field: Fp:5", "# dmax: 3"]),
-            # commands that use no degree bound print none, whatever --dmax says
-            (["check-conditions", "--dmax", "7"], None, ["# field: Q"]),
-            (["verify", "t2.5i", "--dmax", "3"], None, ["# field: Q"]),
-            # commands that resolve no field print none
-            (["verify", "t2.8", "--field", "Fp:5"], None, []),
+            # commands that use no degree bound print none (and refuse --dmax,
+            # see TestOptionsRead); commands that resolve no field print none
+            (["verify", "t2.5i"], None, ["# field: Q"]),
+            (["verify", "t2.8"], None, []),
             (["scan"], None, []),
         ],
     )
@@ -404,7 +406,7 @@ class TestParser:
         assert code == 0 and "# field: Fp:5" in out and "# dmax: 3" in out
         code, out, _ = run(capsys, "verify", "l2.15")
         assert code == 0 and "# field: Q" in out and "# dmax: 16" in out
-        code, out, _ = run(capsys, "check-conditions", "--config", cfg, "--seed", "5")
+        code, out, _ = run(capsys, "check-conditions", "--config", cfg)
         assert code == 0 and f"# config: {cfg}" in out and "# field: Fp:7" in out and "seed" not in out
         code, out, _ = run(capsys, "verify", "t2.8", "--seed", "5")
         assert code == 0 and "# seed: 5" in out
@@ -413,6 +415,59 @@ class TestParser:
         assert "# config: default" in out and "# field: Q" in out
         code, out, _ = run(capsys, "verify", "t2.8")
         assert code == 0 and "# seed: 0" in out
+
+
+# -- options: each command accepts exactly the options it reads -----------------
+
+# command -> (the options it reads, the h14.cli function its work starts with)
+READS = {
+    ("check-conditions",): ({"config", "field"}, "build_instance"),
+    ("hilbert",): ({"config", "field"}, "hilbert_basis"),
+    ("intersect",): ({"config", "field", "dmax"}, "kuroda_intersection_basis"),
+    ("scan",): (set(), "implication_scan"),
+    ("verify", "t2.5i"): ({"config", "field"}, "solve_unit_row"),
+    ("verify", "t2.5ii"): ({"config", "field"}, "freeness_certificate"),
+    ("verify", "p2.6"): ({"config", "field", "dmax"}, "no_monomial_units_check"),
+    ("verify", "t2.8"): ({"seed"}, "intersection_generators"),
+    ("verify", "t2.14"): ({"config", "field", "seed"}, "verify_t214"),
+    ("verify", "l2.13"): ({"config", "field", "seed"}, "verify_t214"),
+    ("verify", "l2.15"): ({"field", "dmax"}, "graded_intersection"),
+    ("verify", "r2.16"): ({"field"}, "graded_intersection"),
+    ("verify", "l3.1"): (set(), "delta_box"),
+    ("verify", "l3.2"): ({"config", "field", "dmax"}, "kuroda_intersection_basis"),
+}
+
+
+class TestOptionsRead:
+    @pytest.mark.parametrize("option", ["config", "dmax", "field", "seed"])
+    @pytest.mark.parametrize("command", sorted(READS), ids=" ".join)
+    def test_an_option_is_accepted_exactly_when_it_is_read(self, capsys, tmp_path, monkeypatch, command, option):
+        # verify l2.15 --config /nonexistent.json used to print "# config: ..." and RESULT pass
+        reads, work = READS[command]
+
+        def started(*_args):
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(f"h14.cli.{work}", started)
+        cfg = write_config(tmp_path, {"U": [[1, 1], [1, -1]]} if command == ("hilbert",) else
+                           {"n": 4, "gamma": 1, "delta": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]})
+        argv = [*command, f"--{option}", {"config": cfg, "dmax": "1", "field": "Fp:2", "seed": "1"}[option]]
+        if command == ("hilbert",) and option != "config":
+            argv += ["--config", cfg]  # hilbert has no default cone
+        code, out, err = run(capsys, *argv)
+        if option in reads:
+            assert (code, err) == (4, "internal error: RuntimeError: work started\n")
+        else:
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {' '.join(command)} does not read --{option}\n"
+
+    def test_every_unread_option_is_named(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("h14.cli.delta_box", lambda *_args: pytest.fail("work started"))
+        code, out, err = run(capsys, "verify", "l3.1", "--seed", "1", "--field", "Q", "--dmax", "2",
+                             "--out", str(tmp_path / "report.tsv"))
+        assert (code, out) == (2, "")
+        assert err == "error: verify l3.1 does not read --dmax, --field, --seed\n"
 
 
 # -- exit-code contract under generated input ---------------------------------
@@ -504,3 +559,21 @@ def test_readme_lists_every_verify_id():
     ids = re.findall(r"`([a-z]\d[\w.]*)`", readme[start:readme.index("Each prints", start)])
     assert len(ids) == len(set(ids))
     assert set(ids) == set(h14.cli.VERIFY_DISPATCH) | set(h14.cli.VERIFY_ALIASES)
+
+
+def test_readme_table_states_the_options_each_command_reads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("| command / id | reads |")
+    rows = readme[start:readme.index("\n\n", start)].splitlines()[2:]
+    stated = {}
+    for row in rows:
+        names, reads = (cell.strip() for cell in row.strip("|").split("|"))
+        for name in re.findall(r"`([^`]+)`", names):
+            command = ("verify", name) if name in h14.cli.VERIFY_ALIASES else tuple(name.split())
+            assert command not in stated
+            stated[command] = set() if reads == "none" else set(reads.split(", "))
+    parser = h14.cli.build_parser()
+    declared = {(c,): set(parser.parse_args([c]).reads) for c in ("check-conditions", "hilbert", "intersect", "scan")}
+    for check_id in [*h14.cli.VERIFY_DISPATCH, *h14.cli.VERIFY_ALIASES]:
+        declared["verify", check_id] = set(h14.cli.VERIFY_DISPATCH[h14.cli.VERIFY_ALIASES.get(check_id, check_id)][1])
+    assert stated == declared

@@ -94,10 +94,6 @@ class TestKernelDegreeBasis:
                 assert kernel_check(b)
                 assert b.is_polynomial()
 
-    def test_prime_field_rejected(self):
-        with pytest.raises(UsageError):
-            kernel_degree_basis(2, field=5)
-
     def test_degree_cap(self):
         with pytest.raises(UsageError):
             kernel_degree_basis(9)

@@ -24,7 +24,7 @@ from h14.intersect import (
     minimal_generator_degrees,
     no_monomial_units_check,
 )
-from h14.kuroda import build_f0, build_instance, condition_holds, delta_box, lemma31_find_p, star_value
+from h14.kuroda import build_f0, build_instance, condition_holds, delta_box, lemma31_find_p, ratio_sum
 from h14.laurent import QQ, LaurentPoly, coeff_of
 from h14.linalg import SparseRREF
 from test_coefficients import canonical, canonical_poly
@@ -200,7 +200,7 @@ def seeded_n4(count, seed, star):
     while len(out) < count:
         rows = [[rng.randint(1, 4) for _ in range(3)] for _ in range(3)]
         inst = build_instance(4, rng.randint(1, 2), rows)
-        if inst.det_t and (star_value(rows) < 1 or not star):
+        if inst.det_t and (ratio_sum(rows) < 1 or not star):
             out.append(inst)
     return out
 

@@ -11,16 +11,13 @@ from h14.kuroda import (
     build_G,
     build_f0,
     build_instance,
-    check_star,
-    check_starstar,
     condition_holds,
     delta_box,
     f0_is_polynomial,
     implication_scan,
     lemma31_find_p,
     random_instance,
-    star_value,
-    starstar_value,
+    ratio_sum,
     verify_t214,
 )
 from h14.laurent import LaurentPoly
@@ -63,32 +60,26 @@ class TestBuildInstance:
 
 class TestConditions:
     def test_star_values(self):
-        v, holds = check_star(build_instance(4, 1, [[1, 1, 1]] * 3))
-        assert (v, holds) == (Fraction(3, 2), False)
-        v, holds = check_star(build_instance(4, 1, [[1, 3, 3], [3, 1, 3], [3, 3, 1]]))
-        assert (v, holds) == (Fraction(3, 4), True)
-        v, holds = check_star(build_instance(4, 1, [[1, 2, 2], [2, 1, 2], [2, 2, 1]]))
-        assert (v, holds) == (Fraction(1), False)  # not strict
+        for delta, value, holds in [
+            ([[1, 1, 1]] * 3, Fraction(3, 2), False),
+            ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], Fraction(3, 4), True),
+            ([[1, 2, 2], [2, 1, 2], [2, 2, 1]], Fraction(1), False),  # not strict
+        ]:
+            assert (ratio_sum(delta), condition_holds(delta)) == (value, holds)
 
     def test_starstar_values(self):
-        v, holds = check_starstar(build_instance(3, 1, [[3, 1], [1, 1]]))
-        assert (v, holds) == (Fraction(5, 4), False)
-        v, holds = check_starstar(build_instance(3, 1, [[1, 9], [9, 1]]))
-        assert (v, holds) == (Fraction(1, 5), True)
-        v, holds = check_starstar(build_instance(3, 1, [[1, 1], [1, 1]]))
-        assert (v, holds) == (Fraction(1), False)
+        for delta, value, holds in [
+            ([[3, 1], [1, 1]], Fraction(5, 4), False),
+            ([[1, 9], [9, 1]], Fraction(1, 5), True),
+            ([[1, 1], [1, 1]], Fraction(1), False),
+        ]:
+            assert (ratio_sum(delta), condition_holds(delta)) == (value, holds)
 
     def test_star_equals_xi_sum(self):
         rng = random.Random(6)
         for _ in range(25):
             inst = random_instance(rng, 4, 4)
-            assert check_star(inst)[0] == sum(inst.xi)
-
-    def test_family_mismatch(self):
-        with pytest.raises(UsageError):
-            check_star(build_instance(3, 1, [[1, 1], [1, 1]]))
-        with pytest.raises(UsageError):
-            check_starstar(build_instance(4, 1, [[1, 1, 1]] * 3))
+            assert ratio_sum(inst.delta) == sum(inst.xi)
 
 
 def hand_ratio_sum(delta):
@@ -133,20 +124,20 @@ class TestDeltaBoxAndCondition:
 
     def test_star_value_is_the_hand_sum_on_the_n4_box(self):
         for rows in delta_box(4, 3):
-            assert star_value(rows) == hand_ratio_sum(rows)
+            assert ratio_sum(rows) == hand_ratio_sum(rows)
 
     def test_condition_holds_is_star_value_below_1_on_the_n4_box(self):
         tables = list(delta_box(4, 3))
         assert len(tables) == 19683
         holds = [condition_holds(rows) for rows in tables]
-        assert holds == [star_value(rows) < 1 for rows in tables]
+        assert holds == [ratio_sum(rows) < 1 for rows in tables]
         assert sum(holds) == 58
 
     def test_condition_holds_is_starstar_value_below_half_on_the_n3_box(self):
         tables = list(delta_box(3, 4))
         assert len(tables) == 256
         holds = [condition_holds(t) for t in tables]
-        assert holds == [starstar_value(*t[0], *t[1]) < Fraction(1, 2) for t in tables]
+        assert holds == [ratio_sum(t) < Fraction(1, 2) for t in tables]
         assert holds == [hand_ratio_sum(t) < Fraction(1, 2) for t in tables]
         assert 0 < sum(holds) < 256
 
@@ -157,7 +148,7 @@ class TestDeltaBoxAndCondition:
             inst = random_instance(rng, 4, 5)
             assert len(inst.delta[0]) == 4
             outcomes.add(condition_holds(inst.delta))
-            assert condition_holds(inst.delta) == (sum(inst.xi) < 1) == check_star(inst)[1]
+            assert condition_holds(inst.delta) == (sum(inst.xi) < 1) == (ratio_sum(inst.delta) < 1)
         for _ in range(300):
             inst = random_instance(rng, 3, 5)
             assert condition_holds(inst.delta) == (hand_ratio_sum(inst.delta) < Fraction(1, 2))
@@ -282,12 +273,10 @@ class TestCertificates:
         import itertools
         import math
 
-        from h14.kuroda import star_value
-
         disagreements, non_polynomial = [], 0
         for flat in itertools.product(range(1, 4), repeat=9):
             rows = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
-            if star_value(rows) >= 1:
+            if ratio_sum(rows) >= 1:
                 continue
             inst = build_instance(4, 1, rows)
             p, p1, p2, p3 = lemma31_find_p(inst.xi)
@@ -304,12 +293,10 @@ class TestCertificates:
     def test_box_scan_certificates(self):
         import itertools
 
-        from h14.kuroda import star_value
-
         count = 0
         for flat in itertools.product(range(1, 4), repeat=9):
             rows = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
-            if star_value(rows) >= 1:
+            if ratio_sum(rows) >= 1:
                 continue
             inst = build_instance(4, 1, rows)
             count += 1
