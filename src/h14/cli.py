@@ -9,10 +9,11 @@ Each command fills one :class:`Report`: ``#`` header lines with the effective
 field, degree bound and seed of those it reads, then tab-separated rows.
 Checked rows end in ``ok`` or ``FAIL`` and alone decide the verdict.
 
-Exit codes: 0 all checks pass, 1 a checked row failed (``verify`` printed
-``RESULT fail``, or ``scan`` found an implication violation), 2 usage or
-config error, 3 precondition error (singular matrix, non-pointed cone, ...),
-4 internal error (an unexpected exception; no report is printed).
+Exit codes: 0 all checks pass, 1 a checked row failed (a ``FAIL`` row was
+printed: ``verify`` then ends in ``RESULT fail``, ``scan`` names each
+implication violation), 2 usage or config error, 3 precondition error
+(singular matrix, non-pointed cone, ...), 4 internal error (an unexpected
+exception; no report is printed).
 """
 
 from __future__ import annotations
@@ -203,8 +204,8 @@ def cmd_scan(args, rep):
     for n, bound in ((3, 4), (4, 2)):
         sc = implication_scan(n, bound)
         rep.row(n, bound, sc.total, len(sc.implication_violations), sc.converse_witnesses)
-        if sc.implication_violations:
-            rep.failed = True
+        for v in sc.implication_violations:
+            rep.check("implication_violation", n, bound, [list(r) for r in v["delta"]], v["value"], v["det"], ok=False)
 
 
 # -- verify checks ----------------------------------------------------------

@@ -198,6 +198,14 @@ def lemma31_find_p(xi):
     return p, p1, p2, p3
 
 
+def _check_n4_exponents(inst: KurodaInstance, product: str, **exponents):
+    """Refuse an instance outside the n=4 family, or an exponent that is not an integer."""
+    if inst.n != 4:
+        raise UsageError(f"{product} is defined for the n=4 family")
+    for name, v in exponents.items():
+        check_int(v, name)
+
+
 def build_f0(inst: KurodaInstance, p1: int, p2: int, p3: int) -> LaurentPoly:
     """The certificate product expanded and pushed down to the X-variables.
 
@@ -205,10 +213,7 @@ def build_f0(inst: KurodaInstance, p1: int, p2: int, p3: int) -> LaurentPoly:
     Y-monomial lattice (where the map to X-monomials is injective because
     the exponent matrix is nonsingular), then substitutes.
     """
-    if inst.n != 4:
-        raise UsageError("the certificate product is defined for the n=4 family")
-    for name, v in (("p1", p1), ("p2", p2), ("p3", p3)):
-        check_int(v, name)
+    _check_n4_exponents(inst, "the certificate product", p1=p1, p2=p2, p3=p3)
     c1 = [math.comb(p1, i) for i in range(p1 + 1)]
     c2 = [math.comb(p2, j) for j in range(p2 + 1)]
     c3 = [math.comb(p3, k) for k in range(p3 + 1)]
@@ -242,10 +247,7 @@ def f0_is_polynomial(inst: KurodaInstance, p1: int, p2: int, p3: int) -> bool:
     instance are pairwise distinct.  :func:`build_f0` expands the product
     and serves as the oracle of this check.
     """
-    if inst.n != 4:
-        raise UsageError("the certificate product is defined for the n=4 family")
-    for name, v in (("p1", p1), ("p2", p2), ("p3", p3)):
-        check_int(v, name)
+    _check_n4_exponents(inst, "the certificate product", p1=p1, p2=p2, p3=p3)
     vecs = [next(iter(img.terms)) for img in inst.y_images[:3]]
     for a0, a1, a2 in zip(*vecs):
         const = p3 * a1 + (p1 + p2) * a2
@@ -267,10 +269,7 @@ def build_G(inst: KurodaInstance, s: int, p2bar: int, p3bar: int, e: int) -> GPr
 
     Also reports whether every X2 and X3 exponent in the support is >= 0.
     """
-    if inst.n != 4:
-        raise UsageError("defined for the n=4 family")
-    for name, v in (("s", s), ("p2bar", p2bar), ("p3bar", p3bar), ("e", e)):
-        check_int(v, name)
+    _check_n4_exponents(inst, "the product G", s=s, p2bar=p2bar, p3bar=p3bar, e=e)
     y = [LaurentPoly.variable(4, i, inst.field) for i in range(4)]
     g = (y[2] - y[1]) ** s * (y[2] - y[0]) ** p2bar * (y[1] - y[0]) ** p3bar
     g = g * (y[3] - y[0]) ** e

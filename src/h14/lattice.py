@@ -103,12 +103,12 @@ def det(m: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """D = U A V with U, V unimodular and D diagonal (divisibility chain)."""
+    """D = U A V with U, V unimodular and D diagonal (divisibility chain).
+    No V^-1 is stored: row j of U A = D V^-1 is d_j times row j of V^-1."""
 
     d: IntMatrix
     u: IntMatrix
     v: IntMatrix
-    v_inv: IntMatrix
 
     @cached_property
     def invariants(self):
@@ -124,22 +124,21 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     smaller than the pivot and becomes the next one; once row and column t
     are clear, a row holding an entry the pivot does not divide is added to
     row t, which leaves such a remainder.  |pivot| drops every round, so the
-    loop ends, and the pivot then divides everything after it.
+    loop ends, and the pivot then divides everything after it.  Row steps
+    act on A and U, column steps on A and V.
     """
     k, n = m.rows, m.cols
     a = m.to_lists()
     u = IntMatrix.identity(k).to_lists()
     v = IntMatrix.identity(n).to_lists()
-    vinv = IntMatrix.identity(n).to_lists()
 
     def add_row(i, j, c):  # row i += c * row j, on A and U
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
 
-    def add_col(j, i, c):  # col j += c * col i on A and V; row i of V^-1 -= c * row j
+    def add_col(j, i, c):  # col j += c * col i, on A and V
         for r in a + v:
             r[j] += c * r[i]
-        vinv[i] = [x - c * y for x, y in zip(vinv[i], vinv[j])]
 
     t = 0
     while t < min(k, n):
@@ -150,7 +149,6 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
         for r in a + v:
             r[t], r[j] = r[j], r[t]
-        vinv[t], vinv[j] = vinv[j], vinv[t]
         p = a[t][t]
         for i in range(t + 1, k):
             add_row(i, t, -(a[i][t] // p))
@@ -166,18 +164,18 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
         t += 1
     as_mat = lambda rows, nc: IntMatrix(len(rows), nc, tuple(tuple(r) for r in rows))
-    return SmithForm(as_mat(a, n), as_mat(u, k), as_mat(v, n), as_mat(vinv, n))
+    return SmithForm(as_mat(a, n), as_mat(u, k), as_mat(v, n))
 
 
 def smith_certificate(m: IntMatrix, sf: SmithForm) -> bool:
     """Whether ``sf`` is a Smith form of ``m``, checked in integers.
 
-    It holds when U m V = D, |det U| = 1, V V^-1 = I (so |det V| = 1) and D
-    is diagonal with d_1 | d_2 | ... >= 0 (0 divides only 0).  Then the row
-    span H of m is {x D V^-1}: v lies in H exactly when coordinate j of v V
-    is a multiple of d_j, and 0 past the rank.  ``CosetDecomposition``
-    reduces those coordinates modulo the d_j, keeps the free ones and maps
-    back by V^-1, so for every v in Z^n: v - rep(v) lies in H, rep is
+    It holds when U m V = D, |det U| = |det V| = 1 and D is diagonal with
+    d_1 | d_2 | ... >= 0 (0 divides only 0).  An integer V with |det V| = 1
+    is invertible over Z, so the row span H of m is {x D V^-1}: v lies in H
+    exactly when coordinate j of v V is a multiple of d_j, and 0 past the
+    rank.  ``CosetDecomposition`` takes those multiples off v along the rows
+    of U m = D V^-1, so for every v in Z^n: v - rep(v) lies in H, rep is
     idempotent, and rep(v + g) = rep(v) for every g in H.
     """
     d = sf.d
@@ -185,7 +183,7 @@ def smith_certificate(m: IntMatrix, sf: SmithForm) -> bool:
     return (
         sf.u * m * sf.v == d
         and abs(det(sf.u)) == 1
-        and sf.v * sf.v_inv == IntMatrix.identity(d.cols)
+        and abs(det(sf.v)) == 1
         and all(x >= 0 if i == j else x == 0 for i, row in enumerate(d.entries) for j, x in enumerate(row))
         and all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
     )
@@ -229,9 +227,12 @@ def left_kernel(m: IntMatrix):
 class CosetDecomposition:
     """Subgroup H of Z^n with canonical coset representatives.
 
-    The representative of v is the unique vector whose image under the Smith
-    column transform has coordinates reduced modulo the diagonal invariants;
-    rep(v) == rep(w) iff v - w lies in H, and rep vanishes exactly on H.
+    For the Smith form D = U A V of the generator matrix A and w = v V, the
+    representative is rep(v) = v - sum_j floor(w_j / d_j) (U A)_j over the
+    coordinates j below the rank.  Row j of U A = D V^-1 is d_j times row j
+    of V^-1, so coordinate j of rep(v) V is w_j mod d_j below the rank and
+    w_j past it: rep(v) == rep(w) iff v - w lies in H, and rep vanishes
+    exactly on H.
     """
 
     ambient: int
@@ -240,45 +241,28 @@ class CosetDecomposition:
 
     @cached_property
     def _reduction(self):
-        """The Smith data that coset queries need, computed once.
+        """(column j of V, d_j, row j of U A) for each coordinate j below the
+        rank, computed once.  A coordinate with d_j = 1 is kept: rep takes
+        all of w_j off v along its row."""
+        sf = self.smith
+        return tuple(zip(sf.v.columns, sf.invariants, (sf.u * self.generators).entries))
 
-        Coordinate j of v V is reduced modulo the j-th invariant d_j and must
-        vanish past the rank.  Coordinates with d_j = 1 always reduce to 0,
-        so only the others are kept: (V columns, moduli) of the torsion
-        coordinates, V columns of the free coordinates, and the columns of
-        V^-1 restricted to the rows of the kept coordinates.
-        """
-        inv = self.smith.invariants
-        r = len(inv)
-        kept = [j for j, d in enumerate(inv) if d != 1]
-        v_cols = self.smith.v.columns
-        back_rows = tuple(self.smith.v_inv.entries[j] for j in kept + list(range(r, self.ambient)))
-        return (
-            tuple(v_cols[j] for j in kept),
-            tuple(inv[j] for j in kept),
-            v_cols[r:],
-            IntMatrix(len(back_rows), self.ambient, back_rows).columns,
-        )
+    def _representative(self, vec):
+        if len(vec) != self.ambient:
+            raise ShapeError(f"vector of length {len(vec)} in Z^{self.ambient}")
+        rep = list(vec)
+        for col, d, row in self._reduction:
+            q = sum(map(mul, vec, col)) // d
+            if q:
+                rep = [x - q * y for x, y in zip(rep, row)]
+        return tuple(rep)
 
     def contains(self, vec) -> bool:
-        if len(vec) != self.ambient:
-            raise ShapeError(f"vector of length {len(vec)} in Z^{self.ambient}")
-        torsion_cols, moduli, free_cols, _ = self._reduction
-        for col, d in zip(torsion_cols, moduli):
-            if sum(map(mul, vec, col)) % d:
-                return False
-        for col in free_cols:
-            if sum(map(mul, vec, col)):
-                return False
-        return True
+        # the helper, not ``representative``: a traced query counts once
+        return not any(self._representative(vec))
 
     def representative(self, vec):
-        if len(vec) != self.ambient:
-            raise ShapeError(f"vector of length {len(vec)} in Z^{self.ambient}")
-        torsion_cols, moduli, free_cols, back_cols = self._reduction
-        w = [sum(map(mul, vec, col)) % d for col, d in zip(torsion_cols, moduli)]
-        w += [sum(map(mul, vec, col)) for col in free_cols]
-        return tuple([sum(map(mul, w, col)) for col in back_cols])
+        return self._representative(vec)
 
     @property
     def rank(self) -> int:

@@ -16,6 +16,7 @@ import h14.intersect
 import h14.monoid
 from h14.cli import main
 from h14.errors import IndependenceError, LinealityError
+from h14.kuroda import ScanReport
 from h14.laurent import LaurentPoly
 from h14.monoid import SubalgebraGens, intersection_generators
 
@@ -322,6 +323,17 @@ class TestIntersectAndScan:
         assert lines[0].split("\t") == ["n", "bound", "instances", "implication_violations", "converse_witnesses"]
         assert lines[1].split("\t")[:4] == ["3", "4", "256", "0"]
         assert lines[2].split("\t")[:4] == ["4", "2", "512", "0"]
+
+    def test_scan_violation_is_a_failed_row(self, capsys, monkeypatch):
+        def one_violation(n, bound):
+            found = ({"delta": ((1, 2), (3, 4)), "value": "1/3", "det": 0},) if n == 3 else ()
+            return ScanReport(n, bound, 1, found, 0)
+
+        monkeypatch.setattr("h14.cli.implication_scan", one_violation)
+        code, out, _ = run(capsys, "scan")
+        assert code == 1
+        failed = [l.split("\t") for l in out.splitlines() if l.endswith("\tFAIL")]
+        assert failed == [["implication_violation", "3", "4", "[[1, 2], [3, 4]]", "1/3", "0", "FAIL"]]
 
     @pytest.mark.parametrize(
         "option, value",

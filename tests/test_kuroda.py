@@ -261,6 +261,17 @@ class TestCertificates:
         with pytest.raises(UsageError):  # booleans are not exponents
             f0_is_polynomial(inst, True, 1, 1)
 
+    @pytest.mark.parametrize(
+        "product, exponents, bad",
+        [(build_f0, (1, 2.0, 3), "p2"), (f0_is_polynomial, (1, 2, 3.0), "p3"),
+         (build_G, (1, 2, 3, 4.0), "e")],
+    )
+    def test_products_need_the_n4_family_and_integer_exponents(self, product, exponents, bad):
+        with pytest.raises(UsageError, match="n=4 family"):
+            product(build_instance(3, 1, [[3, 1], [1, 1]]), *map(int, exponents))
+        with pytest.raises(UsageError, match=rf"^{bad} must be a nonnegative integer"):
+            product(build_instance(4, 1, [[1, 3, 3], [3, 1, 3], [3, 3, 1]]), *exponents)
+
     def test_fast_bound_agrees_with_expansion(self):
         rng = random.Random(13)
         for _ in range(60):

@@ -229,7 +229,10 @@ class TestSmithForm:
         # transforms unimodular
         assert det(sf.u) in (1, -1)
         assert det(sf.v) in (1, -1)
-        assert sf.v * sf.v_inv == IntMatrix.identity(m.cols)
+        # rows of U A = D V^-1 are d_j times integer rows below the rank, 0 past it
+        ua = (sf.u * m).entries
+        assert all(x % d == 0 for row, d in zip(ua, sf.invariants) for x in row)
+        assert not any(map(any, ua[len(sf.invariants):]))
         # diagonal with a divisibility chain
         for i in range(sf.d.rows):
             for j in range(sf.d.cols):
@@ -257,7 +260,7 @@ class TestSmithCertificate:
         assert sf.invariants == (1, 1, 4, 20) and smith_certificate(self.GENERATORS, sf)
         d = sf.d.to_lists()
         d[3][3] *= 2  # (1, 1, 4, 40) is still a nonnegative diagonal chain
-        assert not smith_certificate(self.GENERATORS, SmithForm(IntMatrix.from_rows(d), sf.u, sf.v, sf.v_inv))
+        assert not smith_certificate(self.GENERATORS, SmithForm(IntMatrix.from_rows(d), sf.u, sf.v))
 
     def test_u_must_be_unimodular(self):
         # D's second row is zero, so doubling U's second row keeps U m V = D
@@ -266,15 +269,20 @@ class TestSmithCertificate:
         assert sf.invariants == (1,)
         u = sf.u.to_lists()
         u[1] = [2 * x for x in u[1]]
-        corrupt = SmithForm(sf.d, IntMatrix.from_rows(u), sf.v, sf.v_inv)
+        corrupt = SmithForm(sf.d, IntMatrix.from_rows(u), sf.v)
         assert corrupt.u * m * corrupt.v == corrupt.d and abs(det(corrupt.u)) == 2
         assert not smith_certificate(m, corrupt)
 
-    def test_v_inv_must_invert_v(self):
-        sf = smith_normal_form(self.GENERATORS)
-        v_inv = sf.v_inv.to_lists()
-        v_inv[0][0] += 1
-        assert not smith_certificate(self.GENERATORS, SmithForm(sf.d, sf.u, sf.v, IntMatrix.from_rows(v_inv)))
+    def test_v_must_be_unimodular(self):
+        # D's second column is zero, so doubling V's second column keeps U m V = D
+        m = IntMatrix.from_rows([[1, 2], [2, 4]])
+        sf = smith_normal_form(m)
+        v = sf.v.to_lists()
+        for row in v:
+            row[1] *= 2
+        corrupt = SmithForm(sf.d, sf.u, IntMatrix.from_rows(v))
+        assert corrupt.u * m * corrupt.v == corrupt.d and abs(det(corrupt.v)) == 2
+        assert not smith_certificate(m, corrupt)
 
     @pytest.mark.parametrize(
         "d, holds",
@@ -290,7 +298,7 @@ class TestSmithCertificate:
         # with identity transforms U m V = D holds for m = D
         m = IntMatrix.from_rows(d)
         one = IntMatrix.identity(m.cols)
-        assert smith_certificate(m, SmithForm(m, IntMatrix.identity(m.rows), one, one)) == holds
+        assert smith_certificate(m, SmithForm(m, IntMatrix.identity(m.rows), one)) == holds
 
 
 class TestIntegerInput:
@@ -346,14 +354,16 @@ class TestCosets:
     def reference(cd, vec):
         """The unreduced formula: rep(v) = (v V mod D) V^-1, and v in H iff
         every coordinate of v V is divisible by its invariant and vanishes
-        past the rank."""
-        sf = cd.smith
+        past the rank.  V^-1 is solved column by column over Q, independently
+        of the U A rows that the decomposition reads."""
+        sf, n = cd.smith, cd.ambient
         r = len(sf.invariants)
-        w = [sum(vec[i] * sf.v[i, j] for i in range(cd.ambient)) for j in range(cd.ambient)]
+        v_inv_cols = [rational_solve(sf.v.entries, [int(i == j) for i in range(n)])[0] for j in range(n)]
+        w = [sum(vec[i] * sf.v[i, j] for i in range(n)) for j in range(n)]
         member = all(w[j] % sf.d[j, j] == 0 for j in range(r)) and not any(w[r:])
         for j in range(r):
             w[j] %= sf.d[j, j]
-        rep = tuple(sum(w[i] * sf.v_inv[i, j] for i in range(cd.ambient)) for j in range(cd.ambient))
+        rep = tuple(sum(a * b for a, b in zip(w, col)) for col in v_inv_cols)
         return rep, member
 
     @settings(max_examples=150, deadline=None)

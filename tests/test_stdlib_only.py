@@ -112,3 +112,53 @@ def test_every_true_division_has_a_fraction_operand():
 def test_true_division_is_caught():
     source = "def f(a, b):\n    a /= 2\n    return a // b + a / b\n\nx = 1 / 3\n"
     assert true_divisions(ast.parse(source)) == [("f", "a /= 2"), ("f", "a / b"), (None, "1 / 3")]
+
+
+def unnamed_definitions(trees):
+    """Top-level functions and classes, and non-dunder methods as
+    ``Class.method``, defined in ``trees`` whose name no tree mentions as a
+    name, an attribute or an imported name."""
+    dunder = lambda name: name.startswith("__") and name.endswith("__")
+    defined, named = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(f"{node.name}.{m.name}" for m in node.body
+                               if isinstance(m, ast.FunctionDef) and not dunder(m.name))
+        named.update(n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+                     for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+    return {name for name in defined if name.rpartition(".")[2] not in named}
+
+
+# Every definition of the package that no module of it names, with the reason
+# it stays.  Dead code is deleted; a new name belongs here only with a caller
+# outside the package.
+UNNAMED = {
+    "rational_nullspace": "Fraction oracle that perfbench traces",
+    "rational_solve": "Fraction oracle that perfbench traces",
+    "freeness_coset_check": "coset sweep oracle of the freeness certificate; perfbench traces it",
+    "build_f0": "expansion oracle of f0_is_polynomial; perfbench traces it",
+    "kernel_degree_basis": "entry point of a perfbench job",
+    "monomial_membership": "entry point of a perfbench job",
+    "kernel_check": "library API, called by tests",
+    "kernel_generators": "library API, called by tests",
+    "triangle_criterion": "library API, called by tests",
+    "LaurentPoly.coefficient": "library API, called by tests",
+    "LaurentPoly.sorted_terms": "library API, called by tests",
+    "LaurentPoly.is_homogeneous": "library API, called by tests",
+    "LaurentPoly.from_text": "library API, the inverse of to_text, called by tests",
+}
+
+
+def test_every_unnamed_definition_is_allowed():
+    found = unnamed_definitions(ast.parse(path.read_text(), str(path)) for path in MODULES)
+    assert found == set(UNNAMED)
+
+
+def test_unnamed_definition_is_caught():
+    source = ("def used():\n    return 1\n\ndef dead():\n    return used()\n\n"
+              "class C:\n    def __init__(self):\n        self.f()\n\n    def f(self):\n        pass\n\n"
+              "    def g(self):\n        pass\n\nc = C()\n")
+    assert unnamed_definitions([ast.parse(source)]) == {"dead", "C.g"}
