@@ -5,8 +5,8 @@ Subcommands: ``check-conditions``, ``verify <id>``, ``hilbert``,
 command needs (``{n, gamma, delta}``, or ``{U}`` for ``hilbert``) plus an
 optional ``field``; an empty or partial config is a config error.  A command
 or verify id accepts only the options it reads (its ``reads``), and ``--out``.
-Each command fills one :class:`Report`: ``#`` header lines with the effective
-field, degree bound and seed of those it reads, then tab-separated rows.
+Each command fills one :class:`Report`: ``#`` header lines with the config,
+effective field, degree bound and seed of those it reads, then tab-separated rows.
 Checked rows end in ``ok`` or ``FAIL`` and alone decide the verdict.
 
 Exit codes: 0 all checks pass, 1 a checked row failed (a ``FAIL`` row was
@@ -77,11 +77,12 @@ class Report:
     def header(self, field=None, dmax=None, extra=()):
         """The ``#`` lines that open the report.  ``field`` (parsed) and ``dmax``
         are the effective values of a command that resolves them, and only
-        those are printed; the seed is printed for a command that reads one."""
+        those are printed; the config and seed for a command that reads them."""
         args = self.args
         self.comment(f"h14 {__version__}")
         self.comment(f"command: {args.command}" + (f" {args.check_id}" if getattr(args, "check_id", None) else ""))
-        self.comment(f"config: {args.config or 'default'}")
+        if "config" in args.reads:
+            self.comment(f"config: {args.config or 'default'}")
         if field is not None:
             self.comment(f"field: {field_name(field)}")
         if dmax is not None:

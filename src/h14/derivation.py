@@ -3,8 +3,8 @@
 E sends f to the sum of its partial derivatives.  Its kernel in four
 variables is generated by the differences Y4-Y1, Y4-Y2, Y4-Y3, and in n
 variables it is Q[Y1-Yn, ..., Y(n-1)-Yn] (Freudenburg, Algebraic Theory of
-Locally Nilpotent Derivations).  The module checks kernel membership
-symbolically and writes bounded-degree kernel bases in that closed form.
+Locally Nilpotent Derivations).  The module writes bounded-degree kernel
+bases in that closed form.
 """
 
 from __future__ import annotations
@@ -27,17 +27,6 @@ def apply_E(f: LaurentPoly) -> LaurentPoly:
     for i in range(f.n):
         out = out + f.partial_derivative(i)
     return out
-
-
-def kernel_check(f: LaurentPoly) -> bool:
-    """True iff f is annihilated by the derivation."""
-    return apply_E(f).is_zero()
-
-
-def kernel_generators(nvars: int = 4, field=QQ):
-    """The difference generators Y_n - Y_i of the kernel."""
-    y = [LaurentPoly.variable(nvars, i, field) for i in range(nvars)]
-    return [y[-1] - y[i] for i in range(nvars - 1)]
 
 
 def kernel_degree_basis(d: int, nvars: int = 4):

@@ -86,11 +86,9 @@ BOUND_NOTE = (
 
 @dataclass(frozen=True)
 class GradedIntersectionReport:
-    """Per-degree dimensions and bases of a bounded-degree intersection."""
+    """Per-degree dimensions and bases of an intersection, degrees 0..max(dims)."""
 
-    weights: tuple
     field: object
-    dmax: int
     ambient_a: dict   # degree -> spanning dimension of the first algebra
     ambient_b: dict   # degree -> spanning dimension of the second algebra
     dims: dict        # degree -> intersection dimension
@@ -256,9 +254,7 @@ def graded_intersection(gensA, gensB, weights, dmax):
                 raise ArithmeticError(f"a degree-{d} intersection basis element is not homogeneous of degree {d}")
         ambient_a[d], ambient_b[d] = dim_a, dim_b
         dims[d], bases[d] = len(basis), basis
-    report = GradedIntersectionReport(
-        weights, fld, dmax, ambient_a, ambient_b, dims, bases, ()
-    )
+    report = GradedIntersectionReport(fld, ambient_a, ambient_b, dims, bases, ())
     return replace(report, new_generators=tuple(minimal_generator_degrees(report)))
 
 
@@ -449,7 +445,7 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
     betas = _Packing((0,) * k, (dmax,) * k)
     count = Counter(degree.values())
     report = GradedIntersectionReport(
-        (1,) * k, fld, dmax,
+        fld,
         {d: count[d] for d in bases},
         dict(enumerate(itertools.accumulate(first[d] for d in bases))),
         {d: len(rows) for d, rows in bases.items()},

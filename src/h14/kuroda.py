@@ -145,8 +145,8 @@ def delta_box(n: int, bound: int):
 
 @dataclass(frozen=True)
 class ScanReport:
-    n: int
-    bound: int
+    """One box of delta-tables: its size, violations and converse-witness count."""
+
     total: int
     implication_violations: tuple  # condition holds but det T == 0 (expected empty)
     converse_witnesses: int        # how many tables have det T != 0 but fail the condition
@@ -166,7 +166,7 @@ def implication_scan(n: int, bound: int) -> ScanReport:
             violations.append({"delta": delta, "value": ratio_sum(delta), "det": dt})
         elif not holds and dt:
             witnesses += 1
-    return ScanReport(n, bound, total, tuple(violations), witnesses)
+    return ScanReport(total, tuple(violations), witnesses)
 
 
 def lemma31_find_p(xi):

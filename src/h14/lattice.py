@@ -264,10 +264,6 @@ class CosetDecomposition:
     def representative(self, vec):
         return self._representative(vec)
 
-    @property
-    def rank(self) -> int:
-        return len(self.smith.invariants)
-
 
 def coset_decomposition(generators, ambient: int) -> CosetDecomposition:
     """Coset structure of the subgroup of Z^ambient spanned by the generators."""

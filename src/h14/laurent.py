@@ -206,13 +206,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), coeff_of(self.field, 0))
-
-    def sorted_terms(self):
-        """Terms in lexicographic exponent order (the canonical order)."""
-        return [(e, self.terms[e]) for e in sorted(self.terms)]
-
     # -- arithmetic --------------------------------------------------------
 
     def _plus(self, c, other):
@@ -347,9 +340,6 @@ class LaurentPoly:
             parts.setdefault(d, {})[e] = c
         return {d: LaurentPoly._trusted(self.n, self.field, t) for d, t in sorted(parts.items())}
 
-    def is_homogeneous(self, weights):
-        return len(self.grade_by(weights)) <= 1
-
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
@@ -358,34 +348,6 @@ class LaurentPoly:
             return "0"
         template, terms = _term_template(self.n), self.terms
         return " + ".join([template % (terms[e], *e) for e in sorted(terms)])
-
-    @classmethod
-    def from_text(cls, text: str, field=QQ, n=None):
-        """Inverse of :meth:`to_text`; bit-exact round trip."""
-        field = parse_field(field)
-        text = text.strip()
-        if text == "0":
-            if n is None:
-                raise UsageError("cannot infer variable count from the zero polynomial")
-            return cls.zero(n, field)
-        terms = {}
-        for part in text.split(" + "):
-            coef_s, _, mono_s = part.partition(" * ")
-            exps = []
-            for atom in mono_s.split():
-                m = re.fullmatch(r"X([0-9]+)\^(-?[0-9]+)", atom)
-                if not m:
-                    raise UsageError(f"bad monomial atom {atom!r}")
-                idx, e = int(m.group(1)), int(m.group(2))
-                if idx != len(exps) + 1:
-                    raise UsageError(f"variables out of order near {atom!r}")
-                exps.append(e)
-            if n is None:
-                n = len(exps)
-            if len(exps) != n:
-                raise UsageError(f"term has {len(exps)} variables, expected {n}")
-            _axpy(terms, coeff_of(field, Fraction(coef_s)), {tuple(exps): 1}, field)
-        return cls._trusted(n, field, terms)
 
     def __repr__(self):
         return f"LaurentPoly({self.n}, {field_name(self.field)}, {self.to_text()!r})"

@@ -185,10 +185,6 @@ class SparseRREF:
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 
-    def basis(self):
-        """Canonical basis rows sorted by pivot key."""
-        return [dict(self.rows[k]) for k in sorted(self.rows)]
-
     def null_basis(self, variables):
         """Canonical basis of the solutions of the stored rows, read as
         homogeneous equations in ``variables``: one vector per free variable,

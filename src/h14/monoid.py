@@ -150,11 +150,6 @@ def hilbert_basis(u: IntMatrix) -> HilbertBasis:
     return HilbertBasis(u, tuple(b for b, _ in basis), tuple(img for _, img in basis))
 
 
-def triangle_criterion(i: int, j: int, k: int) -> bool:
-    """Membership test for a^i b^j c^k in the subalgebra of ab, bc, ca."""
-    return (i + j + k) % 2 == 0 and i + j >= k and j + k >= i and i + k >= j
-
-
 def monomial_membership(gens: SubalgebraGens, target):
     """A witness beta >= 0 with beta U = target, or None.
 

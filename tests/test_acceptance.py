@@ -43,8 +43,8 @@ from h14.monoid import (
     hilbert_basis,
     intersection_generators,
     monomial_membership,
-    triangle_criterion,
 )
+from test_monoid import triangle_criterion
 
 ONES = build_instance(4, 1, [[1, 1, 1]] * 3)
 OFF3 = build_instance(4, 1, [[1, 3, 3], [3, 1, 3], [3, 3, 1]])

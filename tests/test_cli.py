@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, reports, exit-code contract."""
 
+import argparse
 import io
 import json
 import random
@@ -327,7 +328,7 @@ class TestIntersectAndScan:
     def test_scan_violation_is_a_failed_row(self, capsys, monkeypatch):
         def one_violation(n, bound):
             found = ({"delta": ((1, 2), (3, 4)), "value": "1/3", "det": 0},) if n == 3 else ()
-            return ScanReport(n, bound, 1, found, 0)
+            return ScanReport(1, found, 0)
 
         monkeypatch.setattr("h14.cli.implication_scan", one_violation)
         code, out, _ = run(capsys, "scan")
@@ -427,6 +428,22 @@ class TestParser:
         assert "# config: default" in out and "# field: Q" in out
         code, out, _ = run(capsys, "verify", "t2.8")
         assert code == 0 and "# seed: 0" in out
+
+
+def command_lines():
+    """Each subcommand but ``verify`` (its reads are parser defaults), and
+    ``verify`` with each check id of ``VERIFY_DISPATCH``."""
+    sub = next(a for a in h14.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name,) for name in sub.choices if name != "verify"] + [("verify", i) for i in h14.cli.VERIFY_DISPATCH]
+
+
+@pytest.mark.parametrize("command", command_lines(), ids=" ".join)
+def test_config_line_exactly_when_the_config_is_read(command):
+    args = h14.cli.build_parser().parse_args(list(command))
+    h14.cli._reject_unread(args)
+    rep = h14.cli.Report(args)
+    rep.header()
+    assert ("# config: default" in rep.lines) == ("config" in args.reads)
 
 
 # -- options: each command accepts exactly the options it reads -----------------

@@ -2,12 +2,16 @@
 
 import dataclasses
 import functools
+import io
 import itertools
 import random
+import re
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -27,7 +31,7 @@ from h14.intersect import (
 from h14.kuroda import build_f0, build_instance, condition_holds, delta_box, lemma31_find_p, ratio_sum
 from h14.laurent import QQ, LaurentPoly, coeff_of
 from h14.linalg import SparseRREF
-from test_coefficients import canonical, canonical_poly
+from test_coefficients import canonical, canonical_poly, rref_rows
 
 
 def mono(e, field=QQ):
@@ -140,7 +144,7 @@ class TestGradedIntersection:
         rep = graded_intersection(gens_a, gens_b, WEIGHTS, 6)
         for d in range(1, 7):
             for b in rep.bases[d]:
-                assert b.is_homogeneous(WEIGHTS)
+                assert list(b.grade_by(WEIGHTS)) == [d]
 
 
 class TestKurodaIntersectionBasis:
@@ -262,7 +266,7 @@ def reference_degree_bases(constraints, degree, dmax, fld):
             res = seen.reduce(vec)
             if res:
                 fresh.add(res)
-        bases[d] = fresh.basis()
+        bases[d] = rref_rows(fresh)
         for row in bases[d]:
             seen.add(row)
     return bases
@@ -816,7 +820,7 @@ class TestPacking:
         x, y = (LaurentPoly.variable(2, i, field) for i in range(2))
         bases = {0: [LaurentPoly.constant(2, 1, field)], 1: [y], 2: [x]}
         dims = {d: len(bs) for d, bs in bases.items()}
-        rep = intersect.GradedIntersectionReport((1, 1), field, 2, dims, dims, dims, bases, ())
+        rep = intersect.GradedIntersectionReport(field, dims, dims, dims, bases, ())
         assert minimal_generator_degrees(rep) == oracle_new_generators(rep) == [(1, 1), (2, 1)]
 
 
@@ -1231,11 +1235,11 @@ def filtered_case():
             res = seen.reduce((one * gens[0] ** beta[0] * gens[1] ** beta[1]).terms)
             if res:
                 fresh.add(res)
-        bases[d] = [LaurentPoly._trusted(2, QQ, r) for r in fresh.basis()]
+        bases[d] = [LaurentPoly._trusted(2, QQ, r) for r in rref_rows(fresh)]
         for b in bases[d]:
             seen.add(b.terms)
     dims = {d: len(bs) for d, bs in bases.items()}
-    return intersect.GradedIntersectionReport((1, 1), QQ, dmax, dims, dims, dims, bases, ())
+    return intersect.GradedIntersectionReport(QQ, dims, dims, dims, bases, ())
 
 
 COUNT_CASES = (
@@ -1357,7 +1361,7 @@ class TestModularGeneratorCount:
         # would not be injective
         x, y = (LaurentPoly.variable(2, i, field) for i in range(2))
         bases = {0: [LaurentPoly.constant(2, 1, field)], 1: [y + x, y + 2 * x]}
-        rep = intersect.GradedIntersectionReport((1, 1), field, 1, {}, {}, {0: 1, 1: 2}, bases, ())
+        rep = intersect.GradedIntersectionReport(field, {}, {}, {0: 1, 1: 2}, bases, ())
         with pytest.raises(ValueError, match="share a pivot"):
             minimal_generator_degrees(rep)
 
@@ -1480,3 +1484,17 @@ class TestProjectedCount:
         counted = {name for name in PROJECTION_IDS if projection_case(name, QQ)[1]}
         assert len(PROJECTION_IDS) == 36 and len(counted) == 25
         assert "OFF3-12" in counted and "ONES-12" not in counted
+
+
+def test_readme_library_example_prints_what_its_comments_say():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    lines = block.splitlines()
+    namespace, out = {}, io.StringIO()
+    with redirect_stdout(out):
+        exec(block, namespace)
+    dims, generators = out.getvalue().splitlines()
+    value_comment = next(line for line in lines if line.startswith("value, holds")).partition("# ")[2]
+    assert (namespace["value"], namespace["holds"]) == eval(value_comment, {"Fraction": Fraction})
+    assert generators == lines[-1].removeprefix("# ")
+    assert sorted(eval(dims)) == list(range(13))

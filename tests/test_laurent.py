@@ -195,7 +195,6 @@ class TestPrimeFieldAgainstQ:
         assert fp * gp == _reduced(f * g, p)
         assert fp ** k == _reduced(f ** k, p)
         assert fp.substitute(images_p) == _reduced(f.substitute(images), p)
-        assert LaurentPoly.from_text(fp.to_text(), p, 2) == fp
         assert all(type(c) is int and 0 < c < p for c in (fp * gp).terms.values())
 
 
@@ -239,7 +238,7 @@ class TestSupportAndGrading:
         parts = f.grade_by((2, -1))
         total = LaurentPoly.zero(2)
         for d, p in parts.items():
-            assert p.is_homogeneous((2, -1))
+            assert list(p.grade_by((2, -1))) == [d]
             total = total + p
         assert total == f
 
@@ -249,27 +248,13 @@ class TestTextForm:
         f = mono(2, (1, 0), Fraction(-3, 2)) + mono(2, (0, 2))
         assert f.to_text() == "1 * X1^0 X2^2 + -3/2 * X1^1 X2^0"
 
-    @settings(max_examples=100, deadline=None)
-    @given(small_polys)
-    def test_round_trip_q(self, f):
-        assert LaurentPoly.from_text(f.to_text(), QQ, 2) == f
-
-    def test_round_trip_fp(self):
-        f = LaurentPoly(2, 3, {(1, -2): 2, (0, 0): 1})
-        assert LaurentPoly.from_text(f.to_text(), 3, 2) == f
-
-    def test_zero_needs_ambient(self):
-        assert LaurentPoly.from_text("0", QQ, 3).is_zero()
-        with pytest.raises(UsageError):
-            LaurentPoly.from_text("0")
-
     @staticmethod
     def format_rendering(f):
         """The text form with one ``str.format`` parse per term."""
         if not f.terms:
             return "0"
         template = "{} * " + " ".join(f"X{i + 1}^{{}}" for i in range(f.n))
-        return " + ".join(template.format(c, *e) for e, c in f.sorted_terms())
+        return " + ".join(template.format(c, *e) for e, c in sorted(f.terms.items()))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(

@@ -19,8 +19,12 @@ from h14.monoid import (
     hilbert_basis,
     intersection_generators,
     monomial_membership,
-    triangle_criterion,
 )
+
+
+def triangle_criterion(i, j, k):
+    """Membership of a^i b^j c^k in the subalgebra of ab, bc, ca (the oracle)."""
+    return (i + j + k) % 2 == 0 and i + j >= k and j + k >= i and i + k >= j
 
 
 def brute_force_monoid(u, box):

@@ -4,6 +4,7 @@ allows.  The 3.10 check is ``ast.parse`` with ``feature_version``: syntax
 only, best effort, and no check of the standard-library API used."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -116,10 +117,12 @@ def test_true_division_is_caught():
 
 def unnamed_definitions(trees):
     """Top-level functions and classes, and non-dunder methods as
-    ``Class.method``, defined in ``trees`` whose name no tree mentions as a
-    name, an attribute or an imported name."""
+    ``Class.method``, defined in ``trees`` whose name no tree mentions: as a
+    name, an attribute or an imported name for a function or class, as an
+    attribute or an imported name for a method (a local variable of the same
+    name does not call it)."""
     dunder = lambda name: name.startswith("__") and name.endswith("__")
-    defined, named = set(), set()
+    defined, names, members = set(), set(), set()
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -127,14 +130,18 @@ def unnamed_definitions(trees):
             if isinstance(node, ast.ClassDef):
                 defined.update(f"{node.name}.{m.name}" for m in node.body
                                if isinstance(m, ast.FunctionDef) and not dunder(m.name))
-        named.update(n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
-                     for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
-    return {name for name in defined if name.rpartition(".")[2] not in named}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, (ast.Attribute, ast.alias)):
+                members.add(n.attr if isinstance(n, ast.Attribute) else n.name)
+    return {name for name in defined
+            if name.rpartition(".")[2] not in (members if "." in name else names | members)}
 
 
 # Every definition of the package that no module of it names, with the reason
-# it stays.  Dead code is deleted; a new name belongs here only with a caller
-# outside the package.
+# it stays.  Dead code is deleted; a name belongs here only while perfbench
+# calls or traces it (checked below).
 UNNAMED = {
     "rational_nullspace": "Fraction oracle that perfbench traces",
     "rational_solve": "Fraction oracle that perfbench traces",
@@ -142,14 +149,10 @@ UNNAMED = {
     "build_f0": "expansion oracle of f0_is_polynomial; perfbench traces it",
     "kernel_degree_basis": "entry point of a perfbench job",
     "monomial_membership": "entry point of a perfbench job",
-    "kernel_check": "library API, called by tests",
-    "kernel_generators": "library API, called by tests",
-    "triangle_criterion": "library API, called by tests",
-    "LaurentPoly.coefficient": "library API, called by tests",
-    "LaurentPoly.sorted_terms": "library API, called by tests",
-    "LaurentPoly.is_homogeneous": "library API, called by tests",
-    "LaurentPoly.from_text": "library API, the inverse of to_text, called by tests",
+    "apply_E": "called and traced by perfbench's leibniz jobs",
 }
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_every_unnamed_definition_is_allowed():
@@ -157,8 +160,14 @@ def test_every_unnamed_definition_is_allowed():
     assert found == set(UNNAMED)
 
 
+@pytest.mark.parametrize("name", sorted(UNNAMED))
+def test_every_allowed_definition_is_used_by_perfbench(name):
+    text = "".join((PERFBENCH / f).read_text() for f in ("tracing.py", "workloads.py"))
+    assert re.search(rf"\b{name.rpartition('.')[2]}\b", text), f"{name} is not named in perfbench"
+
+
 def test_unnamed_definition_is_caught():
-    source = ("def used():\n    return 1\n\ndef dead():\n    return used()\n\n"
+    source = ("def used():\n    return 1\n\ndef dead():\n    h = used()\n    return h\n\n"
               "class C:\n    def __init__(self):\n        self.f()\n\n    def f(self):\n        pass\n\n"
-              "    def g(self):\n        pass\n\nc = C()\n")
-    assert unnamed_definitions([ast.parse(source)]) == {"dead", "C.g"}
+              "    def g(self):\n        pass\n\n    def h(self):\n        pass\n\nc = C()\n")
+    assert unnamed_definitions([ast.parse(source)]) == {"dead", "C.g", "C.h"}
