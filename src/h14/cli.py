@@ -2,11 +2,12 @@
 
 Subcommands: ``check-conditions``, ``verify <id>``, ``hilbert``,
 ``intersect``, ``scan``.  A config is a JSON object with exactly the keys the
-command needs (``{n, gamma, delta}``, or ``{U}`` for ``hilbert``) plus an
-optional ``field``; an empty or partial config is a config error.  A command
-or verify id accepts only the options it reads (its ``reads``), and ``--out``.
-Each command fills one :class:`Report`: ``#`` header lines with the config,
-effective field, degree bound and seed of those it reads, then tab-separated rows.
+command needs (``{n, gamma, delta}``, or ``{U}`` for ``hilbert``), plus an
+optional ``field`` where the command reads ``--field``; an empty or partial
+config is a config error.  A command or verify id accepts only the options it
+reads (its ``reads``), and ``--out``.  Each command fills one :class:`Report`:
+``#`` header lines with the config, effective field, degree bound and seed of
+those it reads (and ``verify r2.16``'s fixed field), then tab-separated rows.
 Checked rows end in ``ok`` or ``FAIL`` and alone decide the verdict.
 
 Exit codes: 0 all checks pass, 1 a checked row failed (a ``FAIL`` row was
@@ -75,9 +76,9 @@ class Report:
             self.failed = True
 
     def header(self, field=None, dmax=None, extra=()):
-        """The ``#`` lines that open the report.  ``field`` (parsed) and ``dmax``
-        are the effective values of a command that resolves them, and only
-        those are printed; the config and seed for a command that reads them."""
+        """The ``#`` lines that open the report: the config, seed, and the given
+        effective ``field`` (parsed) and ``dmax``, each for a command that reads
+        it (``verify r2.16`` gives its fixed field)."""
         args = self.args
         self.comment(f"h14 {__version__}")
         self.comment(f"command: {args.command}" + (f" {args.check_id}" if getattr(args, "check_id", None) else ""))
@@ -104,19 +105,19 @@ class Report:
             sys.stdout.write(text)
 
 
-def load_config(path, required):
-    """The JSON object at ``path``: exactly the ``required`` keys plus an
-    optional ``"field"``, or a ``ConfigError``."""
+def load_config(args, required):
+    """The JSON object at ``args.config``: exactly the ``required`` keys, plus
+    an optional ``"field"`` if the command reads ``--field``; else a ``ConfigError``."""
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             data = json.load(fh)
     except OSError as ex:
-        raise ConfigError(f"cannot read config {path}: {ex}")
+        raise ConfigError(f"cannot read config {args.config}: {ex}")
     except json.JSONDecodeError as ex:
-        raise ConfigError(f"config {path} is not valid JSON: {ex}")
+        raise ConfigError(f"config {args.config} is not valid JSON: {ex}")
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(data) - set(required) - {"field"})
+    unknown = sorted(set(data) - set(required) - ({"field"} & set(args.reads)))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for key in required:
@@ -139,9 +140,8 @@ def _n4_instance(args):
 
 
 def _instance(args, default):
-    cfg = default if args.config is None else load_config(args.config, ("n", "gamma", "delta"))
-    field = args.field or cfg.get("field", "Q")
-    return build_instance(cfg["n"], cfg["gamma"], cfg["delta"], field)
+    cfg = default if args.config is None else load_config(args, ("n", "gamma", "delta"))
+    return build_instance(cfg["n"], cfg["gamma"], cfg["delta"], args.field or cfg.get("field", "Q"))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def _instance(args, default):
 
 def cmd_check_conditions(args, rep):
     inst = _instance(args, DEFAULT_N4)
-    rep.header(inst.field)
+    rep.header()
     rep.row("quantity", "value")
     if inst.n == 4:
         rep.row("condition", "three-ratio sum < 1")
@@ -167,22 +167,21 @@ def cmd_check_conditions(args, rep):
 def cmd_hilbert(args, rep):
     if args.config is None:
         raise ConfigError('the hilbert command needs a config {"U": [[...], ...]}')
-    cfg = load_config(args.config, ("U",))
+    cfg = load_config(args, ("U",))
     u_rows = cfg["U"]
     if not isinstance(u_rows, list) or not u_rows or not all(isinstance(r, list) and r for r in u_rows):
         raise ConfigError("U must be a nonempty matrix")
     bad = [x for r in u_rows for x in r if not is_int(x)]
     if bad:
         raise ConfigError(f"U entries must be integers, got {bad[0]!r}")
-    field = parse_field(args.field or cfg.get("field", "Q"))
     gens = SubalgebraGens.of(len(u_rows[0]), u_rows)
     hb = hilbert_basis(gens.matrix)
-    rep.header(field)
+    rep.header()
     rep.comment("hilbert basis vectors (beta), then generator monomials")
     for beta in hb.vectors:
         rep.row("beta", *beta)
     for m in hb.monomials:
-        rep.row("monomial", LaurentPoly.monomial(gens.n, m, 1, field).to_text())
+        rep.row("monomial", LaurentPoly.monomial(gens.n, m).to_text())
 
 
 def cmd_intersect(args, rep):
@@ -214,21 +213,21 @@ def cmd_scan(args, rep):
 
 def _verify_t25i(args, rep):
     inst = _n4_instance(args)
-    rep.header(inst.field)
+    rep.header()
     for i in range(inst.n - 1):
         m, s = solve_unit_row(inst.t_matrix, i)
-        word = LaurentPoly.monomial(inst.n - 1, s, 1, inst.field)
+        word = LaurentPoly.monomial(inst.n - 1, s)
         lhs = word.substitute(list(inst.y_images[: inst.n - 1]))
         target = [0] * inst.n
         target[i] = m
         rep.check(f"unit_row_{i + 1}", m, " ".join(map(str, s)),
-                  ok=lhs == LaurentPoly.monomial(inst.n, target, 1, inst.field))
+                  ok=lhs == LaurentPoly.monomial(inst.n, target))
 
 
 def _verify_t25ii(args, rep):
     inst = _instance(args, DEFAULT_N4)
-    rep.header(inst.field, extra=["free_decomposition: Smith certificate U*A*V = D, |det U| = |det V| = 1,"
-                                  " valid on all of Z^n (contains the box)"])
+    rep.header(extra=["free_decomposition: Smith certificate U*A*V = D, |det U| = |det V| = 1,"
+                      " valid on all of Z^n (contains the box)"])
     rep.row("coset_box_bound", 5)
     rep.check("free_decomposition", ok=freeness_certificate(inst))
 
@@ -296,10 +295,7 @@ def _verify_l215(args, rep):
 
 
 def _verify_r216(args, rep):
-    field = parse_field(args.field or 2)
-    if field != 2:
-        raise UsageError("this check concerns characteristic 2 (use --field Fp:2)")
-    rep.header(field)
+    rep.header(2)
     gens_a, gens_b = _l215_generators(2)
     report = graded_intersection(gens_a, gens_b, (1, 1, 1, 2), 4)
     mono = lambda e: LaurentPoly.monomial(4, e, 1, 2)
@@ -312,7 +308,7 @@ def _verify_r216(args, rep):
 
 
 def _verify_l31(args, rep):
-    rep.header(QQ)
+    rep.header()
     tables = [[list(r) for r in delta] for delta in filter(condition_holds, delta_box(4, 3))]
     ok = True
     for rows in tables:
@@ -337,13 +333,13 @@ def _verify_l32(args, rep):
 
 # each check and the options it reads
 VERIFY_DISPATCH = {
-    "t2.5i": (_verify_t25i, ("config", "field")),
-    "t2.5ii": (_verify_t25ii, ("config", "field")),
+    "t2.5i": (_verify_t25i, ("config",)),
+    "t2.5ii": (_verify_t25ii, ("config",)),
     "p2.6": (_verify_p26, ("config", "field", "dmax")),
     "t2.8": (_verify_t28, ("seed",)),
     "t2.14": (_verify_t214, ("config", "field", "seed")),
     "l2.15": (_verify_l215, ("field", "dmax")),
-    "r2.16": (_verify_r216, ("field",)),
+    "r2.16": (_verify_r216, ()),
     "l3.1": (_verify_l31, ()),
     "l3.2": (_verify_l32, ("config", "field", "dmax")),
 }
@@ -393,12 +389,12 @@ def build_parser():
     common.add_argument("--out", help="write the report to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("check-conditions", parents=[common], help="exact ratio-condition values and det T"
-                   ).set_defaults(func=cmd_check_conditions, reads=("config", "field"))
+                   ).set_defaults(func=cmd_check_conditions, reads=("config",))
     p_verify = sub.add_parser("verify", parents=[common], help="run one named batch check")
     p_verify.add_argument("check_id", help="one of: " + ", ".join(VERIFY_DISPATCH))
     p_verify.set_defaults(func=cmd_verify)
     sub.add_parser("hilbert", parents=[common], help="Hilbert basis and generator monomials for a config U"
-                   ).set_defaults(func=cmd_hilbert, reads=("config", "field"))
+                   ).set_defaults(func=cmd_hilbert, reads=("config",))
     sub.add_parser("intersect", parents=[common], help="bounded-degree polynomial part of the pi-span"
                    ).set_defaults(func=cmd_intersect, reads=("config", "field", "dmax"))
     sub.add_parser("scan", parents=[common], help="exhaustive condition/determinant box scans"
@@ -414,8 +410,6 @@ def main(argv=None) -> int:
     rep = Report(args)
     try:
         _reject_unread(args)
-        if args.field is not None:
-            parse_field(args.field)
         args.func(args, rep)
         rep.emit()
     except UsageError as ex:

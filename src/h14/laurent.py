@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .errors import FieldMismatchError, UsageError, check_int
+from .errors import FieldMismatchError, UsageError, check_int, is_int
 
 QQ = "Q"
 
@@ -64,7 +64,7 @@ def parse_field(tag):
     """Parse a field tag: ``"Q"``, ``"Fp:<p>"`` or ``"F<p>"``."""
     if tag == QQ:
         return QQ
-    if isinstance(tag, int):
+    if is_int(tag):
         if tag >= _MR_LIMIT:
             raise UsageError(f"field modulus {tag} is too large (must be below {_MR_LIMIT})")
         if not _is_prime(tag):
@@ -137,6 +137,7 @@ class LaurentPoly:
     __slots__ = ("n", "field", "terms")
 
     def __init__(self, n: int, field=QQ, terms=None):
+        check_int(n, "number of variables")
         self.n = n
         self.field = parse_field(field)
         clean = {}
@@ -167,7 +168,10 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, n, value, field=QQ):
-        return cls(n, field, {(0,) * n: value})
+        poly = cls(n, field)  # checks n before the exponent vector is built
+        if c := coeff_of(poly.field, value):
+            poly.terms[(0,) * n] = c
+        return poly
 
     @classmethod
     def monomial(cls, n, exps, coeff=1, field=QQ):
@@ -175,9 +179,10 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, n, i, field=QQ):
-        e = [0] * n
-        e[i] = 1
-        return cls(n, field, {tuple(e): 1})
+        poly = cls(n, field)
+        check_int(i, "variable index", high=n - 1)
+        poly.terms[tuple(int(j == i) for j in range(n))] = 1
+        return poly
 
     # -- basics ------------------------------------------------------------
 

@@ -28,6 +28,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+N4 = {"n": 4, "gamma": 1, "delta": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]}
+
+
 def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -58,12 +61,16 @@ class TestCheckConditions:
     @pytest.mark.parametrize("argv", [["check-conditions"], ["intersect"], ["verify", "l3.2"]])
     @pytest.mark.parametrize("data", [{}, {"field": "Fp:5"}])
     def test_config_without_an_instance_is_a_config_error(self, capsys, tmp_path, argv, data):
-        # an empty config used to run the default instance under "# config: <path>"
+        # an empty config used to run the default instance under "# config: <path>";
+        # check-conditions does not read the field, so it refuses that key first
         cfg = write_config(tmp_path, data)
         code, out, err = run(capsys, *argv, "--config", cfg)
         assert code == 2
         assert out == ""
-        assert "missing required key 'n'" in err
+        if "field" in data and argv == ["check-conditions"]:
+            assert err == "error: unknown config keys: field\n"
+        else:
+            assert "missing required key 'n'" in err
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"n": 3, "gamma": 1, "delta": [[1, 1], [1, 1]], "x": 1})
@@ -300,6 +307,13 @@ class TestVerify:
         assert out == ""
         assert "too large" in err
 
+    def test_boolean_config_field_is_not_a_modulus(self, capsys, tmp_path):
+        # "field": true used to fail as "field modulus True is not prime"
+        cfg = write_config(tmp_path, {**N4, "field": True})
+        code, out, err = run(capsys, "intersect", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert "unrecognized field tag True" in err
+
 
 class TestIntersectAndScan:
     def test_intersect_report(self, capsys):
@@ -379,25 +393,28 @@ class TestIntersectAndScan:
         assert "--seed" in err
 
     @pytest.mark.parametrize(
-        "argv, config_field, expected",
+        "argv, config, expected",
         [
             (["verify", "r2.16"], None, ["# field: Fp:2"]),
             (["verify", "p2.6"], None, ["# field: Q", "# dmax: 4"]),
             (["verify", "l2.15", "--field", "Fp:5"], None, ["# field: Fp:5", "# dmax: 12"]),
-            (["intersect"], "Fp:5", ["# field: Fp:5", "# dmax: 6"]),
-            (["check-conditions"], "Fp:7", ["# field: Fp:7"]),
-            (["verify", "l3.2", "--dmax", "3"], "F5", ["# field: Fp:5", "# dmax: 3"]),
+            (["intersect"], {**N4, "field": "Fp:5"}, ["# field: Fp:5", "# dmax: 6"]),
+            (["verify", "p2.6"], {**N4, "field": "Fp:7"}, ["# field: Fp:7", "# dmax: 4"]),
+            (["verify", "l3.2", "--dmax", "3"], {**N4, "field": "F5"}, ["# field: Fp:5", "# dmax: 3"]),
             # commands that use no degree bound print none (and refuse --dmax,
-            # see TestOptionsRead); commands that resolve no field print none
-            (["verify", "t2.5i"], None, ["# field: Q"]),
+            # see TestOptionsRead); commands that read no field print none
+            (["check-conditions"], None, []),
+            (["hilbert"], {"U": [[1, 1], [1, -1]]}, []),
+            (["verify", "t2.5i"], None, []),
+            (["verify", "t2.5ii"], None, []),
+            (["verify", "l3.1"], None, []),
             (["verify", "t2.8"], None, []),
             (["scan"], None, []),
         ],
     )
-    def test_header_states_effective_field_and_bound(self, capsys, tmp_path, argv, config_field, expected):
-        if config_field is not None:
-            data = {"n": 4, "gamma": 1, "delta": [[1, 3, 3], [3, 1, 3], [3, 3, 1]], "field": config_field}
-            argv = argv + ["--config", write_config(tmp_path, data)]
+    def test_header_states_effective_field_and_bound(self, capsys, tmp_path, argv, config, expected):
+        if config is not None:
+            argv = argv + ["--config", write_config(tmp_path, config)]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         header = [line for line in out.splitlines() if line.startswith("# field:") or line.startswith("# dmax:")]
@@ -419,13 +436,13 @@ class TestParser:
         assert code == 0 and "# field: Fp:5" in out and "# dmax: 3" in out
         code, out, _ = run(capsys, "verify", "l2.15")
         assert code == 0 and "# field: Q" in out and "# dmax: 16" in out
-        code, out, _ = run(capsys, "check-conditions", "--config", cfg)
+        code, out, _ = run(capsys, "verify", "p2.6", "--config", cfg, "--dmax", "1")
         assert code == 0 and f"# config: {cfg}" in out and "# field: Fp:7" in out and "seed" not in out
         code, out, _ = run(capsys, "verify", "t2.8", "--seed", "5")
         assert code == 0 and "# seed: 5" in out
-        code, out, _ = run(capsys, "check-conditions")
+        code, out, _ = run(capsys, "verify", "p2.6", "--dmax", "1")
         assert code == 0
-        assert "# config: default" in out and "# field: Q" in out
+        assert "# config: default" in out and "# field: Q" in out and "# dmax: 1" in out
         code, out, _ = run(capsys, "verify", "t2.8")
         assert code == 0 and "# seed: 0" in out
 
@@ -450,18 +467,18 @@ def test_config_line_exactly_when_the_config_is_read(command):
 
 # command -> (the options it reads, the h14.cli function its work starts with)
 READS = {
-    ("check-conditions",): ({"config", "field"}, "build_instance"),
-    ("hilbert",): ({"config", "field"}, "hilbert_basis"),
+    ("check-conditions",): ({"config"}, "build_instance"),
+    ("hilbert",): ({"config"}, "hilbert_basis"),
     ("intersect",): ({"config", "field", "dmax"}, "kuroda_intersection_basis"),
     ("scan",): (set(), "implication_scan"),
-    ("verify", "t2.5i"): ({"config", "field"}, "solve_unit_row"),
-    ("verify", "t2.5ii"): ({"config", "field"}, "freeness_certificate"),
+    ("verify", "t2.5i"): ({"config"}, "solve_unit_row"),
+    ("verify", "t2.5ii"): ({"config"}, "freeness_certificate"),
     ("verify", "p2.6"): ({"config", "field", "dmax"}, "no_monomial_units_check"),
     ("verify", "t2.8"): ({"seed"}, "intersection_generators"),
     ("verify", "t2.14"): ({"config", "field", "seed"}, "verify_t214"),
     ("verify", "l2.13"): ({"config", "field", "seed"}, "verify_t214"),
     ("verify", "l2.15"): ({"field", "dmax"}, "graded_intersection"),
-    ("verify", "r2.16"): ({"field"}, "graded_intersection"),
+    ("verify", "r2.16"): (set(), "graded_intersection"),
     ("verify", "l3.1"): (set(), "delta_box"),
     ("verify", "l3.2"): ({"config", "field", "dmax"}, "kuroda_intersection_basis"),
 }
@@ -478,8 +495,7 @@ class TestOptionsRead:
             raise RuntimeError("work started")
 
         monkeypatch.setattr(f"h14.cli.{work}", started)
-        cfg = write_config(tmp_path, {"U": [[1, 1], [1, -1]]} if command == ("hilbert",) else
-                           {"n": 4, "gamma": 1, "delta": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]})
+        cfg = write_config(tmp_path, {"U": [[1, 1], [1, -1]]} if command == ("hilbert",) else N4)
         argv = [*command, f"--{option}", {"config": cfg, "dmax": "1", "field": "Fp:2", "seed": "1"}[option]]
         if command == ("hilbert",) and option != "config":
             argv += ["--config", cfg]  # hilbert has no default cone
@@ -490,6 +506,25 @@ class TestOptionsRead:
             assert code == 2
             assert out == ""
             assert err == f"error: {' '.join(command)} does not read --{option}\n"
+
+    @pytest.mark.parametrize("command", sorted(c for c in READS if "config" in READS[c][0]), ids=" ".join)
+    def test_a_config_field_is_accepted_exactly_when_the_field_is_read(self, capsys, tmp_path, monkeypatch, command):
+        # check-conditions used to print "# field: Fp:5" for a config field it never computed in
+        reads, work = READS[command]
+        fields = []
+
+        def started(inst, *_args):
+            fields.append(inst.field)
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(f"h14.cli.{work}", started)
+        cone = {"U": [[1, 1], [1, -1]]}
+        cfg = write_config(tmp_path, {**(cone if command == ("hilbert",) else N4), "field": "Fp:5"})
+        code, out, err = run(capsys, *command, "--config", cfg)
+        if "field" in reads:
+            assert (code, err, fields) == (4, "internal error: RuntimeError: work started\n", [5])
+        else:
+            assert (code, out, err, fields) == (2, "", "error: unknown config keys: field\n", [])
 
     def test_every_unread_option_is_named(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr("h14.cli.delta_box", lambda *_args: pytest.fail("work started"))

@@ -28,6 +28,12 @@ class TestFieldTags:
         with pytest.raises(UsageError):
             parse_field(1)
 
+    @pytest.mark.parametrize("tag", [True, False])
+    def test_boolean_is_not_a_modulus(self, tag):
+        # True used to fail as "field modulus True is not prime"
+        with pytest.raises(UsageError, match=f"unrecognized field tag {tag}"):
+            parse_field(tag)
+
     def test_large_prime_accepted_quickly(self):
         start = time.perf_counter()
         assert parse_field("Fp:2305843009213693951") == 2**61 - 1
@@ -111,6 +117,20 @@ class TestRingOps:
     def test_boolean_power_rejected(self):
         with pytest.raises(UsageError, match="nonnegative integer"):
             mono(1, (1,)) ** True
+
+    @pytest.mark.parametrize("n", [True, 2.0, -1, "3"])
+    def test_ambient_must_be_a_nonnegative_integer(self, n):
+        # these used to build; True then multiplied with an n=1 polynomial
+        with pytest.raises(UsageError, match="number of variables must be a nonnegative integer"):
+            LaurentPoly(n, QQ, {(1,): 1} if n is True else None)
+        with pytest.raises(UsageError, match="number of variables"):
+            LaurentPoly.constant(n, 1)
+
+    @pytest.mark.parametrize("i", [2, 5, -1, True])
+    def test_variable_index_out_of_range_rejected(self, i):
+        # 5 used to raise IndexError, and -1 built X2
+        with pytest.raises(UsageError, match="variable index"):
+            LaurentPoly.variable(2, i)
 
 
 small_polys = st.builds(
