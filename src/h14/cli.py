@@ -35,12 +35,12 @@ from .kuroda import (
     build_G,
     build_instance,
     condition_holds,
-    delta_box,
     f0_is_polynomial,
     implication_scan,
     lemma31_find_p,
     random_instance,
     ratio_sum,
+    star_tables,
     verify_t214,
 )
 from .lattice import solve_unit_row
@@ -309,7 +309,7 @@ def _verify_r216(args, rep):
 
 def _verify_l31(args, rep):
     rep.header()
-    tables = [[list(r) for r in delta] for delta in filter(condition_holds, delta_box(4, 3))]
+    tables = [[list(r) for r in delta] for delta in star_tables(3)]
     ok = True
     for rows in tables:
         inst = build_instance(4, 1, rows)

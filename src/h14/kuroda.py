@@ -16,6 +16,8 @@ whose sum is the strict-inequality condition (*) for the non-finite-generation
 regime; the two-variable analogue (**) compares against 1/2.  One walk,
 :func:`delta_box`, yields the delta-tables of a family, and one integer test,
 :func:`condition_holds`, decides (*) or (**); ``Fraction`` sums are only reported.
+:func:`star_tables` builds the (*)-tables of the n=4 box column by column,
+deciding (*) once per column-minimum choice instead of once per table.
 """
 
 from __future__ import annotations
@@ -141,6 +143,28 @@ def delta_box(n: int, bound: int):
     check_int(bound, "bound", 1, SCAN_MAX_BOUND)
     rows = itertools.product(range(1, bound + 1), repeat=n - 1)
     return itertools.product(tuple(rows), repeat=n - 1)
+
+
+def star_tables(bound: int):
+    """The tables of ``delta_box(4, bound)`` that satisfy (*), in lex order.
+
+    (*) factors by column: xi_i reads only d_ii and m_i, the smaller of the
+    two other entries of column i, and the three off-diagonal pairs
+    (d21, d31), (d12, d32), (d13, d23) are disjoint.  So (*) is decided once
+    per (d11, m1, d22, m2, d33, m3), by :func:`condition_holds` on the table
+    ((d11, m2, m3), (m1, d22, m3), (m1, m2, d33)), whose column minima are
+    m1, m2, m3; each passing choice yields every table whose off-diagonal
+    pairs have those minima, 2 (bound - m_i) + 1 pairs for column i.
+    """
+    check_int(bound, "bound", 1, SCAN_MAX_BOUND)
+    vals = range(1, bound + 1)
+    pairs = {m: [(a, b) for a in vals for b in vals if min(a, b) == m] for m in vals}
+    tables = []
+    for d1, m1, d2, m2, d3, m3 in itertools.product(vals, repeat=6):
+        if condition_holds(((d1, m2, m3), (m1, d2, m3), (m1, m2, d3))):
+            for (d21, d31), (d12, d32), (d13, d23) in itertools.product(pairs[m1], pairs[m2], pairs[m3]):
+                tables.append(((d1, d12, d13), (d21, d2, d23), (d31, d32, d3)))
+    return sorted(tables)
 
 
 @dataclass(frozen=True)

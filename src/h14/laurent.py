@@ -146,6 +146,9 @@ class LaurentPoly:
                 exps = tuple(exps)
                 if len(exps) != n:
                     raise UsageError(f"exponent vector {exps} has length != {n}")
+                for e in exps:
+                    if not is_int(e):
+                        raise UsageError(f"exponent vector {exps} has a non-integer entry {e!r}")
                 c = coeff_of(self.field, c)
                 if c:
                     clean[exps] = c

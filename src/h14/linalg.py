@@ -214,6 +214,11 @@ def sparse_nullspace(constraints, variables, field):
     rest is eliminated, sparsest first.  The answer is the same: the unit
     row {b: 1} lies in the row space and vanishes at every other pivot, so it
     is the RREF row of b, and no other RREF row and no null vector holds b.
+
+    Every key of a constraint must be one of ``variables``.  The surviving
+    rows then lie in the unpinned variables, so once each of them is a pivot
+    every later row is dependent and the elimination stops: the basis is
+    empty either way.
     """
     rows, pinned = [row for row in constraints if row], set()
     while single := {k for row in rows if len(row) == 1 for k in row}:
@@ -221,10 +226,13 @@ def sparse_nullspace(constraints, variables, field):
         rows = [row if pinned.isdisjoint(row) else {k: c for k, c in row.items() if k not in pinned}
                 for row in rows if len(row) > 1]
         rows = [row for row in rows if row]
+    unpinned = [v for v in variables if v not in pinned]
     rr = SparseRREF(field)
     for row in sorted(rows, key=len):  # sparsest first: less fill, same RREF
+        if rr.rank == len(unpinned):
+            break
         rr.add(row)
-    return rr.null_basis(v for v in variables if v not in pinned)
+    return rr.null_basis(unpinned)
 
 
 def combination(coeffs, vecs, field):

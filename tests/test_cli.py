@@ -238,9 +238,9 @@ class TestVerify:
     def test_l31_rejects_options_it_would_ignore(self, capsys, tmp_path, monkeypatch, option, value):
         # --config /nonexistent.json --field Fp:5 used to exit 0, computing over Q on the fixed box
         def no_work(*_args):
-            raise AssertionError("the box walk ran before the option was rejected")
+            raise AssertionError("the (*)-tables were built before the option was rejected")
 
-        monkeypatch.setattr("h14.cli.delta_box", no_work)
+        monkeypatch.setattr("h14.cli.star_tables", no_work)
         if option == "--config":
             value = write_config(tmp_path, {"n": 4, "gamma": 1, "delta": [[1, 1, 1]] * 3})
         code, out, err = run(capsys, "verify", "l3.1", option, value)
@@ -479,7 +479,7 @@ READS = {
     ("verify", "l2.13"): ({"config", "field", "seed"}, "verify_t214"),
     ("verify", "l2.15"): ({"field", "dmax"}, "graded_intersection"),
     ("verify", "r2.16"): (set(), "graded_intersection"),
-    ("verify", "l3.1"): (set(), "delta_box"),
+    ("verify", "l3.1"): (set(), "star_tables"),
     ("verify", "l3.2"): ({"config", "field", "dmax"}, "kuroda_intersection_basis"),
 }
 
@@ -527,7 +527,7 @@ class TestOptionsRead:
             assert (code, out, err, fields) == (2, "", "error: unknown config keys: field\n", [])
 
     def test_every_unread_option_is_named(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr("h14.cli.delta_box", lambda *_args: pytest.fail("work started"))
+        monkeypatch.setattr("h14.cli.star_tables", lambda *_args: pytest.fail("work started"))
         code, out, err = run(capsys, "verify", "l3.1", "--seed", "1", "--field", "Q", "--dmax", "2",
                              "--out", str(tmp_path / "report.tsv"))
         assert (code, out) == (2, "")

@@ -18,6 +18,7 @@ from h14.kuroda import (
     lemma31_find_p,
     random_instance,
     ratio_sum,
+    star_tables,
     verify_t214,
 )
 from h14.laurent import LaurentPoly
@@ -164,6 +165,22 @@ class TestDeltaBoxAndCondition:
     def test_condition_holds_at_the_threshold(self, delta, holds):
         inst = build_instance(len(delta) + 1, 1, delta)
         assert condition_holds(inst.delta) is holds
+
+
+class TestStarTables:
+    """The (*)-tables built by columns, against the filtered delta-box walk."""
+
+    @pytest.mark.parametrize("bound, count", [(1, 0), (2, 0), (3, 58), (4, 1789)])
+    def test_star_tables_are_the_filtered_box(self, bound, count):
+        tables = star_tables(bound)
+        assert tables == [t for t in delta_box(4, bound) if condition_holds(t)]
+        assert len(tables) == count
+        assert all(type(t) is tuple and all(type(r) is tuple for r in t) for t in tables)
+
+    @pytest.mark.parametrize("bound", [0, 5, 2.0, True])
+    def test_star_tables_check_the_bound_as_delta_box_does(self, bound):
+        with pytest.raises(UsageError):
+            star_tables(bound)
 
 
 class TestImplicationScan:

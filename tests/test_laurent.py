@@ -132,6 +132,14 @@ class TestRingOps:
         with pytest.raises(UsageError, match="variable index"):
             LaurentPoly.variable(2, i)
 
+    @pytest.mark.parametrize("entry", [1.5, 2.0, True, False, "1"])
+    def test_exponent_entries_must_be_integers(self, entry):
+        # 1.5 used to print "1 * X1^1.5" and True "2 * X1^True"
+        with pytest.raises(UsageError, match="non-integer entry"):
+            LaurentPoly(2, QQ, {(0, entry): 2})
+        with pytest.raises(UsageError, match="non-integer entry"):
+            LaurentPoly.monomial(1, (entry,))
+
 
 small_polys = st.builds(
     lambda terms: LaurentPoly(2, QQ, dict(terms)),

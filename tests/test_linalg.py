@@ -445,7 +445,9 @@ class TestSparseNullspace:
         assert ns([{0: one}, {1: one}, {0: one, 1: two}, {0: two, 1: one}], range(3), field) == [{2: one}]
         assert ns([], range(2), field) == [{0: one}, {1: one}]
 
-    def test_pinned_variables_never_reach_the_elimination(self):
+    @staticmethod
+    def added_rows(rows, variables):
+        """The rows that ``sparse_nullspace`` hands to ``SparseRREF.add``, and its basis."""
         added = []
         add = SparseRREF.add
 
@@ -453,12 +455,23 @@ class TestSparseNullspace:
             added.append(dict(vec))
             return add(self, vec)
 
-        rows = [{0: 1}, {0: 2, 1: 1}, {1: 1, 2: 1, 3: 1}, {2: 1, 3: 2, 4: 1}, {4: 1, 1: 5}]
         with mock.patch.object(SparseRREF, "add", spy):
-            null = linalg.sparse_nullspace(rows, range(6), QQ)
+            null = linalg.sparse_nullspace(rows, variables, QQ)
+        return added, null
+
+    def test_pinned_variables_never_reach_the_elimination(self):
+        rows = [{0: 1}, {0: 2, 1: 1}, {1: 1, 2: 1, 3: 1}, {2: 1, 3: 2, 4: 1}, {4: 1, 1: 5}]
+        added, null = self.added_rows(rows, range(6))
         # 0 pins 1, and 1 then pins 4; only the rows on 2 and 3 are eliminated
         assert added == [{2: 1, 3: 1}, {2: 1, 3: 2}]
         assert null == [{5: Fraction(1)}]
+
+    def test_elimination_stops_at_full_column_rank(self):
+        # the three sparsest rows have rank 3 (det 3); the two after them depend on them
+        rows = [{0: 1, 1: 2, 2: 1}, {0: 1, 1: 1}, {1: 1, 2: 1}, {0: 2, 1: 1, 2: 3}, {0: 1, 2: 2}]
+        added, null = self.added_rows(rows, range(3))
+        assert added == [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 2}]
+        assert null == []
 
 
 class TestResidues:
