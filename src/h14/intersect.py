@@ -36,7 +36,8 @@ at once; over F_p every digit is reduced mod p and a nonzero residue at a
 negative key rejects them.
 
 Both reports count their minimal generators with ``minimal_generator_degrees``,
-which reduces every product on the pivots of the report's basis only: exact,
+which tries each generator times the basis rows of the complementary degree
+and reduces every product on the pivots of the report's basis only: exact,
 since both bases span graded subalgebras.  ``no_monomial_units_check``
 eliminates the pi-monomial images; a one-term row off the constant puts a
 monomial in their span.  Both run once, exactly in the field: over Q on
@@ -465,10 +466,11 @@ def minimal_generator_degrees(report: GradedIntersectionReport):
     Constants never count.  The answer is exact only up to the report's
     degree bound (see ``BOUND_NOTE``).
 
-    One pass per degree (``_generator_degrees``).  It reduces every product
-    on the pivots of the basis only, the columns k = min(b) of its rows b,
-    never on the product's full support.  Let F_d be the span of the basis
-    elements of degree <= d.  The report's bases must span a graded
+    One pass per degree (``_generator_degrees``).  At d it tries each
+    generator of label l times each basis row of label d - l, and it reduces
+    every product on the pivots of the basis only, the columns k = min(b) of
+    its rows b, never on the product's full support.  Let F_d be the span of
+    the basis elements of degree <= d.  The report's bases must span a graded
     subalgebra: every product tried at d lies in F_d, inside F_top, the span
     of the whole basis.  Both engines report one: X-substitution is a ring
     map, so a product of polynomial images is polynomial, and (A & B)_d *
@@ -480,11 +482,10 @@ def minimal_generator_degrees(report: GradedIntersectionReport):
 
     Over Q the pass runs exactly on the basis scaled to integer coefficients
     (no span changes), so every product is an integer row.  The basis is
-    packed once.  Packed keys suffice: a product tried at d has at most d
-    factors of degree >= 1 and one of degree 0, so it lies in the box of top
-    + 1 factors.
+    packed once.  Packed keys suffice: a tried product has two basis rows as
+    factors, so it lies in the box of two factors.
     """
-    box = _Packing.around([b for bs in report.bases.values() for b in bs], max(report.bases, default=0) + 1)
+    box = _Packing.around([b for bs in report.bases.values() for b in bs], 2)
     scale = _integer_scaled if report.field == QQ else (lambda b: b)
     bases = {d: [box.pack(scale(b).terms) for b in bs] for d, bs in report.bases.items()}
     return _generator_degrees(bases, report.field)
@@ -496,18 +497,17 @@ def _generator_degrees(bases, field):
     Every row enters the span restricted to the pivots of ``bases`` (see
     ``minimal_generator_degrees``), and reduced mod ``field`` when it is a
     prime.  A tried product is formed on those pivots only: the span reads
-    nothing else.  Only a product that enlarges the span is built in full,
-    for later products.
+    nothing else, so no product is built in full.
 
-    ``kept[e]`` holds the products and generators of label e that enlarged
-    the span.  At degree d only the products p * g with label(p) = d -
-    label(g) are new, and those with p in ``kept`` are enough.  A dropped p
-    of label e is a combination of kept elements of label <= e, and the span
-    is multiplicative (S_e * g lies in S_{e+l} for a generator g of label l),
-    so p * g is a combination of products already in S_d: S_d is the span of
-    all generator products of label <= d, whichever products were kept, and
-    the counts cannot depend on the choice.  The constant 1 of ``bases[0]``
-    enters the span as a basis element.
+    Let F_e be the span of the basis rows of label <= e; the span holds F_{d-1}
+    when degree d starts.  At d it tries b * g for every generator g found so
+    far, of label l, and every basis row b of label d - l.  That is enough:
+    F_{d-l} = F_{d-l-1} + span(bases[d - l]), and F_{d-l-1} * g lies in
+    F_{d-1} because the span is multiplicative (F_e * F_l lies in F_{e+l}).  So
+    S_d = F_{d-1} + span{b * g} is the span of all generator products of label
+    <= d.  A product of two generators is tried once, with the earlier found
+    one as b.  The constant 1 of ``bases[0]`` enters the span as a basis
+    element.
     """
     pivots = {min(r) for rs in bases.values() for r in rs}
     if len(pivots) < sum(map(len, bases.values())):
@@ -524,24 +524,23 @@ def _generator_degrees(bases, field):
         return sums
 
     span = SparseRREF(field)
-    gens = []   # (label, terms) minimal generators found so far
-    kept = {}   # label -> products and generators that enlarged the span
+    gens = {}   # (label, index in bases[label]) -> row, the generators found so far
     out = []
     for d in sorted(bases):
-        level, new = [], 0  # level becomes kept[d] after this degree's pass
-        for label, g in gens:
-            for f in kept.get(d - label, ()):
-                if span.add(row(on_pivots(f, g))) is not None:
-                    level.append(_times(f, g, p))
-        for b in bases[d]:
+        for (label, i), g in gens.items():
+            e = d - label
+            for j, b in enumerate(bases.get(e, ())):
+                if (label, i) < (e, j) and (e, j) in gens:
+                    continue  # tried with b and g swapped
+                span.add(row(on_pivots(b, g)))
+        new = 0
+        for j, b in enumerate(bases[d]):
             res = span.reduce(row(b))
             if res and any(b):  # key 0 is the zero vector: b is not constant
                 new += 1
-                gens.append((d, b))
-                level.append(b)
+                gens[d, j] = b
             if res:
                 span.add(res)
-        kept[d] = level
         if new:
             out.append((d, new))
     return out

@@ -10,12 +10,12 @@ import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from h14 import intersect, linalg
 from h14.derivation import support_property_check
@@ -28,7 +28,7 @@ from h14.intersect import (
     minimal_generator_degrees,
     no_monomial_units_check,
 )
-from h14.kuroda import build_f0, build_instance, condition_holds, delta_box, lemma31_find_p, ratio_sum
+from h14.kuroda import build_f0, build_instance, condition_holds, delta_box, lemma31_find_p, ratio_sum, star_tables
 from h14.laurent import QQ, LaurentPoly, coeff_of
 from h14.linalg import SparseRREF
 from test_coefficients import canonical, canonical_poly, rref_rows
@@ -1438,10 +1438,11 @@ class TestProjectedCount:
             monkeypatch.setattr(linalg, "P", prime)
         assert minimal_generator_degrees(rep) == expected
 
-    def test_only_kept_products_are_built_in_full(self, monkeypatch):
-        # OFF3 at dmax 12 over Q: 234 products are tried, each on the pivots;
-        # only the 54 that enlarge the span run _times, and they fill the
-        # span's rank 83 with the 28 generators and the constant
+    def test_generators_times_basis_rows_are_tried_on_the_pivots_only(self, monkeypatch):
+        # OFF3 at dmax 12 over Q: 153 products are tried, each a generator
+        # times a basis row and added on the pivots only; none runs _times,
+        # and they fill the span's rank 83 with the 28 generators and the
+        # constant
         rep, expected = projection_case("OFF3-12", QQ)
         pivots, added, built = set(), [], []
         count, times = intersect._generator_degrees, intersect._times
@@ -1461,9 +1462,9 @@ class TestProjectedCount:
         assert minimal_generator_degrees(rep) == expected
         generators = sum(c for _, c in expected)
         # every add is a tried product or one of the generators and the constant
-        assert len(added) == 234 + generators + 1 and all(q.keys() <= pivots for q, _ in added)
+        assert len(added) == 153 + generators + 1 and all(q.keys() <= pivots for q, _ in added)
         rank = sum(k is not None for _, k in added)
-        assert built == [0] * 54 and len(built) + generators + 1 == rank == sum(map(len, rep.bases.values())) == 83
+        assert built == [] and rank == sum(map(len, rep.bases.values())) == 83
 
     def test_off3_count_reduces_on_the_pivots(self, monkeypatch):
         # the count's _axpy row entries on OFF3 at dmax 12 over Q: 53 741 on
@@ -1484,6 +1485,83 @@ class TestProjectedCount:
         counted = {name for name in PROJECTION_IDS if projection_case(name, QQ)[1]}
         assert len(PROJECTION_IDS) == 36 and len(counted) == 25
         assert "OFF3-12" in counted and "ONES-12" not in counted
+
+
+def pivot_bound(report):
+    r"""Per degree d >= 1, |P_d \ {p + q : p in P_e, q in P_e', e, e' >= 1,
+    e + e' <= d}|, with P_e the pivots (smallest exponent vectors) of the
+    label-e basis rows.
+
+    It bounds the count from above.  The rows have distinct pivots, so the
+    smallest exponents of the elements of F_d are P_<=d, and leading
+    exponents add under multiplication.  S_d holds F_{d-1} and every product
+    of basis rows of labels e + e' <= d, so its smallest exponents cover
+    P_<d and every sum p + q; F_d / S_d then has dimension at most the
+    number of pivots of P_d outside them.
+    """
+    pivots = {d: {min(b.terms) for b in bs} for d, bs in report.bases.items() if d}
+    return {
+        d: len(ps - {tuple(map(add, p, q))
+                     for e in pivots for f in pivots if e + f <= d for p in pivots[e] for q in pivots[f]})
+        for d, ps in pivots.items()
+    }
+
+
+N3_LINKED = (1, ((1, 3), (3, 1)))
+STAR_TABLES_4 = star_tables(4)
+COUNT_FIELDS = ("Q", "Fp:5", "Fp:32003", "Q-P3")
+
+
+@st.composite
+def random_count_cases(draw):
+    """(n, gamma, delta, dmax, field) of a nonsingular instance: n = 4 with a
+    drawn (*)-table, or n = 3 with a drawn 2 x 2 table, whose degrees can
+    link into blocks.  "Q-P3" is Q with linalg.P = 3, so that the pi-engine
+    reruns its solves with Fractions."""
+    n = draw(st.sampled_from([3, 4]))
+    if n == 4:
+        delta = draw(st.sampled_from(STAR_TABLES_4))
+    else:
+        delta = tuple(tuple(draw(st.integers(1, 4)) for _ in range(2)) for _ in range(2))
+    case = (n, draw(st.integers(1, 2)), delta, draw(st.integers(3, 8)), draw(st.sampled_from(COUNT_FIELDS)))
+    assume(build_instance(n, case[1], [list(r) for r in delta]).det_t)
+    return case
+
+
+def random_count_report(n, gamma, delta, dmax, field):
+    inst = build_instance(n, gamma, [list(r) for r in delta], field.removesuffix("-P3"))
+    with mock.patch.object(linalg, "P", 3 if field == "Q-P3" else linalg.P):
+        return kuroda_intersection_basis(inst, dmax)
+
+
+class TestRandomCount:
+    """The count on drawn n = 4 and n = 3 instances over Q, F_5 and F_32003:
+    the unprojected pass that builds every product is its oracle, and the
+    pivot bound caps it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_count_cases())
+    @example((3, *N3_LINKED, 8, "Q")).via("the linked n = 3 instance")
+    @example((3, *N3_LINKED, 8, "Q-P3")).via("the linked n = 3 instance")
+    def test_matches_the_report_and_the_unprojected_pass(self, case):
+        rep = random_count_report(*case)
+        assert minimal_generator_degrees(rep) == list(rep.new_generators) == reference_generator_degrees(rep)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_count_cases())
+    @example((3, *N3_LINKED, 8, "Fp:32003")).via("the linked n = 3 instance")
+    def test_never_exceeds_the_pivot_bound(self, case):
+        rep = random_count_report(*case)
+        count = dict(rep.new_generators)
+        assert all(count.get(d, 0) <= bound for d, bound in pivot_bound(rep).items())
+
+    @pytest.mark.parametrize("field", [QQ, 32003], ids=["Q", "F32003"])
+    def test_pivot_bound_is_the_off3_count(self, field):
+        # at every degree 1..12, 0 at 1 and 2, then 1 at 3 and 3 from 4 on
+        rep, expected = projection_case("OFF3-12", field)
+        bound = pivot_bound(rep)
+        assert sorted(bound) == list(range(1, 13))
+        assert [(d, b) for d, b in sorted(bound.items()) if b] == expected == list(rep.new_generators)
 
 
 def test_readme_library_example_prints_what_its_comments_say():
