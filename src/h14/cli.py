@@ -190,8 +190,9 @@ def cmd_intersect(args, rep):
     report = kuroda_intersection_basis(inst, dmax)
     rep.header(inst.field, dmax, extra=[BOUND_NOTE])
     rep.row("degree", "pi_monomials", "constraints", "dim", "new_generators")
-    for row in report.table_rows():
-        rep.row(*row)
+    newg = dict(report.new_generators)
+    for d in sorted(report.dims):
+        rep.row(d, report.ambient_a[d], report.ambient_b[d], report.dims[d], newg.get(d, 0))
     rep.comment("basis elements, X-coordinates (one per line: degree TAB text)")
     for d in sorted(report.images):
         for img in report.images[d]:

@@ -35,9 +35,9 @@ coefficients there.  Over Q a zero at every negative key certifies all rows
 at once; over F_p every digit is reduced mod p and a nonzero residue at a
 negative key rejects them.
 
-Both reports count their minimal generators with ``minimal_generator_degrees``,
-which tries each generator times the basis rows of the complementary degree
-and reduces every product on the pivots of the report's basis only: exact,
+Only the pi-engine's report carries a count, by ``minimal_generator_degrees``:
+it tries each generator times the basis rows of the complementary degree and
+reduces every product on the pivots of the report's basis only: exact,
 since both bases span graded subalgebras.  ``no_monomial_units_check``
 eliminates the pi-monomial images; a one-term row off the constant puts a
 monomial in their span.  Both run once, exactly in the field: over Q on
@@ -94,16 +94,8 @@ class GradedIntersectionReport:
     ambient_b: dict   # degree -> spanning dimension of the second algebra
     dims: dict        # degree -> intersection dimension
     bases: dict       # degree -> canonical basis (list of LaurentPoly)
-    new_generators: tuple  # ((degree, count), ...) for nonconstant degrees
-    images: dict = None    # pi-engine only: degree -> X-substituted bases
-
-    def table_rows(self):
-        """Rows (degree, dim A, dim B, intersection dim, new generators)."""
-        newg = dict(self.new_generators)
-        return [
-            (d, self.ambient_a[d], self.ambient_b[d], self.dims[d], newg.get(d, 0))
-            for d in sorted(self.dims)
-        ]
+    new_generators: tuple = ()  # pi-engine only: ((degree, count), ...) for nonconstant degrees
+    images: dict = None         # pi-engine only: degree -> X-substituted bases
 
 
 def _check_nonsingular(inst: KurodaInstance, message="exponent matrix is singular"):
@@ -147,19 +139,28 @@ class _Packing:
 
 def _times(f, g, p):
     """The product of the packed terms ``f`` and ``g``: exact if p is 0, else
-    reduced mod p.  The shorter factor runs in the outer loop, and its first
-    term writes a fresh dict: the keys k1 + k2 are distinct for one k1."""
+    reduced mod p, each term written once.  The shorter factor runs in the
+    outer loop; its first term fills a fresh dict (the keys k1 + k2 are
+    distinct for one k1), and each later sum is reduced as it is written,
+    its key popped if it cancels, so no zero is stored."""
     if len(f) > len(g):
         f, g = g, f
     if not f:
         return {}
     terms = iter(f.items())
     k1, c1 = next(terms)
-    out = {k1 + k2: c1 * c2 for k2, c2 in g.items()}
+    out = {k1 + k2: r for k2, c2 in g.items() if (r := c1 * c2 % p if p else c1 * c2)}
     for k1, c1 in terms:
         for k2, c2 in g.items():
-            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-    return {k: r for k, c in out.items() if (r := c % p if p else c)}
+            k = k1 + k2
+            s = out.get(k, 0) + c1 * c2
+            if p:
+                s %= p
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
 
 
 def _product_table(gens, degs, dmax, box, field):
@@ -255,8 +256,7 @@ def graded_intersection(gensA, gensB, weights, dmax):
                 raise ArithmeticError(f"a degree-{d} intersection basis element is not homogeneous of degree {d}")
         ambient_a[d], ambient_b[d] = dim_a, dim_b
         dims[d], bases[d] = len(basis), basis
-    report = GradedIntersectionReport(fld, ambient_a, ambient_b, dims, bases, ())
-    return replace(report, new_generators=tuple(minimal_generator_degrees(report)))
+    return GradedIntersectionReport(fld, ambient_a, ambient_b, dims, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +451,6 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
         dict(enumerate(itertools.accumulate(first[d] for d in bases))),
         {d: len(rows) for d, rows in bases.items()},
         {d: [LaurentPoly._trusted(k, fld, betas.unpack(r)) for r in rows] for d, rows in bases.items()},
-        (),
         images={d: [LaurentPoly._trusted(inst.n, fld, {vectors[e]: c for e, c in t.items()}) for t in imgs]
                 for d, imgs in ximages.items()},
     )

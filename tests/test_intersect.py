@@ -64,7 +64,7 @@ class TestGradedIntersection:
         rep = graded_intersection(gens_a, gens_b, WEIGHTS, 16)
         assert rep.dims[0] == 1
         assert all(rep.dims[d] == 0 for d in range(1, 17))
-        assert rep.new_generators == ()
+        assert minimal_generator_degrees(rep) == []
 
     @pytest.mark.parametrize("field", [QQ, 5])
     def test_generators_may_be_iterators(self, field):
@@ -91,7 +91,7 @@ class TestGradedIntersection:
         for b in rep.bases[4]:
             rr.add(b.terms)
         assert rr.contains(target.terms)
-        assert rep.new_generators == ((4, 1),)
+        assert minimal_generator_degrees(rep) == [(4, 1)]
 
     def test_char3_table_is_zero(self):
         # characteristic 3 is outside the range any engine-independent claim
@@ -124,7 +124,7 @@ class TestGradedIntersection:
         rep = graded_intersection(gens, gens, (1, 1), 10)
         for d in range(11):
             assert rep.dims[d] == ((d + 1) if d % 2 == 0 else 0)
-        assert rep.new_generators == ((2, 3),)
+        assert minimal_generator_degrees(rep) == [(2, 3)]
 
     def test_order_independence(self):
         m = lambda e: LaurentPoly.monomial(2, e)
@@ -574,7 +574,54 @@ def reference_times(f, g, p):
 packed_terms = st.dictionaries(st.integers(-20, 20), st.integers(-50, 50).filter(bool), max_size=6)
 
 
+@st.composite
+def packed_factors(draw):
+    """Two factors of 0-5 terms over Q, F_2, F_5 or F_32003, with exponents in
+    [-2, 2]^2 and coefficients in the field's form.  The second is often the
+    first, or the first with one sign flipped, so that terms cancel, as in
+    (x + y)^2 mod 2 and (x - y)(x + y)."""
+    field = draw(st.sampled_from([QQ, 2, 5, 32003]))
+    if field == QQ:
+        coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    else:
+        coeff = st.integers(1, field - 1)
+    terms = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), coeff, max_size=5)
+    f = draw(terms)
+    twin = dict(f)
+    if f and draw(st.booleans()):
+        e = next(iter(f))
+        twin[e] = -twin[e] if field == QQ else field - twin[e]
+    return field, f, draw(st.one_of(terms, st.just(twin)))
+
+
+def naive_product(f, g, field):
+    """The product on tuple exponent keys, reduced once at the end."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: r for e, c in out.items() if (r := c if field == QQ else c % field)}
+
+
 class TestTimes:
+    @settings(max_examples=100, deadline=None)
+    @given(packed_factors())
+    @example((QQ, {(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): 1})).via("(x - y)(x + y)")
+    @example((2, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1})).via("(x + y)^2 mod 2")
+    def test_matches_the_naive_product_on_tuple_keys(self, case):
+        field, f, g = case
+        box = intersect._Packing((-4, -4), (4, 4))
+        pf, pg = box.pack(f), box.pack(g)
+        before = (dict(pf), dict(pg))
+        p = 0 if field == QQ else field
+        out = intersect._times(pf, pg, p)
+        assert box.unpack(out) == naive_product(f, g, field)
+        assert intersect._times(pg, pf, p) == out
+        assert all(out.values())
+        assert p == 0 or all(0 <= c < p for c in out.values())
+        assert (pf, pg) == before
+
     @settings(max_examples=100, deadline=None)
     @given(packed_terms, packed_terms, st.sampled_from([0, 2, 3, 5, 32003]))
     def test_matches_the_double_loop_in_both_orders(self, f, g, p):
@@ -810,8 +857,38 @@ class TestPacking:
         assert (min(keys), max(keys)) == (box.key(box.lo), box.key((2 * dmax, dmax)))
         rep = graded_intersection(gens, gens, weights, dmax)
         assert rep.dims == rep.ambient_a == {d: d + 1 for d in range(dmax + 1)}
-        assert rep.new_generators == tuple(oracle_new_generators(rep)) == ((1, 2),)
+        assert minimal_generator_degrees(rep) == oracle_new_generators(rep) == [(1, 2)]
         assert {(-dmax, -2 * dmax), (2 * dmax, dmax)} <= set().union(*(b.support() for b in rep.bases[dmax]))
+
+    @pytest.mark.parametrize("field", [2, 5], ids=["F2", "F5"])
+    @pytest.mark.parametrize("case", ["OFF3", "n3-linked", "l2.15-B"])
+    def test_tables_over_small_primes_are_the_laurent_power_products(self, case, field):
+        # terms cancel mod p while the table is built: (x - a^2)^2 = x^2 + a^4
+        # mod 2 and (x - a^2)^5 = x^5 - a^10 mod 5, so each table holds fewer
+        # terms than over Q
+        def table(fld):
+            if case == "l2.15-B":
+                gens, dmax = pairwise_products_data(fld)[1], 12
+                degs = intersect._validate_gens("B", gens, WEIGHTS)
+                box = intersect._Packing.around(gens, dmax)
+                return gens, degs, dmax, box, intersect._product_table(gens, degs, dmax, box, fld)[0]
+            gamma, delta = (1, OFF3_DELTA) if case == "OFF3" else N3_LINKED
+            inst = build_instance(4 if case == "OFF3" else 3, gamma, [list(r) for r in delta], fld)
+            images, _, box = intersect._pi_monomial_images(inst, 6)
+            return inst.pis, (1,) * len(inst.pis), 6, box, images
+
+        gens, degs, dmax, box, packed = table(field)
+        decoded = decoded_table(packed, len(gens), dmax, box, gens[0].n, field)
+        one = LaurentPoly.constant(gens[0].n, 1, field)
+        expected = {
+            beta: functools.reduce(mul, (g ** b for g, b in zip(gens, beta)), one)
+            for beta in itertools.product(range(dmax + 1), repeat=len(gens))
+            if sum(map(mul, beta, degs)) <= dmax
+        }
+        assert decoded == expected
+        assert all(0 < c < field for terms in packed.values() for c in terms.values())
+        size = lambda t: sum(map(len, t.values()))
+        assert size(packed) < size(table(QQ)[4])
 
     @pytest.mark.parametrize("field", [QQ, 32003])
     def test_count_products_leave_the_box_of_single_basis_elements(self, field):
@@ -1176,12 +1253,13 @@ class TestMinimalGeneratorDegrees:
     def test_agrees_with_all_products_oracle(self, build):
         rep = build()
         assert minimal_generator_degrees(rep) == oracle_new_generators(rep)
-        assert rep.new_generators == tuple(oracle_new_generators(rep))
+        # only the pi-engine's report (the one with images) carries its count
+        assert rep.new_generators == (tuple(oracle_new_generators(rep)) if rep.images is not None else ())
 
     def test_oracle_cases_have_generators(self):
         # every case but ONES has a nonconstant intersection element to count
         for name, build in ORACLE_CASES:
-            assert bool(build().new_generators) == (not name.startswith("ONES")), name
+            assert bool(minimal_generator_degrees(build())) == (not name.startswith("ONES")), name
 
     @pytest.mark.parametrize("field", [QQ, 32003])
     def test_off3_paper_signal(self, field):
@@ -1189,7 +1267,19 @@ class TestMinimalGeneratorDegrees:
         assert rep.new_generators == ((3, 1),) + tuple((d, 3) for d in range(4, 13))
 
     def test_monomial_algebra_generators_in_degree_two_only(self):
-        assert monomial_algebra(10).new_generators == ((2, 3),)
+        assert minimal_generator_degrees(monomial_algebra(10)) == [(2, 3)]
+
+    def test_the_graded_engine_never_counts(self, monkeypatch):
+        # no command reads a graded count; a caller that wants one calls it
+        calls = []
+        monkeypatch.setattr(intersect, "minimal_generator_degrees", lambda rep: calls.append(rep) or [])
+        monkeypatch.setattr(intersect, "_generator_degrees", lambda *args: calls.append(args) or [])
+        for case in GRADED_CASES:
+            assert graded_intersection(*case).new_generators == ()
+        assert calls == []
+        # the spy bites: the pi-engine's report carries its count
+        kuroda_intersection_basis(OFF3, 4)
+        assert len(calls) == 1
 
 
 def rank_drop_case():
