@@ -126,6 +126,7 @@ class TestHilbert:
         cfg = write_config(tmp_path, {"U": [[1, 1], [2, 2]]})
         code, _, err = run(capsys, "hilbert", "--config", cfg)
         assert code == 3
+        assert err == "precondition error: cone is not pointed; contains the line through (2, -1)\n"
 
     def test_missing_u(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"n": 4, "gamma": 1, "delta": [[1, 1, 1]] * 3})
@@ -532,6 +533,49 @@ class TestOptionsRead:
                              "--out", str(tmp_path / "report.tsv"))
         assert (code, out) == (2, "")
         assert err == "error: verify l3.1 does not read --dmax, --field, --seed\n"
+
+
+# -- the stderr of each error exit, byte for byte ------------------------------
+
+MISSING = object()  # a --config path with no file behind it
+
+# (argv, config text or None or MISSING, exit code, stderr); "{cfg}" in the
+# stderr stands for the config path.  One raise per error message the CLI
+# can reach: every config error of ``cli`` and an instance, shape, lineality
+# and singularity error from the library.
+ERROR_EXITS = [
+    (["hilbert"], '{"U": [[1, 1], [2, 2]]}', 3,
+     "precondition error: cone is not pointed; contains the line through (2, -1)\n"),
+    (["hilbert"], '{"U": [[1, 1], [2]]}', 2, "error: generator (2,) has length != 2\n"),
+    (["intersect"], '{"n": 4, "gamma": 0, "delta": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]}', 2,
+     "error: gamma must be an integer >= 1, got 0\n"),
+    (["intersect"], '{"n": 4, "gamma": 1, "delta": [[0, 3, 3], [3, 1, 3], [3, 3, 1]]}', 2,
+     "error: delta[0][0] must be an integer >= 1, got 0\n"),
+    (["intersect"], '{"n": 3, "gamma": 1, "delta": [[1, 1], [1, 1]]}', 3,
+     "precondition error: exponent matrix is singular; the pis are dependent\n"),
+    (["intersect"], MISSING, 2,
+     "error: cannot read config {cfg}: [Errno 2] No such file or directory: '{cfg}'\n"),
+    (["intersect"], "", 2, "error: config {cfg} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"),
+    (["intersect"], "[1]", 2, "error: config must be a JSON object\n"),
+    (["intersect"], '{"n": 3, "gamma": 1, "delta": [[3, 1], [1, 1]], "x": 1}', 2,
+     "error: unknown config keys: x\n"),
+    (["intersect"], '{"n": 3}', 2, "error: config is missing required key 'gamma'\n"),
+    (["verify", "l3.2"], '{"n": 3, "gamma": 1, "delta": [[3, 1], [1, 1]]}', 2,
+     "error: verify l3.2 concerns the n=4 family, got n=3\n"),
+    (["hilbert"], None, 2, 'error: the hilbert command needs a config {"U": [[...], ...]}\n'),
+    (["hilbert"], '{"U": []}', 2, "error: U must be a nonempty matrix\n"),
+    (["hilbert"], '{"U": [[1, 1.5]]}', 2, "error: U entries must be integers, got 1.5\n"),
+]
+
+
+@pytest.mark.parametrize("argv, config, code, stderr", ERROR_EXITS)
+def test_error_exit_prints_its_exact_message(capsys, tmp_path, argv, config, code, stderr):
+    path = tmp_path / "config.json"
+    if isinstance(config, str):
+        path.write_text(config)
+    if config is not None:
+        argv = [*argv, "--config", str(path)]
+    assert run(capsys, *argv) == (code, "", stderr.replace("{cfg}", str(path)))
 
 
 # -- exit-code contract under generated input ---------------------------------
