@@ -1,17 +1,18 @@
 """Bounded-degree intersection algebras by exact linear algebra.
 
-Two engines share one report type and one product table: every product of a
-generator list up to a weighted degree bound, keyed by its exponent vector
-and built with one multiplication each (``_product_table``).  Over Q both
-feed it generators with integer coefficients, so the products are integers.
+Two engines share one product table: every product of a generator list up
+to a weighted degree bound, keyed by its exponent vector and built with one
+multiplication each (``_product_table``).  Over Q both feed it generators
+with integer coefficients, so the products are integers.
 
 ``graded_intersection`` works degree by degree under a weight grading: each
 side of the intersection is spanned by all products of its generators of the
 given weighted degree, and the two coefficient spaces are intersected by
-``linalg.span_intersection``.  It certifies only zero intersections: when
-all products of A and B of one degree are independent (mod the prime P =
-2^61 - 1 of :mod:`h14.linalg` over Q, with no lift), the intersection is 0;
-any other degree is eliminated exactly in the field.
+``linalg.span_intersection``; it returns the RREF basis of each degree.  It
+certifies only zero intersections: when all products of A and B of one
+degree are independent (mod the prime P = 2^61 - 1 of :mod:`h14.linalg` over
+Q, with no lift), the intersection is 0; any other degree is eliminated
+exactly in the field.
 ``kuroda_intersection_basis`` works in the pi-coordinates of an instance: it
 looks for combinations of pi-monomials whose X-substitution has no negative
 exponents, one exact cancellation constraint per offending X-monomial.  The
@@ -35,14 +36,14 @@ coefficients there.  Over Q a zero at every negative key certifies all rows
 at once; over F_p every digit is reduced mod p and a nonzero residue at a
 negative key rejects them.
 
-Only the pi-engine's report carries a count, by ``minimal_generator_degrees``:
-it tries each generator times the basis rows of the complementary degree and
-reduces every product on the pivots of the report's basis only: exact,
-since both bases span graded subalgebras.  ``no_monomial_units_check``
-eliminates the pi-monomial images; a one-term row off the constant puts a
-monomial in their span.  Both run once, exactly in the field: over Q on
-integer rows, with Fractions where the elimination makes them.  Only the
-pi-engine lifts from mod P.
+Only the pi-engine's report, a ``PiIntersectionReport``, carries a count,
+by ``minimal_generator_degrees``: it tries each generator times the basis
+rows of the complementary degree and reduces every product on the pivots of
+the basis only: exact, since the basis spans a graded subalgebra.
+``no_monomial_units_check`` eliminates the pi-monomial images; a one-term
+row off the constant puts a monomial in their span.  Both run once, exactly
+in the field: over Q on integer rows, with Fractions where the elimination
+makes them.  Only the pi-engine lifts from mod P.
 
 Inside the engines exponent vectors are packed ``int`` keys (``_Packing``;
 Monagan and Pearce, CASC 2007): on a box, mixed-radix keys are injective,
@@ -61,13 +62,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import add, mul, sub
 
 from . import linalg
-from .errors import GradingError, PreconditionError, SingularMatrixError, UsageError, check_int, int_vector
+from .errors import PreconditionError, UsageError, check_int, int_vector
 from .kuroda import KurodaInstance
 from .lattice import coset_decomposition, smith_certificate
 from .laurent import QQ, LaurentPoly, coeff_of
@@ -86,21 +87,21 @@ BOUND_NOTE = (
 
 
 @dataclass(frozen=True)
-class GradedIntersectionReport:
-    """Per-degree dimensions and bases of an intersection, degrees 0..max(dims)."""
+class PiIntersectionReport:
+    """The pi-engine's answer by degree 0..dmax, named after the columns of
+    ``h14 intersect``."""
 
-    field: object
-    ambient_a: dict   # degree -> spanning dimension of the first algebra
-    ambient_b: dict   # degree -> spanning dimension of the second algebra
-    dims: dict        # degree -> intersection dimension
-    bases: dict       # degree -> canonical basis (list of LaurentPoly)
-    new_generators: tuple = ()  # pi-engine only: ((degree, count), ...) for nonconstant degrees
-    images: dict = None         # pi-engine only: degree -> X-substituted bases
+    pi_monomials: dict    # degree -> number of pi-monomials of that degree
+    constraints: dict     # degree -> cancellation constraints counted from d on
+    dims: dict            # degree -> number of new basis elements
+    bases: dict           # degree -> basis in pi-coordinates (list of LaurentPoly)
+    images: dict          # degree -> the bases X-substituted
+    new_generators: tuple  # ((degree, count), ...) for nonconstant degrees
 
 
 def _check_nonsingular(inst: KurodaInstance, message="exponent matrix is singular"):
     if inst.det_t == 0:
-        raise SingularMatrixError(message)
+        raise PreconditionError(message)
 
 
 class _Packing:
@@ -201,20 +202,17 @@ def _validate_gens(label, gens, weights):
     for idx, g in enumerate(gens):
         parts = g.grade_by(weights)
         if len(parts) != 1:
-            raise GradingError(
-                f"generator {label}[{idx}] = {g} is not homogeneous for weights {weights}"
-            )
+            raise UsageError(f"generator {label}[{idx}] = {g} is not homogeneous for weights {weights}")
         (deg,) = parts
         if deg <= 0:
-            raise GradingError(
-                f"generator {label}[{idx}] = {g} has non-positive weighted degree {deg}"
-            )
+            raise UsageError(f"generator {label}[{idx}] = {g} has non-positive weighted degree {deg}")
         degs.append(deg)
     return degs
 
 
 def graded_intersection(gensA, gensB, weights, dmax):
-    """Degree-by-degree intersection of the two generated algebras.
+    """Degree-by-degree intersection of the two generated algebras: degree d
+    -> its basis (a list of LaurentPoly), for d = 0..dmax.
 
     For each degree d <= dmax the slice of either algebra is spanned by all
     products of its generators of total weighted degree d; the intersection
@@ -247,16 +245,14 @@ def graded_intersection(gensA, gensB, weights, dmax):
         for beta, terms in table.items():
             slices[-1][degree[beta]].append(terms)
 
-    ambient_a, ambient_b, dims, bases = {}, {}, {}, {}
+    bases = {}
     for d in range(dmax + 1):
-        dim_a, dim_b, inter = span_intersection(slices[0][d], slices[1][d], fld)
-        basis = [LaurentPoly._trusted(n, fld, box.unpack(r)) for r in inter]
-        for b in basis:
+        inter = span_intersection(slices[0][d], slices[1][d], fld)
+        bases[d] = [LaurentPoly._trusted(n, fld, box.unpack(r)) for r in inter]
+        for b in bases[d]:
             if list(b.grade_by(weights)) != [d]:
                 raise ArithmeticError(f"a degree-{d} intersection basis element is not homogeneous of degree {d}")
-        ambient_a[d], ambient_b[d] = dim_a, dim_b
-        dims[d], bases[d] = len(basis), basis
-    return GradedIntersectionReport(fld, ambient_a, ambient_b, dims, bases)
+    return bases
 
 
 # ---------------------------------------------------------------------------
@@ -445,49 +441,51 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
             raise ArithmeticError("a nullspace vector has a non-polynomial X-image")
     betas = _Packing((0,) * k, (dmax,) * k)
     count = Counter(degree.values())
-    report = GradedIntersectionReport(
-        fld,
+    polys = {d: [LaurentPoly._trusted(k, fld, betas.unpack(r)) for r in rows] for d, rows in bases.items()}
+    return PiIntersectionReport(
         {d: count[d] for d in bases},
         dict(enumerate(itertools.accumulate(first[d] for d in bases))),
         {d: len(rows) for d, rows in bases.items()},
-        {d: [LaurentPoly._trusted(k, fld, betas.unpack(r)) for r in rows] for d, rows in bases.items()},
-        images={d: [LaurentPoly._trusted(inst.n, fld, {vectors[e]: c for e, c in t.items()}) for t in imgs]
-                for d, imgs in ximages.items()},
+        polys,
+        {d: [LaurentPoly._trusted(inst.n, fld, {vectors[e]: c for e, c in t.items()}) for t in imgs]
+         for d, imgs in ximages.items()},
+        tuple(minimal_generator_degrees(polys, fld)),
     )
-    return replace(report, new_generators=tuple(minimal_generator_degrees(report)))
 
 
-def minimal_generator_degrees(report: GradedIntersectionReport):
-    """Degrees at which the report's basis leaves the prior subalgebra.
+def minimal_generator_degrees(bases, field):
+    """Degrees at which the basis ``bases`` (degree label -> list of
+    LaurentPoly over ``field``) leaves the prior subalgebra.
 
     At each degree d, counts basis elements not in the span S_d of products
     of previously found generators with degree labels summing to at most d.
-    Constants never count.  The answer is exact only up to the report's
+    Constants never count.  The answer is exact only up to the basis's
     degree bound (see ``BOUND_NOTE``).
 
     One pass per degree (``_generator_degrees``).  At d it tries each
     generator of label l times each basis row of label d - l, and it reduces
     every product on the pivots of the basis only, the columns k = min(b) of
     its rows b, never on the product's full support.  Let F_d be the span of
-    the basis elements of degree <= d.  The report's bases must span a graded
-    subalgebra: every product tried at d lies in F_d, inside F_top, the span
-    of the whole basis.  Both engines report one: X-substitution is a ring
-    map, so a product of polynomial images is polynomial, and (A & B)_d *
-    (A & B)_e lies in (A & B)_{d+e}.  The basis rows must have pairwise
-    distinct pivots (a ValueError otherwise); then the projection v ->
-    (v[k]) is injective on F_top: in a nonzero combination, the row of the
-    smallest pivot k with a nonzero coefficient is the only one nonzero at
-    k.  So every rank, and with it every count, is that of the full rows.
+    the basis elements of label <= d.  ``bases`` must span a graded
+    subalgebra up to its top label: a product of elements of labels d and e
+    lies in F_{d+e} whenever d + e <= top.  Then every product tried at d
+    lies in F_d, inside F_top, the span of the whole basis.  The pi-engine's
+    bases do (X-substitution is a ring map, so a product of polynomial
+    images is polynomial), and so do those of ``graded_intersection``.  The
+    basis rows must also have pairwise distinct pivots (a ValueError
+    otherwise); then the projection v -> (v[k]) is injective on F_top: in a
+    nonzero combination, the row of the smallest pivot k with a nonzero
+    coefficient is the only one nonzero at k.  So every rank, and with it
+    every count, is that of the full rows.
 
     Over Q the pass runs exactly on the basis scaled to integer coefficients
     (no span changes), so every product is an integer row.  The basis is
     packed once.  Packed keys suffice: a tried product has two basis rows as
     factors, so it lies in the box of two factors.
     """
-    box = _Packing.around([b for bs in report.bases.values() for b in bs], 2)
-    scale = _integer_scaled if report.field == QQ else (lambda b: b)
-    bases = {d: [box.pack(scale(b).terms) for b in bs] for d, bs in report.bases.items()}
-    return _generator_degrees(bases, report.field)
+    box = _Packing.around([b for bs in bases.values() for b in bs], 2)
+    scale = _integer_scaled if field == QQ else (lambda b: b)
+    return _generator_degrees({d: [box.pack(scale(b).terms) for b in bs] for d, bs in bases.items()}, field)
 
 
 def _generator_degrees(bases, field):

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import ConditionError, UsageError, ValidationError, check_int, is_int
+from .errors import PreconditionError, UsageError, check_int, is_int
 from .laurent import QQ, LaurentPoly, parse_field
 from .lattice import IntMatrix, det
 
@@ -54,22 +54,22 @@ class KurodaInstance:
 def build_instance(n, gamma, delta, field_tag=QQ) -> KurodaInstance:
     """Materialize an instance from (gamma, delta) data, validating signs."""
     fld = parse_field(field_tag)
-    check_int(n, "n", 3, 4, error=ValidationError)
-    check_int(gamma, "gamma", 1, error=ValidationError)
+    check_int(n, "n", 3, 4)
+    check_int(gamma, "gamma", 1)
     if not isinstance(delta, list) or not all(isinstance(r, list) for r in delta):
-        raise ValidationError(f"delta must be a list of integer rows, got {delta!r}")
+        raise UsageError(f"delta must be a list of integer rows, got {delta!r}")
     rows = [list(r) for r in delta]
     if n == 4:
         if len(rows) != 3:
-            raise ValidationError(f"delta must have 3 rows for n=4, got {len(rows)}")
+            raise UsageError(f"delta must have 3 rows for n=4, got {len(rows)}")
         for i, r in enumerate(rows):
             if len(r) == 3:
                 r.append(0)
             if len(r) != 4:
-                raise ValidationError(f"delta[{i}] must have 3 or 4 entries, got {len(r)}")
+                raise UsageError(f"delta[{i}] must have 3 or 4 entries, got {len(r)}")
             for j in range(3):
-                check_int(r[j], f"delta[{i}][{j}]", 1, error=ValidationError)
-            check_int(r[3], f"delta[{i}][3]", error=ValidationError)
+                check_int(r[j], f"delta[{i}][{j}]", 1)
+            check_int(r[3], f"delta[{i}][3]")
         dmat = tuple(tuple(r) for r in rows)
         y_vecs = _flip_diagonal(dmat)
         t_matrix = IntMatrix(3, 3, tuple(v[:3] for v in y_vecs))
@@ -81,10 +81,10 @@ def build_instance(n, gamma, delta, field_tag=QQ) -> KurodaInstance:
         return KurodaInstance(4, gamma, dmat, fld, t_matrix, _xi(dmat), pis, y_images)
     # n == 3
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise ValidationError("delta must be a 2x2 matrix for n=3")
+        raise UsageError("delta must be a 2x2 matrix for n=3")
     for i in range(2):
         for j in range(2):
-            check_int(rows[i][j], f"delta[{i}][{j}]", 1, error=ValidationError)
+            check_int(rows[i][j], f"delta[{i}][{j}]", 1)
     (d11, d12), (d21, d22) = rows
     dmat = ((d11, d12), (d21, d22))
     t_matrix = IntMatrix(2, 2, _flip_diagonal(dmat))
@@ -139,7 +139,7 @@ def _flip_diagonal(rows):
 def delta_box(n: int, bound: int):
     """The delta-tables of family n with entries in [1, bound], in lex order, as
     row tuples (2x2 for n=3, 3x3 for n=4); the arguments are checked at the call."""
-    check_int(n, "n", 3, 4, error=ValidationError)
+    check_int(n, "n", 3, 4)
     check_int(bound, "bound", 1, SCAN_MAX_BOUND)
     rows = itertools.product(range(1, bound + 1), repeat=n - 1)
     return itertools.product(tuple(rows), repeat=n - 1)
@@ -209,16 +209,16 @@ def lemma31_find_p(xi):
         raise UsageError("need exactly three ratios")
     for i, x in enumerate(xi):
         if not (0 < x < 1):
-            raise ConditionError(f"ratio {i + 1} = {x} is not in (0, 1)")
+            raise PreconditionError(f"ratio {i + 1} = {x} is not in (0, 1)")
     s = sum(xi)
     if s >= 1:
-        raise ConditionError(f"ratio sum {s} is >= 1; the strict-sum hypothesis fails")
+        raise PreconditionError(f"ratio sum {s} is >= 1; the strict-sum hypothesis fails")
     p = max(1, math.ceil(Fraction(3) / (1 - s)))
     p1 = max(1, math.ceil(p * xi[0]))
     p2 = max(1, math.ceil(p * xi[1]))
     p3 = p - p1 - p2
     if p3 < max(1, p * xi[2]):
-        raise ConditionError(f"no feasible split of p={p} into three parts")
+        raise PreconditionError(f"no feasible split of p={p} into three parts")
     return p, p1, p2, p3
 
 

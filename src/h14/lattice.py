@@ -13,7 +13,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .errors import ShapeError, SingularMatrixError, check_int, int_vector
+from .errors import PreconditionError, UsageError, check_int, int_vector
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class IntMatrix:
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
-                raise ShapeError("ragged rows")
+                raise UsageError("ragged rows")
         else:
             ncols = 0
         return cls(len(rows), ncols, tuple(rows))
@@ -58,7 +58,7 @@ class IntMatrix:
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+            raise UsageError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return IntMatrix(self.rows, other.cols, tuple(row_times_matrix(r, other) for r in self.entries))
 
     def to_lists(self):
@@ -67,14 +67,14 @@ class IntMatrix:
 
 def row_times_matrix(vec, m: IntMatrix):
     if len(vec) != m.rows:
-        raise ShapeError(f"row of length {len(vec)} times {m.rows}x{m.cols} matrix")
+        raise UsageError(f"row of length {len(vec)} times {m.rows}x{m.cols} matrix")
     return tuple([sum(map(mul, vec, col)) for col in m.columns])
 
 
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square:
-        raise ShapeError(f"determinant of non-square {m.rows}x{m.cols} matrix")
+        raise UsageError(f"determinant of non-square {m.rows}x{m.cols} matrix")
     n = m.rows
     if n == 0:
         return 1
@@ -198,12 +198,12 @@ def solve_unit_row(t: IntMatrix, i: int):
     positive m with an integer w, and s = w U.
     """
     if not t.is_square:
-        raise ShapeError(f"solve_unit_row needs a square matrix, got {t.rows}x{t.cols}")
+        raise UsageError(f"solve_unit_row needs a square matrix, got {t.rows}x{t.cols}")
     check_int(i, "row index", 0, t.rows - 1)
     sf = smith_normal_form(t)
     d = sf.invariants
     if len(d) < t.rows:
-        raise SingularMatrixError("matrix is singular")
+        raise PreconditionError("matrix is singular")
     vi = sf.v.entries[i]
     m = lcm(*(dj // gcd(dj, x) for dj, x in zip(d, vi)))
     return m, row_times_matrix([m * x // dj for dj, x in zip(d, vi)], sf.u)
@@ -249,7 +249,7 @@ class CosetDecomposition:
 
     def _representative(self, vec):
         if len(vec) != self.ambient:
-            raise ShapeError(f"vector of length {len(vec)} in Z^{self.ambient}")
+            raise UsageError(f"vector of length {len(vec)} in Z^{self.ambient}")
         rep = list(vec)
         for col, d, row in self._reduction:
             q = sum(map(mul, vec, col)) // d
@@ -270,6 +270,6 @@ def coset_decomposition(generators, ambient: int) -> CosetDecomposition:
     gens = [int_vector(g, "generator") for g in generators]
     for g in gens:
         if len(g) != ambient:
-            raise ShapeError(f"generator {g} has length != {ambient}")
+            raise UsageError(f"generator {g} has length != {ambient}")
     mat = IntMatrix(len(gens), ambient, tuple(gens)) if gens else IntMatrix(0, ambient, ())
     return CosetDecomposition(ambient, mat, smith_normal_form(mat))

@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .errors import FieldMismatchError, UsageError, check_int, is_int
+from .errors import UsageError, check_int, is_int
 
 QQ = "Q"
 
@@ -193,9 +193,7 @@ class LaurentPoly:
         if self.n != other.n:
             raise UsageError(f"ambient mismatch: {self.n} vs {other.n} variables")
         if self.field != other.field:
-            raise FieldMismatchError(
-                f"field mismatch: {field_name(self.field)} vs {field_name(other.field)}"
-            )
+            raise UsageError(f"field mismatch: {field_name(self.field)} vs {field_name(other.field)}")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -302,7 +300,7 @@ class LaurentPoly:
             if not isinstance(img, LaurentPoly) or not img.is_monomial():
                 raise UsageError(f"image {idx} is not a Laurent monomial")
             if img.field != self.field:
-                raise FieldMismatchError(
+                raise UsageError(
                     f"image {idx} lives in {field_name(img.field)}, "
                     f"polynomial in {field_name(self.field)}"
                 )

@@ -245,21 +245,17 @@ def combination(coeffs, vecs, field):
 
 
 def span_intersection(rows_a, rows_b, field):
-    """Intersection of two spans of sparse vectors.
-
-    Returns ``(dim_a, dim_b, inter_basis)`` where ``inter_basis`` is a
-    canonical (RREF) basis of span(rows_a) & span(rows_b).  The rows may be
-    any iterables; they are read once.  First one joint test: if all rows of
-    A and B together are independent (``independent_echelon``, mod P over
-    Q), the dimensions are the row counts and the intersection is 0;
+    """The canonical (RREF) basis of span(rows_a) & span(rows_b), a list of
+    sparse vectors.  The rows may be any iterables; they are read once.
+    First one joint test: if all rows of A and B together are independent
+    (``independent_echelon``, mod P over Q), the intersection is 0;
     otherwise both spans and their intersection are eliminated exactly in
     ``field``.  The test needs only the rank, so it keeps no RREF.
     """
     rows_a, rows_b = list(rows_a), list(rows_b)
     if independent_echelon(rows_a + rows_b, field):
-        return len(rows_a), len(rows_b), []
-    ra, rb, inter = _intersection(rows_a, rows_b, field)
-    return ra.rank, rb.rank, inter
+        return []
+    return _intersection(rows_a, rows_b, field)
 
 
 def independent_echelon(rows, field) -> bool:
@@ -309,7 +305,7 @@ def independent_echelon(rows, field) -> bool:
 
 
 def _intersection(rows_a, rows_b, field):
-    """The RREFs of both spans and the RREF basis of their intersection.
+    """The RREF basis of the intersection of both spans.
 
     Zassenhaus read-off: each RREF row a of A enters as (a mod B, a), keyed
     ("m", k) < ("t", k).  The rows with a "t" pivot span the vectors (0, v),
@@ -323,5 +319,4 @@ def _intersection(rows_a, rows_b, field):
         res = {("m", k): v for k, v in rb.reduce(arow).items()}
         res.update((("t", k), v) for k, v in arow.items())
         tagged.add(res)
-    inter = [{k: v for (_, k), v in tagged.rows[pk].items()} for pk in sorted(tagged.rows) if pk[0] == "t"]
-    return ra, rb, inter
+    return [{k: v for (_, k), v in tagged.rows[pk].items()} for pk in sorted(tagged.rows) if pk[0] == "t"]

@@ -18,7 +18,7 @@ from functools import cached_property
 from math import prod
 from operator import ge, mul
 
-from .errors import IndependenceError, LinealityError, ShapeError, UsageError, int_vector
+from .errors import PreconditionError, UsageError, int_vector
 from .lattice import IntMatrix, SmithForm, left_kernel, row_times_matrix, smith_certificate, smith_normal_form
 
 
@@ -34,7 +34,7 @@ class SubalgebraGens:
         vecs = [int_vector(v, "generator") for v in vectors]
         for v in vecs:
             if len(v) != n:
-                raise ShapeError(f"generator {v} has length != {n}")
+                raise UsageError(f"generator {v} has length != {n}")
         if len(set(vecs)) != len(vecs):
             raise UsageError("duplicate generators")
         return cls(n, tuple(vecs))
@@ -126,7 +126,7 @@ def hilbert_basis(u: IntMatrix) -> HilbertBasis:
     t = u.rows
     lineal = left_kernel(u)  # beta U = 0
     if lineal:
-        raise LinealityError(lineal[0])
+        raise PreconditionError(f"cone is not pointed; contains the line through {lineal[0]}")
     rays = _extreme_rays(u)
     if not rays:
         return HilbertBasis(u, (), ())
@@ -166,7 +166,7 @@ def monomial_membership(gens: SubalgebraGens, target):
     """
     target = int_vector(target, "target")
     if len(target) != gens.n:
-        raise ShapeError(f"target {target} has length != {gens.n}")
+        raise UsageError(f"target {target} has length != {gens.n}")
     u, t, sf = gens.matrix, gens.t, gens.smith
     d = sf.invariants
     w = row_times_matrix(target, sf.v)
@@ -202,5 +202,5 @@ def intersection_generators(gens: SubalgebraGens):
     polynomial monomial (all exponents >= 0), returned in lex order.
     """
     if not alg_independence(gens):
-        raise IndependenceError("generators are algebraically dependent")
+        raise PreconditionError("generators are algebraically dependent")
     return hilbert_basis(gens.matrix).monomials

@@ -15,12 +15,10 @@ from fractions import Fraction
 
 from h14.cli import main
 from h14.derivation import apply_E, kernel_degree_basis, support_property_check
-from h14.errors import LinealityError
 from h14.intersect import (
     freeness_coset_check,
     graded_intersection,
     kuroda_intersection_basis,
-    minimal_generator_degrees,
     no_monomial_units_check,
 )
 from h14.kuroda import (
@@ -34,7 +32,7 @@ from h14.kuroda import (
     ratio_sum,
     verify_t214,
 )
-from h14.lattice import IntMatrix, row_times_matrix, solve_unit_row
+from h14.lattice import IntMatrix, left_kernel, row_times_matrix, solve_unit_row
 from h14.laurent import QQ, LaurentPoly
 from h14.linalg import SparseRREF
 from h14.monoid import (
@@ -126,10 +124,9 @@ def test_04_hilbert_pipeline():
         u = IntMatrix.from_rows(
             [[rng.randint(-2, 2) for _ in range(n)] for _ in range(t)]
         )
-        try:
-            hb = hilbert_basis(u)
-        except LinealityError:
+        if left_kernel(u):  # a cone with a line
             continue
+        hb = hilbert_basis(u)
         checked += 1
         ok = ok and all(cone_membership(u, b) for b in hb.vectors)
         rec = representable(hb.vectors, u)
@@ -151,12 +148,12 @@ def _pairwise_gens(field):
 def test_05_graded_intersection_table():
     w = (1, 1, 1, 2)
     gq = graded_intersection(*_pairwise_gens(QQ), w, 16)
-    ok = all(gq.dims[d] == 0 for d in range(1, 17))
+    ok = not any(gq[d] for d in range(1, 17))
     for p in (5, 7):
         gp = graded_intersection(*_pairwise_gens(p), w, 12)
-        ok = ok and all(gp.dims[d] == 0 for d in range(1, 13))
+        ok = ok and not any(gp[d] for d in range(1, 13))
     g2 = graded_intersection(*_pairwise_gens(2), w, 4)
-    ok = ok and g2.dims[4] >= 1
+    ok = ok and len(g2[4]) >= 1
     m = lambda e: LaurentPoly.monomial(4, e, 1, 2)
     target = (
         m((0, 1, 1, 0)) ** 2
@@ -165,7 +162,7 @@ def test_05_graded_intersection_table():
         + m((0, 0, 0, 1)) ** 2
     )
     rr = SparseRREF(2)
-    for b in g2.bases[4]:
+    for b in g2[4]:
         rr.add(b.terms)
     ok = ok and rr.contains(target.terms)
     report(5, "graded-intersection-table", ok)
@@ -261,9 +258,8 @@ def test_12_no_monomial_units():
 def test_13_new_generator_growth():
     rep_off = kuroda_intersection_basis(OFF3, 12)
     rep_ones = kuroda_intersection_basis(ONES, 12)
-    degs_off = minimal_generator_degrees(rep_off)
-    degs_ones = minimal_generator_degrees(rep_ones)
-    ok = bool(degs_off) and any(d > 0 for d, _ in degs_off) and degs_ones == []
+    degs_off, degs_ones = rep_off.new_generators, rep_ones.new_generators
+    ok = bool(degs_off) and any(d > 0 for d, _ in degs_off) and degs_ones == ()
     report(13, "new-generator-growth", ok)
 
 

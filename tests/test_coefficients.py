@@ -130,8 +130,8 @@ class TestEngineReports:
         st.lists(st.integers(1, 2).flatmap(lambda d: forms(f, d)), min_size=1, max_size=2),
         st.lists(st.integers(1, 2).flatmap(lambda d: forms(f, d)), min_size=1, max_size=2))))
     def test_graded_bases(self, gens):
-        report = graded_intersection(*gens, (1, 1), 4)
-        assert all(canonical_poly(b) for bs in report.bases.values() for b in bs)
+        bases = graded_intersection(*gens, (1, 1), 4)
+        assert all(canonical_poly(b) for bs in bases.values() for b in bs)
 
     @settings(max_examples=20, deadline=None)
     @given(fields, st.sampled_from([3, 4]), st.integers(0, 10 ** 6), st.booleans())

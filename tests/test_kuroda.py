@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from h14.errors import ConditionError, UsageError, ValidationError
+from h14.errors import PreconditionError, UsageError
 from h14.kuroda import (
     build_G,
     build_f0,
@@ -49,13 +49,13 @@ class TestBuildInstance:
 
     @pytest.mark.parametrize("n", [4.0, 3.0, True, "4", None, 2, 5])
     def test_n_must_be_the_integer_3_or_4(self, n):
-        with pytest.raises(ValidationError, match=r"^n\b"):
+        with pytest.raises(UsageError, match=r"^n (must be an integer >= 3, got |\d exceeds the maximum 4$)"):
             build_instance(n, 1, [[1, 1, 1]] * 3)
 
     def test_validation_names_entry(self):
-        with pytest.raises(ValidationError, match=r"delta\[0\]\[0\]"):
+        with pytest.raises(UsageError, match=r"^delta\[0\]\[0\] must be an integer >= 1, got 0$"):
             build_instance(4, 1, [[0, 1, 1], [1, 1, 1], [1, 1, 1]])
-        with pytest.raises(ValidationError, match="gamma"):
+        with pytest.raises(UsageError, match=r"^gamma must be an integer >= 1, got 0$"):
             build_instance(4, 0, [[1, 1, 1]] * 3)
 
 
@@ -229,7 +229,7 @@ class TestFindP:
         assert lemma31_find_p((Fraction(1, 8),) * 3) == (5, 1, 1, 3)
 
     def test_sum_one_rejected(self):
-        with pytest.raises(ConditionError):
+        with pytest.raises(PreconditionError, match=r"^ratio sum 1 is >= 1; the strict-sum hypothesis fails$"):
             lemma31_find_p((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
 
     @pytest.mark.parametrize(

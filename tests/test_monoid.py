@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
 
 from h14 import monoid
-from h14.errors import IndependenceError, LinealityError, ShapeError, UsageError, ValidationError
+from h14.errors import PreconditionError, UsageError
 from h14.lattice import IntMatrix, coset_decomposition, left_kernel, row_times_matrix
 from h14.linalg import rational_nullspace, rational_solve, row_reduce
 from h14.monoid import (
@@ -194,9 +195,10 @@ class TestSmithAgainstFractionPath:
             if not old:
                 assert left_kernel(u) == []
                 continue
-            with pytest.raises(LinealityError) as exc:
+            beta = left_kernel(u)[0]
+            message = f"cone is not pointed; contains the line through {beta}"
+            with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
                 hilbert_basis(u)
-            beta = exc.value.direction
             assert any(beta) and gcd(*beta) == 1 and not any(row_times_matrix(beta, u))
             if len(old) == 1:
                 one_dim += 1
@@ -230,12 +232,12 @@ class TestConeMembership:
 
     @pytest.mark.parametrize("beta", [(0.5, 0.5), (True, False), (1, 1.0)])
     def test_non_integers_rejected(self, beta):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match=r"^beta entries must be integers, got (0\.5|True|1\.0)$"):
             cone_membership(IntMatrix.from_rows([[1, 1], [1, -1]]), beta)
 
     @pytest.mark.parametrize("beta", [(1,), (1, 1, 0), ()])
     def test_wrong_length_rejected(self, beta):
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError, match=rf"^row of length {len(beta)} times 2x2 matrix$"):
             cone_membership(IntMatrix.from_rows([[1, 1], [1, -1]]), beta)
 
 
@@ -255,9 +257,8 @@ class TestHilbertBasis:
         assert hb.vectors == ((-1,),)
 
     def test_lineality_rejected(self):
-        with pytest.raises(LinealityError) as exc:
+        with pytest.raises(PreconditionError, match=r"^cone is not pointed; contains the line through \(2, -1\)$"):
             hilbert_basis(IntMatrix.from_rows([[1, 1], [2, 2]]))
-        assert exc.value.direction is not None
 
     def test_oracle_agreement(self):
         rng = random.Random(2024)
@@ -268,10 +269,9 @@ class TestHilbertBasis:
             u = IntMatrix.from_rows(
                 [[rng.randint(-2, 2) for _ in range(n)] for _ in range(t)]
             )
-            try:
-                hb = hilbert_basis(u)
-            except LinealityError:
+            if left_kernel(u):  # a cone with a line
                 continue
+            hb = hilbert_basis(u)
             checked += 1
             for beta in hb.vectors:
                 assert cone_membership(u, beta)
@@ -288,10 +288,9 @@ class TestHilbertBasis:
             u = IntMatrix.from_rows(
                 [[rng.randint(-2, 2) for _ in range(n)] for _ in range(t)]
             )
-            try:
-                hb = hilbert_basis(u)
-            except LinealityError:
+            if left_kernel(u):  # a cone with a line
                 continue
+            hb = hilbert_basis(u)
             if not hb.vectors:
                 continue
             checked += 1
@@ -305,10 +304,9 @@ class TestHilbertBasis:
         while checked < 30:
             t = rng.randint(1, 3)
             u = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(3)] for _ in range(t)])
-            try:
-                hb = hilbert_basis(u)
-            except LinealityError:
+            if left_kernel(u):  # a cone with a line
                 continue
+            hb = hilbert_basis(u)
             checked += 1
             assert hb.images == tuple(row_times_matrix(b, u) for b in hb.vectors)
             assert hb.monomials == sorted(set(hb.images))
@@ -412,13 +410,13 @@ class TestIntegerInput:
 
     @pytest.mark.parametrize("bad", [(1, 1.7), (1, True)])
     def test_generators(self, bad):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match=r"^generator entries must be integers, got (1\.7|True)$"):
             SubalgebraGens.of(2, [bad, (1, -1)])
 
     @pytest.mark.parametrize("target", [(2.6, 0), (True, 0)])
     def test_membership_target(self, target):
         gens = SubalgebraGens.of(2, [(1, 1), (1, -1)])
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match=r"^target entries must be integers, got (2\.6|True)$"):
             monomial_membership(gens, target)
 
 
@@ -441,7 +439,7 @@ class TestIntersectionGenerators:
         assert intersection_generators(SubalgebraGens.of(2, [(1, -1)])) == []
 
     def test_dependent_rejected(self):
-        with pytest.raises(IndependenceError):
+        with pytest.raises(PreconditionError, match=r"^generators are algebraically dependent$"):
             intersection_generators(SubalgebraGens.of(1, [(1,), (2,)]))
 
     def test_outputs_are_polynomial(self):
@@ -454,10 +452,9 @@ class TestIntersectionGenerators:
             if len(set(vecs)) != t:
                 continue
             gens = SubalgebraGens.of(n, vecs)
-            try:
-                monos = intersection_generators(gens)
-            except (IndependenceError, LinealityError):
+            if left_kernel(gens.matrix):  # dependent generators: a cone with a line
                 continue
+            monos = intersection_generators(gens)
             checked += 1
             for m in monos:
                 assert min(m, default=0) >= 0
