@@ -449,13 +449,16 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
         polys,
         {d: [LaurentPoly._trusted(inst.n, fld, {vectors[e]: c for e, c in t.items()}) for t in imgs]
          for d, imgs in ximages.items()},
-        tuple(minimal_generator_degrees(polys, fld)),
+        tuple(minimal_generator_degrees(polys)),
     )
 
 
-def minimal_generator_degrees(bases, field):
+def minimal_generator_degrees(bases):
     """Degrees at which the basis ``bases`` (degree label -> list of
-    LaurentPoly over ``field``) leaves the prior subalgebra.
+    LaurentPoly) leaves the prior subalgebra.
+
+    ``bases[0][0]`` must be the constant 1, as both engines put it there; the
+    count runs in its field, and every basis element must be over it.
 
     At each degree d, counts basis elements not in the span S_d of products
     of previously found generators with degree labels summing to at most d.
@@ -483,6 +486,7 @@ def minimal_generator_degrees(bases, field):
     packed once.  Packed keys suffice: a tried product has two basis rows as
     factors, so it lies in the box of two factors.
     """
+    field = bases[0][0].field
     box = _Packing.around([b for bs in bases.values() for b in bs], 2)
     scale = _integer_scaled if field == QQ else (lambda b: b)
     return _generator_degrees({d: [box.pack(scale(b).terms) for b in bs] for d, bs in bases.items()}, field)

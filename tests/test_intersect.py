@@ -66,7 +66,7 @@ class TestGradedIntersection:
         assert sorted(bases) == list(range(17))
         assert len(bases[0]) == 1
         assert not any(bases[d] for d in range(1, 17))
-        assert minimal_generator_degrees(bases, QQ) == []
+        assert minimal_generator_degrees(bases) == []
 
     @pytest.mark.parametrize("field", [QQ, 5, 2])
     def test_generators_may_be_iterators(self, field):
@@ -95,7 +95,7 @@ class TestGradedIntersection:
         for b in bases[4]:
             rr.add(b.terms)
         assert rr.contains(target.terms)
-        assert minimal_generator_degrees(bases, 2) == [(4, 1)]
+        assert minimal_generator_degrees(bases) == [(4, 1)]
 
     def test_char3_table_is_zero(self):
         # characteristic 3 is outside the range any engine-independent claim
@@ -128,7 +128,7 @@ class TestGradedIntersection:
         bases = graded_intersection(gens, gens, (1, 1), 10)
         for d in range(11):
             assert len(bases[d]) == ((d + 1) if d % 2 == 0 else 0)
-        assert minimal_generator_degrees(bases, QQ) == [(2, 3)]
+        assert minimal_generator_degrees(bases) == [(2, 3)]
 
     def test_order_independence(self):
         m = lambda e: LaurentPoly.monomial(2, e)
@@ -156,7 +156,7 @@ class TestKurodaIntersectionBasis:
         rep = kuroda_intersection_basis(ONES, 3)
         assert rep.dims[0] == 1
         assert all(rep.dims[d] == 0 for d in (1, 2, 3))
-        assert minimal_generator_degrees(rep.bases, QQ) == []
+        assert minimal_generator_degrees(rep.bases) == []
 
     def test_degree_zero(self):
         rep = kuroda_intersection_basis(OFF3, 0)
@@ -864,7 +864,7 @@ class TestPacking:
         assert (min(keys), max(keys)) == (box.key(box.lo), box.key((2 * dmax, dmax)))
         bases = graded_intersection(gens, gens, weights, dmax)
         assert {d: len(bs) for d, bs in bases.items()} == {d: d + 1 for d in range(dmax + 1)}
-        assert minimal_generator_degrees(bases, QQ) == oracle_new_generators(bases, QQ) == [(1, 2)]
+        assert minimal_generator_degrees(bases) == oracle_new_generators(bases) == [(1, 2)]
         assert {(-dmax, -2 * dmax), (2 * dmax, dmax)} <= set().union(*(b.support() for b in bases[dmax]))
 
     @pytest.mark.parametrize("field", [2, 5], ids=["F2", "F5"])
@@ -903,7 +903,7 @@ class TestPacking:
         # key; y^2 is tried at degree 2, so the count needs the wider box
         x, y = (LaurentPoly.variable(2, i, field) for i in range(2))
         bases = {0: [LaurentPoly.constant(2, 1, field)], 1: [y], 2: [x]}
-        assert minimal_generator_degrees(bases, field) == oracle_new_generators(bases, field) == [(1, 1), (2, 1)]
+        assert minimal_generator_degrees(bases) == oracle_new_generators(bases) == [(1, 1), (2, 1)]
 
 
 class TestProductTable:
@@ -1200,11 +1200,12 @@ def exponent_vectors(labels, bound):
             yield (b,) + rest
 
 
-def oracle_new_generators(bases, field):
+def oracle_new_generators(bases):
     """New-generator counts from scratch: at each degree d, the span of every
     product of the generators chosen so far of label <= d (constant 1
     included), then the basis elements of degree d outside it, chosen in
     order."""
+    field = bases[0][0].field
     one = LaurentPoly.constant(bases[0][0].n, 1, field)
     chosen = []  # (label, poly)
     out = []
@@ -1233,22 +1234,22 @@ def monomial_algebra(dmax):
 
 
 def pi_case(inst, dmax):
-    """The pi-engine's bases, their field and the count its report carries."""
+    """The pi-engine's bases and the count its report carries."""
     rep = kuroda_intersection_basis(inst, dmax)
-    return rep.bases, inst.field, rep.new_generators
+    return rep.bases, rep.new_generators
 
 
 def graded_case(gens_a, gens_b, weights, dmax):
-    """The graded engine's bases and their field; it carries no count."""
-    return graded_intersection(gens_a, gens_b, weights, dmax), gens_a[0].field, None
+    """The graded engine's bases; it carries no count."""
+    return graded_intersection(gens_a, gens_b, weights, dmax), None
 
 
-# name -> a function of no arguments that gives (bases, field, carried count or None)
+# name -> a function of no arguments that gives (bases, carried count or None)
 ORACLE_CASES = (
     [(f"{name}-{field}", lambda delta=delta, field=field: pi_case(build_instance(4, 1, delta, field), 9))
      for name, delta in (("OFF3", OFF3_DELTA), ("ONES", ONES_DELTA))
      for field in ("Q", "Fp:32003", "Fp:5")]
-    + [("monomial-algebra", lambda: (monomial_algebra(10), QQ, None)),
+    + [("monomial-algebra", lambda: (monomial_algebra(10), None)),
        ("l215-char2", lambda: graded_case(*pairwise_products_data(2), WEIGHTS, 8))]
     + [(f"seeded-graded-{i}", lambda case=case: graded_case(*case))
        for i, case in enumerate(seeded_graded(5, 7))]
@@ -1258,26 +1259,26 @@ ORACLE_CASES = (
 class TestMinimalGeneratorDegrees:
     def test_constants_only_report(self):
         rep = kuroda_intersection_basis(ONES, 4)
-        assert minimal_generator_degrees(rep.bases, QQ) == []
+        assert minimal_generator_degrees(rep.bases) == []
 
     def test_off3_nonempty(self):
         rep = kuroda_intersection_basis(OFF3, 6)
-        degs = minimal_generator_degrees(rep.bases, QQ)
+        degs = minimal_generator_degrees(rep.bases)
         assert degs and all(d >= 3 for d, _ in degs)
 
     @pytest.mark.parametrize("build", [b for _, b in ORACLE_CASES], ids=[i for i, _ in ORACLE_CASES])
     def test_agrees_with_all_products_oracle(self, build):
-        bases, field, carried = build()
-        expected = oracle_new_generators(bases, field)
-        assert minimal_generator_degrees(bases, field) == expected
+        bases, carried = build()
+        expected = oracle_new_generators(bases)
+        assert minimal_generator_degrees(bases) == expected
         # the pi-engine's report carries the same count
         assert carried is None or carried == tuple(expected)
 
     def test_oracle_cases_have_generators(self):
         # every case but ONES has a nonconstant intersection element to count
         for name, build in ORACLE_CASES:
-            bases, field, _ = build()
-            assert bool(minimal_generator_degrees(bases, field)) == (not name.startswith("ONES")), name
+            bases, _ = build()
+            assert bool(minimal_generator_degrees(bases)) == (not name.startswith("ONES")), name
 
     @pytest.mark.parametrize("field", [QQ, 32003])
     def test_off3_paper_signal(self, field):
@@ -1285,7 +1286,7 @@ class TestMinimalGeneratorDegrees:
         assert rep.new_generators == ((3, 1),) + tuple((d, 3) for d in range(4, 13))
 
     def test_monomial_algebra_generators_in_degree_two_only(self):
-        assert minimal_generator_degrees(monomial_algebra(10), QQ) == [(2, 3)]
+        assert minimal_generator_degrees(monomial_algebra(10)) == [(2, 3)]
 
     def test_the_graded_engine_never_counts(self, monkeypatch):
         # no command reads a graded count; a caller that wants one calls it
@@ -1346,7 +1347,7 @@ def filtered_case():
         bases[d] = [LaurentPoly._trusted(2, QQ, r) for r in rref_rows(fresh)]
         for b in bases[d]:
             seen.add(b.terms)
-    return bases, QQ, None
+    return bases, None
 
 
 COUNT_CASES = (
@@ -1361,10 +1362,10 @@ COUNT_IDS = [name for name, _ in COUNT_CASES]
 
 @functools.cache
 def count_case(name):
-    """The bases of COUNT_CASES, their field and their count by the
-    all-products oracle."""
-    bases, field, _ = dict(COUNT_CASES)[name]()
-    return bases, field, oracle_new_generators(bases, field)
+    """The bases of COUNT_CASES and their count by the all-products
+    oracle."""
+    bases, _ = dict(COUNT_CASES)[name]()
+    return bases, oracle_new_generators(bases)
 
 
 def count_mod(bases, p):
@@ -1394,18 +1395,18 @@ class TestModularGeneratorCount:
 
     def test_cases_are_over_q_and_the_oracle_agrees(self):
         for name in COUNT_IDS:
-            bases, field, expected = count_case(name)
-            assert field == QQ and expected == reference_generator_degrees(bases, field), name
+            bases, expected = count_case(name)
+            assert bases[0][0].field == QQ and expected == reference_generator_degrees(bases), name
 
     @pytest.mark.parametrize("name", COUNT_IDS)
     def test_real_prime_matches_fraction_path_without_fallback(self, monkeypatch, name):
         # one exact pass over Q: nothing is reduced mod P, lifted or redone
-        bases, field, expected = count_case(name)
+        bases, expected = count_case(name)
         passes, count = [], intersect._generator_degrees
         monkeypatch.setattr(intersect, "_generator_degrees",
                             lambda bases, field: passes.append(field) or count(bases, field))
         calls = count_calls(monkeypatch)
-        assert minimal_generator_degrees(bases, field) == expected
+        assert minimal_generator_degrees(bases) == expected
         assert passes == [QQ] and calls == []
 
     @pytest.mark.parametrize("prime", [3, 5])
@@ -1413,9 +1414,9 @@ class TestModularGeneratorCount:
     def test_tiny_prime_matches_fraction_path(self, monkeypatch, name, prime):
         # the count over Q reads no prime: a count mod 3 or 5 fails the
         # adversarial fixtures (test_fixtures_defeat_a_count_mod_p)
-        bases, field, expected = count_case(name)
+        bases, expected = count_case(name)
         monkeypatch.setattr(linalg, "P", prime)
-        assert minimal_generator_degrees(bases, field) == expected
+        assert minimal_generator_degrees(bases) == expected
 
     @pytest.mark.parametrize(
         "name, prime, expected, modular",
@@ -1433,19 +1434,19 @@ class TestModularGeneratorCount:
         ],
     )
     def test_fixtures_defeat_a_count_mod_p(self, name, prime, expected, modular):
-        bases, field, oracle = count_case(name)
+        bases, oracle = count_case(name)
         assert oracle == expected and count_mod(bases, prime) == modular
-        assert minimal_generator_degrees(bases, field) == expected
+        assert minimal_generator_degrees(bases) == expected
 
     def test_the_pass_reads_the_integer_scaled_basis(self, monkeypatch):
         # the rank-drop basis has the rows z + x/15 and y + x/15: the one
         # pass over Q reads them scaled to 15z + x and 15y + x
-        bases, field, expected = count_case("rank-drop")
+        bases, expected = count_case("rank-drop")
         calls = []
         count = intersect._generator_degrees
         monkeypatch.setattr(intersect, "_generator_degrees",
                             lambda bases, field: calls.append((bases, field)) or count(bases, field))
-        assert minimal_generator_degrees(bases, field) == expected
+        assert minimal_generator_degrees(bases) == expected
         [(packed, field)] = calls
         assert field == QQ and all(type(c) is int for rows in packed.values() for row in rows for c in row.values())
         assert sorted(packed[1][0].values()) == [1, 15]
@@ -1456,7 +1457,7 @@ class TestModularGeneratorCount:
         rep = kuroda_intersection_basis(inst, dmax)
         assert rep.new_generators
         calls = count_calls(monkeypatch)
-        assert minimal_generator_degrees(rep.bases, inst.field) == list(rep.new_generators)
+        assert minimal_generator_degrees(rep.bases) == list(rep.new_generators)
         assert no_monomial_units_check(inst, dmax) is monomial_units_oracle(inst, dmax)
         assert calls == []
         kuroda_intersection_basis(inst, dmax)  # the spy sees the pi-engine's lifts
@@ -1469,17 +1470,19 @@ class TestModularGeneratorCount:
         x, y = (LaurentPoly.variable(2, i, field) for i in range(2))
         bases = {0: [LaurentPoly.constant(2, 1, field)], 1: [y + x, y + 2 * x]}
         with pytest.raises(ValueError, match="share a pivot"):
-            minimal_generator_degrees(bases, field)
+            minimal_generator_degrees(bases)
 
 
-def reference_generator_degrees(bases, field):
+def reference_generator_degrees(bases):
     """The unprojected one-pass count: every product is reduced over its full
-    support, exactly in ``field`` (Fractions over Q).
+    support, exactly in the field of the constant ``bases[0][0]`` (Fractions
+    over Q).
 
     The pass of ``minimal_generator_degrees`` before it reduced on the basis
     pivots only, with the same packed keys, products and order of work.
     """
     box = intersect._Packing.around([b for bs in bases.values() for b in bs], max(bases) + 1)
+    field = bases[0][0].field
     p = 0 if field == QQ else field
     span = SparseRREF(field)
     gens, kept, out = [], {}, []
@@ -1523,12 +1526,12 @@ def projection_case(name, field):
     case = dict(PROJECTION_CASES)[name]
     if len(case) == 2:
         inst, dmax = case
-        bases, _, carried = pi_case(build_instance(inst.n, inst.gamma, [list(r) for r in inst.delta], field), dmax)
+        bases, carried = pi_case(build_instance(inst.n, inst.gamma, [list(r) for r in inst.delta], field), dmax)
     else:
         gens_a, gens_b, weights, dmax = case
-        bases, _, carried = graded_case([LaurentPoly(g.n, field, g.terms) for g in gens_a],
-                                        [LaurentPoly(g.n, field, g.terms) for g in gens_b], weights, dmax)
-    return bases, carried, reference_generator_degrees(bases, field)
+        bases, carried = graded_case([LaurentPoly(g.n, field, g.terms) for g in gens_a],
+                                     [LaurentPoly(g.n, field, g.terms) for g in gens_b], weights, dmax)
+    return bases, carried, reference_generator_degrees(bases)
 
 
 class TestProjectedCount:
@@ -1543,7 +1546,7 @@ class TestProjectedCount:
         bases, _, expected = projection_case(name, field)
         if prime is not None:
             monkeypatch.setattr(linalg, "P", prime)
-        assert minimal_generator_degrees(bases, field) == expected
+        assert minimal_generator_degrees(bases) == expected
 
     def test_generators_times_basis_rows_are_tried_on_the_pivots_only(self, monkeypatch):
         # OFF3 at dmax 12 over Q: 153 products are tried, each a generator
@@ -1566,7 +1569,7 @@ class TestProjectedCount:
         monkeypatch.setattr(intersect, "_generator_degrees", spy)
         monkeypatch.setattr(intersect, "SparseRREF", Spied)
         monkeypatch.setattr(intersect, "_times", lambda f, g, p: built.append(p) or times(f, g, p))
-        assert minimal_generator_degrees(bases, QQ) == expected
+        assert minimal_generator_degrees(bases) == expected
         generators = sum(c for _, c in expected)
         # every add is a tried product or one of the generators and the constant
         assert len(added) == 153 + generators + 1 and all(q.keys() <= pivots for q, _ in added)
@@ -1585,7 +1588,7 @@ class TestProjectedCount:
             return axpy(terms, c, row, field)
 
         monkeypatch.setattr(linalg, "_axpy", counted)
-        assert minimal_generator_degrees(bases, QQ) == expected and 0 < sum(entries) <= 6000
+        assert minimal_generator_degrees(bases) == expected and 0 < sum(entries) <= 6000
 
     def test_cases_count_generators_and_nothing(self):
         # 25 of the 36 cases count a new generator over Q, 11 none
@@ -1636,10 +1639,9 @@ def random_count_cases(draw):
 
 
 def random_count_report(n, gamma, delta, dmax, field):
-    """The pi-engine's report of a drawn case and its field."""
     inst = build_instance(n, gamma, [list(r) for r in delta], field.removesuffix("-P3"))
     with mock.patch.object(linalg, "P", 3 if field == "Q-P3" else linalg.P):
-        return kuroda_intersection_basis(inst, dmax), inst.field
+        return kuroda_intersection_basis(inst, dmax)
 
 
 class TestRandomCount:
@@ -1652,15 +1654,15 @@ class TestRandomCount:
     @example((3, *N3_LINKED, 8, "Q")).via("the linked n = 3 instance")
     @example((3, *N3_LINKED, 8, "Q-P3")).via("the linked n = 3 instance")
     def test_matches_the_report_and_the_unprojected_pass(self, case):
-        rep, field = random_count_report(*case)
-        count = minimal_generator_degrees(rep.bases, field)
-        assert count == list(rep.new_generators) == reference_generator_degrees(rep.bases, field)
+        rep = random_count_report(*case)
+        count = minimal_generator_degrees(rep.bases)
+        assert count == list(rep.new_generators) == reference_generator_degrees(rep.bases)
 
     @settings(max_examples=60, deadline=None)
     @given(random_count_cases())
     @example((3, *N3_LINKED, 8, "Fp:32003")).via("the linked n = 3 instance")
     def test_never_exceeds_the_pivot_bound(self, case):
-        rep, _ = random_count_report(*case)
+        rep = random_count_report(*case)
         count = dict(rep.new_generators)
         assert all(count.get(d, 0) <= bound for d, bound in pivot_bound(rep.bases).items())
 

@@ -156,6 +156,7 @@ class TestIntersection:
         inter = linalg._intersection(a, b, field)
         expected = reference_intersection(a, b, field)
         assert inter == expected
+        assert sparse_rank(a, field) == minor_rank(rows_a, field) and sparse_rank(b, field) == minor_rank(rows_b, field)
         assert linalg.span_intersection(a, b, field) == expected
         if shape in ("a_in_b", "equal"):
             ra = SparseRREF(field)
