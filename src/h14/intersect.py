@@ -52,7 +52,8 @@ is proved: every generator has degree >= 1, so a product of degree <= dmax
 has at most dmax factors, and lo_j = dmax * min(0, min e_j), hi_j = dmax *
 max(0, max e_j) over the generators' terms.  Key order is tuple order, so
 pivots, RREF rows, lifts and certificates are those of tuple keys; only the
-report decodes them.
+report decodes them, each distinct key once (``_Packing.polys``), and the
+pi-engine finds negative exponents on the digits of a key.
 
 Both computations are complete only up to their degree bound, and the
 reports say so; nothing here decides (non-)finite generation.
@@ -117,6 +118,7 @@ class _Packing:
         self.lo, self.radices = tuple(lo), [b - a + 1 for a, b in zip(lo, hi)]
         self.weights = [prod(self.radices[j + 1:]) for j in range(len(lo))]
         self.base = self.key(self.lo)
+        self.below = [(w, r, -a) for a, w, r in zip(self.lo, self.weights, self.radices) if a < 0]
 
     @classmethod
     def around(cls, polys, factors):
@@ -131,11 +133,26 @@ class _Packing:
         key -= self.base
         return tuple(a + key // w % r for a, w, r in zip(self.lo, self.weights, self.radices))
 
+    def negative(self, key):
+        """Whether the vector of ``key`` has a negative entry, no tuple built:
+        ``vector`` gives entry j as lo_j + digit_j, the mixed-radix digit
+        (key - key(lo)) // W_j % r_j, so it is negative exactly when digit_j <
+        -lo_j, which only an axis with lo_j < 0 allows."""
+        key -= self.base
+        for w, r, a in self.below:
+            if key // w % r < a:
+                return True
+        return False
+
     def pack(self, terms):
         return {self.key(e): c for e, c in terms.items()}
 
-    def unpack(self, terms):
-        return {self.vector(k): c for k, c in terms.items()}
+    def polys(self, groups, n, field):
+        """The packed rows of ``groups`` (label -> list of rows) as LaurentPoly,
+        each distinct key of all the rows decoded once."""
+        vectors = {k: self.vector(k) for k in set().union(*itertools.chain(*groups.values()))}
+        return {d: [LaurentPoly._trusted(n, field, {vectors[k]: c for k, c in row.items()}) for row in rows]
+                for d, rows in groups.items()}
 
 
 def _times(f, g, p):
@@ -173,6 +190,8 @@ def _product_table(gens, degs, dmax, box, field):
     Each product is one multiplication: the entry of beta - e_i times
     gens[i], for the first nonzero index i of beta.  So the parent of beta
     has no nonzero index below i, and beta extends it at indices <= i only.
+    The walk is first in, first out, so when every generator has degree 1
+    (the pis) the table lists beta in nondecreasing degree.
     """
     k = len(gens)
     units = _Packing((0,) * k, (dmax,) * k).weights
@@ -245,11 +264,9 @@ def graded_intersection(gensA, gensB, weights, dmax):
         for beta, terms in table.items():
             slices[-1][degree[beta]].append(terms)
 
-    bases = {}
-    for d in range(dmax + 1):
-        inter = span_intersection(slices[0][d], slices[1][d], fld)
-        bases[d] = [LaurentPoly._trusted(n, fld, box.unpack(r)) for r in inter]
-        for b in bases[d]:
+    bases = box.polys({d: span_intersection(slices[0][d], slices[1][d], fld) for d in range(dmax + 1)}, n, fld)
+    for d, bs in bases.items():
+        for b in bs:
             if list(b.grade_by(weights)) != [d]:
                 raise ArithmeticError(f"a degree-{d} intersection basis element is not homogeneous of degree {d}")
     return bases
@@ -300,13 +317,16 @@ def _degree_bases(constraints, degree, dmax, fld):
     Returns degree -> the RREF rows of N_d whose pivot is not one of N_{d-1}:
     they vanish at its pivots, so they are the RREF of N_d modulo N_{d-1},
     the span of all earlier rows, and unique.
+
+    Rows list their pi-monomials in nondecreasing degree, as the product
+    table does (a residue mod P drops entries, not order), so a row whose
+    first and last entries share a degree links nothing: for n = 4, every row.
     """
     label = list(range(dmax + 1))  # degree -> the smallest degree linked to it
     rows = [row for row in constraints.values() if row]  # empty mod a tiny prime
     for row in rows:
-        degs = {degree[-b] for b in row}
-        if len(degs) > 1:
-            linked = {label[d] for d in degs}
+        if degree[-next(iter(row))] != degree[-next(reversed(row))]:
+            linked = {label[degree[-b]] for b in row}
             label = [min(linked) if lab in linked else lab for lab in label]
     blocks = {}  # smallest degree -> (the block's degrees, its rows)
     for d, lab in enumerate(label):
@@ -410,23 +430,25 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
     RREF the same solves compute over Q.  If a lift or a certificate fails,
     those solves run over Q with Fractions.  Either way ``_degree_bases``
     solves one degree block at a time (see there).
+
+    The constraints are found with no key decoded (``_Packing.negative``);
+    the report decodes each key it holds once, after the certificate.
     """
     _check_nonsingular(inst, "exponent matrix is singular; the pis are dependent")
     check_int(dmax, "degree bound", high=PI_MAX_DEGREE)
     k = len(inst.pis)
     fld = inst.field
     images, degree, box = _pi_monomial_images(inst, dmax)
-    vectors = {e: box.vector(e) for e in set().union(*images.values())}  # decoded once
-    negative = {e for e, v in vectors.items() if min(v) < 0}
+    negative = set(filter(box.negative, set().union(*images.values())))
     # one cancellation constraint per negative-exponent X-monomial, over every
-    # pi-monomial beta, keyed by -beta as _degree_bases solves it
+    # pi-monomial beta in table order, keyed by -beta as _degree_bases solves it
     constraints = {}
     for beta, img in images.items():
         for e, c in img.items():
             if e in negative:
                 constraints.setdefault(e, {})[-beta] = c
-    # a constraint counts from the lowest degree of its pi-monomials on
-    first = Counter(min(degree[-b] for b in row) for row in constraints.values())
+    # a constraint counts from its lowest degree on, that of its first entry
+    first = Counter(degree[-next(iter(row))] for row in constraints.values())
 
     bases = ximages = None
     if fld == QQ:
@@ -439,16 +461,14 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
         ximages = _certified_images(bases, images, fld, negative)
         if ximages is None:
             raise ArithmeticError("a nullspace vector has a non-polynomial X-image")
-    betas = _Packing((0,) * k, (dmax,) * k)
     count = Counter(degree.values())
-    polys = {d: [LaurentPoly._trusted(k, fld, betas.unpack(r)) for r in rows] for d, rows in bases.items()}
+    polys = _Packing((0,) * k, (dmax,) * k).polys(bases, k, fld)
     return PiIntersectionReport(
         {d: count[d] for d in bases},
         dict(enumerate(itertools.accumulate(first[d] for d in bases))),
         {d: len(rows) for d, rows in bases.items()},
         polys,
-        {d: [LaurentPoly._trusted(inst.n, fld, {vectors[e]: c for e, c in t.items()}) for t in imgs]
-         for d, imgs in ximages.items()},
+        box.polys(ximages, inst.n, fld),
         tuple(minimal_generator_degrees(polys)),
     )
 

@@ -258,6 +258,22 @@ class TestVerify:
         assert "random_bases_in_cone\t5\tok\n" in out
         assert out.endswith("RESULT\tfail\n")
 
+    def test_t28_refused_cone_is_an_error_not_a_skip(self, capsys, monkeypatch):
+        # only repeated generators and cones with a line are skipped; a cone
+        # refused for another reason stops the check, not its count
+        budget = h14.monoid.ENUMERATION_BUDGET
+        calls = []
+
+        def refuse(u):
+            calls.append(u)
+            h14.monoid._check_budget("the ray box", budget + 1)
+
+        monkeypatch.setattr(h14.cli, "hilbert_basis", refuse)
+        code, out, err = run(capsys, "verify", "t2.8")
+        assert (code, len(calls)) == (2, 1)
+        assert "RESULT" not in out
+        assert err == f"error: the ray box has {budget + 1} lattice points, above the enumeration budget of {budget}\n"
+
     @pytest.mark.parametrize(
         "check_id, work, row",
         [

@@ -442,6 +442,57 @@ class TestModularPiEngine:
                    for i in ims for c in i.terms.values())
 
 
+def order_case(name, field):
+    """The n=3 linked instance or the n=4 OFF3 and ONES tables, over ``field``."""
+    gamma, delta = {"n3-linked": N3_LINKED, "OFF3": (1, OFF3_DELTA), "ONES": (1, ONES_DELTA)}[name]
+    return build_instance(len(delta) + 1, gamma, [list(r) for r in delta], field)
+
+
+ORDER_CASES = [(name, field) for name in ("n3-linked", "OFF3", "ONES") for field in ("Q", "Fp:32003")]
+
+
+class TestTableOrderAndDecoding:
+    """The pi-engine reads a constraint's lowest degree off its first entry,
+    and decodes each key the report holds once, after the certificate."""
+
+    @pytest.mark.parametrize("name, field", ORDER_CASES)
+    def test_table_lists_beta_by_degree_and_rows_start_at_their_lowest(self, name, field):
+        inst = order_case(name, field)
+        images, degree, _ = intersect._pi_monomial_images(inst, 8)
+        degrees = [degree[b] for b in images]
+        assert degrees == sorted(degrees) and list(degree) == list(images)
+        constraints, degree = cancellation_system(inst, 8)
+        systems = [constraints] + ([constraints_in(constraints, "P")] if inst.field == QQ else [])
+        for system in systems:
+            for row in filter(None, system.values()):
+                degs = [degree[-b] for b in row]
+                assert degs[0] == min(degs) and degs[-1] == max(degs)
+
+    @pytest.mark.parametrize("name, field", ORDER_CASES)
+    def test_each_reported_key_is_decoded_once(self, monkeypatch, name, field):
+        inst = order_case(name, field)
+        decoded = []  # (the box's lower corner, key, vector)
+        vector = intersect._Packing.vector
+
+        def spy(box, key):
+            decoded.append((box.lo, key, vector(box, key)))
+            return decoded[-1][2]
+
+        monkeypatch.setattr(intersect._Packing, "vector", spy)
+        rep = kuroda_intersection_basis(inst, 8)
+        monkeypatch.undo()
+        support = lambda polys: sorted(set().union(*(p.support() for ps in polys.values() for p in ps)))
+        betas = (0,) * len(inst.pis)  # the corner of the beta box; the X box reaches below 0
+        x_keys = [key for lo, key, _ in decoded if lo != betas]
+        assert sorted(v for lo, _, v in decoded if lo != betas) == support(rep.images)
+        assert sorted(v for lo, _, v in decoded if lo == betas) == support(rep.bases)
+        assert len(decoded) == len({(lo, key) for lo, key, _ in decoded})  # each key once
+        # every key a constraint holds has a negative exponent; none is decoded
+        images, _, box = intersect._pi_monomial_images(inst, 8)
+        constrained = {e for img in images.values() for e in img if min(box.vector(e)) < 0}
+        assert constrained and constrained.isdisjoint(x_keys)
+
+
 def reference_x_image(row, images, fld):
     """X-image of the pi-combination ``row``, summed one row at a time.
 
@@ -620,7 +671,7 @@ class TestTimes:
         before = (dict(pf), dict(pg))
         p = 0 if field == QQ else field
         out = intersect._times(pf, pg, p)
-        assert box.unpack(out) == naive_product(f, g, field)
+        assert {box.vector(k): c for k, c in out.items()} == naive_product(f, g, field)
         assert intersect._times(pg, pf, p) == out
         assert all(out.values())
         assert p == 0 or all(0 <= c < p for c in out.values())
@@ -811,7 +862,8 @@ def reference_pi_images(inst, dmax):
 def decoded_table(table, k, dmax, box, n, field):
     """A packed product table as {beta: LaurentPoly}, keys and terms decoded."""
     betas = intersect._Packing((0,) * k, (dmax,) * k)
-    return {betas.vector(b): LaurentPoly._trusted(n, field, box.unpack(t)) for b, t in table.items()}
+    return {betas.vector(b): LaurentPoly._trusted(n, field, {box.vector(k): c for k, c in t.items()})
+            for b, t in table.items()}
 
 
 @st.composite
@@ -829,7 +881,16 @@ class TestPacking:
     def test_decoding_a_key_returns_its_vector(self, case):
         box, _, _, (e,) = case
         assert box.vector(box.key(e)) == e
-        assert box.unpack(box.pack({e: 7})) == {e: 7}
+        assert box.polys({0: [box.pack({e: 7})]}, len(e), QQ) == {0: [LaurentPoly.monomial(len(e), e, 7)]}
+
+    @given(st.lists(st.tuples(st.integers(-6, 0), st.integers(0, 6)), min_size=1, max_size=4), st.data())
+    def test_negative_reads_the_digits_as_the_decoded_vector_does(self, axes, data):
+        # lo <= 0 <= hi on every axis, as in every box of ``_Packing.around``
+        lo, hi = [a for a, _ in axes], [b for _, b in axes]
+        box = intersect._Packing(lo, hi)
+        for _ in range(8):
+            e = tuple(data.draw(st.integers(a, b)) for a, b in zip(lo, hi))
+            assert box.negative(box.key(e)) == (min(box.vector(box.key(e))) < 0) == (min(e) < 0)
 
     @given(box_and_vectors(2))
     def test_key_order_is_tuple_order(self, case):
