@@ -274,6 +274,26 @@ class TestVerify:
         assert "RESULT" not in out
         assert err == f"error: the ray box has {budget + 1} lattice points, above the enumeration budget of {budget}\n"
 
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42])
+    def test_t28_skips_exactly_the_cones_with_a_line(self, capsys, monkeypatch, seed):
+        calls = []  # (the cone's matrix, whether hilbert_basis refused it)
+        hilbert_basis = h14.cli.hilbert_basis
+
+        def spy(u):
+            try:
+                hb = hilbert_basis(u)
+            except h14.errors.PreconditionError:
+                calls.append((u, True))
+                raise
+            calls.append((u, False))
+            return hb
+
+        monkeypatch.setattr(h14.cli, "hilbert_basis", spy)
+        code, out, _ = run(capsys, "verify", "t2.8", "--seed", str(seed))
+        assert code == 0 and len(calls) == 10
+        assert all(refused == bool(h14.lattice.left_kernel(u)) for u, refused in calls)
+        assert f"random_bases_in_cone\t{sum(not r for _, r in calls)}\tok\n" in out
+
     @pytest.mark.parametrize(
         "check_id, work, row",
         [
