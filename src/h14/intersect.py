@@ -37,9 +37,12 @@ at once; over F_p every digit is reduced mod p and a nonzero residue at a
 negative key rejects them.
 
 Only the pi-engine's report, a ``PiIntersectionReport``, carries a count,
-by ``minimal_generator_degrees``: it tries each generator times the basis
-rows of the complementary degree and reduces every product on the pivots of
-the basis only: exact, since the basis spans a graded subalgebra.
+by ``minimal_generator_degrees`` on the integer rows of the certificate,
+still keyed by beta in [0, dmax]^k, a box that holds every product tried.
+It tries each generator times the basis rows of the complementary degree
+and reduces every product on the pivots of the basis only: exact, since the
+basis spans a graded subalgebra.  A count above the bound the pivots give
+raises.
 ``no_monomial_units_check`` eliminates the pi-monomial images; a one-term
 row off the constant puts a monomial in their span.  Both run once, exactly
 in the field: over Q on integer rows, with Fractions where the elimination
@@ -209,11 +212,11 @@ def _product_table(gens, degs, dmax, box, field):
     return table, degree
 
 
-def _integer_scaled(g: LaurentPoly) -> LaurentPoly:
-    """``g`` over Q times its common denominator: int coefficients, so its
-    products stay in integers, and the same span."""
-    den = lcm(*(c.denominator for c in g.terms.values()))
-    return LaurentPoly._trusted(g.n, g.field, {e: c.numerator * (den // c.denominator) for e, c in g.terms.items()})
+def _integer_scaled(terms):
+    """``terms`` times their common denominator D: (D, the int terms), with
+    the same span and products in integers.  Over F_p D is 1."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
 def _validate_gens(label, gens, weights):
@@ -255,7 +258,8 @@ def graded_intersection(gensA, gensB, weights, dmax):
     degs_a = _validate_gens("A", gensA, weights)
     degs_b = _validate_gens("B", gensB, weights)
     if fld == QQ:
-        gensA, gensB = [_integer_scaled(g) for g in gensA], [_integer_scaled(g) for g in gensB]
+        scaled = lambda g: LaurentPoly._trusted(n, fld, _integer_scaled(g.terms)[1])
+        gensA, gensB = list(map(scaled, gensA)), list(map(scaled, gensB))
     box = _Packing.around(gensA + gensB, dmax)
     slices = []  # the packed rows of each side's product table, by degree
     for gens, degs in ((gensA, degs_a), (gensB, degs_b)):
@@ -353,7 +357,8 @@ def _degree_bases(constraints, degree, dmax, fld):
 
 
 def _certified_images(bases, images, fld, negative):
-    """X-images of every basis row, or None if one is not a polynomial.
+    """Every basis row scaled to integers and its X-image, both by degree, or
+    None if one image is not a polynomial.
 
     The negative-exponent coefficients of a row's image are exactly its
     cancellation constraints, so a polynomial image proves A_d v = 0.  An
@@ -372,13 +377,15 @@ def _certified_images(bases, images, fld, negative):
     every negative key certifies every row at once; over F_p each digit is
     reduced mod p.  A sum becomes ``s_r / D_r`` over Q, in the field
     layer's form (``s_r`` itself when D_r = 1), and ``s_r mod p`` over F_p.
+    The rows m_r, keyed by beta, are what ``minimal_generator_degrees``
+    counts on.
     """
     p = 0 if fld == QQ else fld
     height = {}  # beta -> c_beta
-    out = {}
+    scaled, out = {}, {}
     for d, rows in bases.items():
-        dens = [lcm(*(c.denominator for c in row.values())) for row in rows]
-        ints = [{b: c.numerator * (den // c.denominator) for b, c in row.items()} for row, den in zip(rows, dens)]
+        dens, ints = zip(*map(_integer_scaled, rows)) if rows else ((), ())
+        scaled[d] = list(ints)
         for b in set().union(*ints) - height.keys():
             height[b] = max(map(abs, images[b].values()))
         width = max((sum(abs(m) * height[b] for b, m in row.items()) for row in ints), default=0).bit_length() + 2
@@ -409,7 +416,7 @@ def _certified_images(bases, images, fld, negative):
                         return None
                     imgs[r][e] = s if p or dens[r] == 1 else coeff_of(QQ, Fraction(s, dens[r]))
                 r += 1
-    return out
+    return scaled, out
 
 
 def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
@@ -432,7 +439,8 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
     solves one degree block at a time (see there).
 
     The constraints are found with no key decoded (``_Packing.negative``);
-    the report decodes each key it holds once, after the certificate.
+    the report decodes each key it holds once, after the certificate, and
+    counts on the certificate's integer rows, keys as they are.
     """
     _check_nonsingular(inst, "exponent matrix is singular; the pis are dependent")
     check_int(dmax, "degree bound", high=PI_MAX_DEGREE)
@@ -450,118 +458,101 @@ def kuroda_intersection_basis(inst: KurodaInstance, dmax: int):
     # a constraint counts from its lowest degree on, that of its first entry
     first = Counter(degree[-next(iter(row))] for row in constraints.values())
 
-    bases = ximages = None
+    certified = None
     if fld == QQ:
         modular = dict(zip(constraints, linalg.residues(constraints.values())))
         bases = {d: linalg.lift(rows) for d, rows in _degree_bases(modular, degree, dmax, linalg.P).items()}
         if None not in bases.values():
-            ximages = _certified_images(bases, images, fld, negative)
-    if ximages is None:
+            certified = _certified_images(bases, images, fld, negative)
+    if certified is None:
         bases = _degree_bases(constraints, degree, dmax, fld)
-        ximages = _certified_images(bases, images, fld, negative)
-        if ximages is None:
+        certified = _certified_images(bases, images, fld, negative)
+        if certified is None:
             raise ArithmeticError("a nullspace vector has a non-polynomial X-image")
+    ints, ximages = certified
     count = Counter(degree.values())
-    polys = _Packing((0,) * k, (dmax,) * k).polys(bases, k, fld)
     return PiIntersectionReport(
         {d: count[d] for d in bases},
         dict(enumerate(itertools.accumulate(first[d] for d in bases))),
         {d: len(rows) for d, rows in bases.items()},
-        polys,
+        _Packing((0,) * k, (dmax,) * k).polys(bases, k, fld),
         box.polys(ximages, inst.n, fld),
-        tuple(minimal_generator_degrees(polys)),
+        tuple(minimal_generator_degrees(ints, fld)),
     )
 
 
-def minimal_generator_degrees(bases):
-    """Degrees at which the basis ``bases`` (degree label -> list of
-    LaurentPoly) leaves the prior subalgebra.
+def minimal_generator_degrees(rows, field):
+    """Degrees at which the basis ``rows`` leaves the prior subalgebra:
+    (degree, count) pairs, for the degrees with new generators.
 
-    ``bases[0][0]`` must be the constant 1, as both engines put it there; the
-    count runs in its field, and every basis element must be over it.
+    ``rows`` maps a degree label to basis rows, packed terms over ``field``
+    with int coefficients over Q, so every product is an integer row.  The
+    rows of label 0 hold the constant 1 (key 0), which enters the span and
+    never counts.  The keys lie in a box that holds the sum of a label-e and
+    a label-l key whenever e + l <= the top label; the pi-engine passes its
+    certificate's rows in [0, dmax]^k, where a label-e row holds only
+    pi-monomials of degree <= e.
 
-    At each degree d, counts basis elements not in the span S_d of products
-    of previously found generators with degree labels summing to at most d.
-    Constants never count.  The answer is exact only up to the basis's
-    degree bound (see ``BOUND_NOTE``).
+    Let F_e be the span of the rows of label <= e.  At degree d the count is
+    the number of rows not in S_d, the span of the products of generators
+    found so far with labels summing to <= d; exact only up to the top label
+    (``BOUND_NOTE``).  The span holds F_{d-1} when d starts, and the pass
+    tries b * g for each generator g, of label l, and each row b of label
+    d - l, each pair of generators once.  That is enough when the rows span
+    a graded (or filtered) subalgebra, F_e * F_l in F_{e+l}, as both
+    engines' do (X-substitution is a ring map): F_{d-l-1} * g lies in
+    F_{d-1}, so S_d = F_{d-1} + span{b * g}, and every product lies in
+    F_top.
 
-    One pass per degree (``_generator_degrees``).  At d it tries each
-    generator of label l times each basis row of label d - l, and it reduces
-    every product on the pivots of the basis only, the columns k = min(b) of
-    its rows b, never on the product's full support.  Let F_d be the span of
-    the basis elements of label <= d.  ``bases`` must span a graded
-    subalgebra up to its top label: a product of elements of labels d and e
-    lies in F_{d+e} whenever d + e <= top.  Then every product tried at d
-    lies in F_d, inside F_top, the span of the whole basis.  The pi-engine's
-    bases do (X-substitution is a ring map, so a product of polynomial
-    images is polynomial), and so do those of ``graded_intersection``.  The
-    basis rows must also have pairwise distinct pivots (a ValueError
-    otherwise); then the projection v -> (v[k]) is injective on F_top: in a
-    nonzero combination, the row of the smallest pivot k with a nonzero
-    coefficient is the only one nonzero at k.  So every rank, and with it
-    every count, is that of the full rows.
+    Products are formed and reduced on the pivots min(b) of the rows only.
+    The pivots must be distinct (a ValueError otherwise); then v -> (v[k])
+    is injective on F_top (in a nonzero combination, the row of the smallest
+    pivot with a nonzero coefficient is the only one nonzero there), so
+    every rank, and with it every count, is that of the full rows.
 
-    Over Q the pass runs exactly on the basis scaled to integer coefficients
-    (no span changes), so every product is an integer row.  The basis is
-    packed once.  Packed keys suffice: a tried product has two basis rows as
-    factors, so it lies in the box of two factors.
+    With P_e the pivots of label e, a product's smallest key is the sum of
+    its factors', so the smallest keys of S_d cover P_<d and every p + q,
+    p in P_e, q in P_e', e, e' >= 1, e + e' <= d: a count above |P_d minus
+    those sums| is a bug and raises ArithmeticError.
     """
-    field = bases[0][0].field
-    box = _Packing.around([b for bs in bases.values() for b in bs], 2)
-    scale = _integer_scaled if field == QQ else (lambda b: b)
-    return _generator_degrees({d: [box.pack(scale(b).terms) for b in bs] for d, bs in bases.items()}, field)
-
-
-def _generator_degrees(bases, field):
-    """The one-pass count over ``field`` on the packed terms ``bases``.
-
-    Every row enters the span restricted to the pivots of ``bases`` (see
-    ``minimal_generator_degrees``), and reduced mod ``field`` when it is a
-    prime.  A tried product is formed on those pivots only: the span reads
-    nothing else, so no product is built in full.
-
-    Let F_e be the span of the basis rows of label <= e; the span holds F_{d-1}
-    when degree d starts.  At d it tries b * g for every generator g found so
-    far, of label l, and every basis row b of label d - l.  That is enough:
-    F_{d-l} = F_{d-l-1} + span(bases[d - l]), and F_{d-l-1} * g lies in
-    F_{d-1} because the span is multiplicative (F_e * F_l lies in F_{e+l}).  So
-    S_d = F_{d-1} + span{b * g} is the span of all generator products of label
-    <= d.  A product of two generators is tried once, with the earlier found
-    one as b.  The constant 1 of ``bases[0]`` enters the span as a basis
-    element.
-    """
-    pivots = {min(r) for rs in bases.values() for r in rs}
-    if len(pivots) < sum(map(len, bases.values())):
+    pivots = [{min(r) for r in rows.get(d, ())} for d in range(max(rows) + 1)]  # by label
+    columns = set().union(*pivots)
+    if len(columns) < sum(map(len, rows.values())):
         raise ValueError("two basis rows share a pivot: the count's projection onto the pivots is not injective")
     p = 0 if field == QQ else field
-    row = lambda terms: {k: r for k, c in terms.items() if k in pivots and (r := c % p if p else c)}
+    row = lambda terms: {k: r for k, c in terms.items() if k in columns and (r := c % p if p else c)}
 
     def on_pivots(f, g):
         sums = {}
         for k1, c1 in f.items():
             for k2, c2 in g.items():
-                if (k := k1 + k2) in pivots:
+                if (k := k1 + k2) in columns:
                     sums[k] = sums.get(k, 0) + c1 * c2
         return sums
 
     span = SparseRREF(field)
-    gens = {}   # (label, index in bases[label]) -> row, the generators found so far
+    gens = {}     # (label, index in rows[label]) -> row, the generators found so far
+    sums = set()  # p + q over the pivots of labels e, e' >= 1 with e + e' <= d
     out = []
-    for d in sorted(bases):
+    for d, firsts in enumerate(pivots):
+        for e in range(1, d // 2 + 1):
+            sums.update(a + b for a in pivots[e] for b in pivots[d - e])
         for (label, i), g in gens.items():
             e = d - label
-            for j, b in enumerate(bases.get(e, ())):
+            for j, b in enumerate(rows.get(e, ())):
                 if (label, i) < (e, j) and (e, j) in gens:
                     continue  # tried with b and g swapped
                 span.add(row(on_pivots(b, g)))
         new = 0
-        for j, b in enumerate(bases[d]):
+        for j, b in enumerate(rows.get(d, ())):
             res = span.reduce(row(b))
             if res and any(b):  # key 0 is the zero vector: b is not constant
                 new += 1
                 gens[d, j] = b
             if res:
                 span.add(res)
+        if new > (bound := len(firsts - sums)):
+            raise ArithmeticError(f"{new} new generators at degree {d} exceed the pivot bound {bound}")
         if new:
             out.append((d, new))
     return out

@@ -26,7 +26,6 @@ from h14.intersect import (
     freeness_coset_check,
     graded_intersection,
     kuroda_intersection_basis,
-    minimal_generator_degrees,
     no_monomial_units_check,
 )
 from h14.kuroda import build_f0, build_instance, condition_holds, delta_box, lemma31_find_p, ratio_sum, star_tables
@@ -59,6 +58,15 @@ ONES = build_instance(4, 1, ONES_DELTA)
 OFF3 = build_instance(4, 1, OFF3_DELTA)
 
 
+def count_basis(bases, field=None):
+    """``minimal_generator_degrees`` on the LaurentPoly basis ``bases``, each
+    element scaled to integers and packed in the box of the products of two,
+    over ``field``, by default that of the constant ``bases[0][0]``."""
+    box = intersect._Packing.around([b for bs in bases.values() for b in bs], 2)
+    rows = {d: [box.pack(intersect._integer_scaled(b.terms)[1]) for b in bs] for d, bs in bases.items()}
+    return intersect.minimal_generator_degrees(rows, field or bases[0][0].field)
+
+
 class TestGradedIntersection:
     def test_rational_case_trivial(self):
         gens_a, gens_b = pairwise_products_data(QQ)
@@ -66,7 +74,7 @@ class TestGradedIntersection:
         assert sorted(bases) == list(range(17))
         assert len(bases[0]) == 1
         assert not any(bases[d] for d in range(1, 17))
-        assert minimal_generator_degrees(bases) == []
+        assert count_basis(bases) == []
 
     @pytest.mark.parametrize("field", [QQ, 5, 2])
     def test_generators_may_be_iterators(self, field):
@@ -95,7 +103,7 @@ class TestGradedIntersection:
         for b in bases[4]:
             rr.add(b.terms)
         assert rr.contains(target.terms)
-        assert minimal_generator_degrees(bases) == [(4, 1)]
+        assert count_basis(bases) == [(4, 1)]
 
     def test_char3_table_is_zero(self):
         # characteristic 3 is outside the range any engine-independent claim
@@ -128,7 +136,7 @@ class TestGradedIntersection:
         bases = graded_intersection(gens, gens, (1, 1), 10)
         for d in range(11):
             assert len(bases[d]) == ((d + 1) if d % 2 == 0 else 0)
-        assert minimal_generator_degrees(bases) == [(2, 3)]
+        assert count_basis(bases) == [(2, 3)]
 
     def test_order_independence(self):
         m = lambda e: LaurentPoly.monomial(2, e)
@@ -156,7 +164,7 @@ class TestKurodaIntersectionBasis:
         rep = kuroda_intersection_basis(ONES, 3)
         assert rep.dims[0] == 1
         assert all(rep.dims[d] == 0 for d in (1, 2, 3))
-        assert minimal_generator_degrees(rep.bases) == []
+        assert count_basis(rep.bases) == []
 
     def test_degree_zero(self):
         rep = kuroda_intersection_basis(OFF3, 0)
@@ -494,36 +502,37 @@ class TestTableOrderAndDecoding:
 
 
 def reference_x_image(row, images, fld):
-    """X-image of the pi-combination ``row``, summed one row at a time.
+    """The pi-combination ``row`` over its common denominator D (1 over F_p)
+    as integers m, and its X-image, summed one row at a time.
 
-    The images have integer coefficients and the entries are put over their
-    common denominator D (1 over F_p), so every X-coefficient is one integer
-    sum s: ``Fraction(s, D)`` over Q, ``s mod p`` over F_p.
+    The images have integer coefficients, so every X-coefficient is one
+    integer sum s: ``Fraction(s, D)`` over Q, ``s mod p`` over F_p.
     """
     big = lcm(*(c.denominator for c in row.values()))
+    ints = {beta: c.numerator * (big // c.denominator) for beta, c in row.items()}
     sums = {}
-    for beta, c in row.items():
-        m = c.numerator * (big // c.denominator)
+    for beta, m in ints.items():
         for e, v in images[beta].items():
             sums[e] = sums.get(e, 0) + m * v
     if fld == QQ:
-        return {e: Fraction(s, big) for e, s in sums.items() if s}
-    return {e: r for e, s in sums.items() if (r := s % fld)}
+        return ints, {e: Fraction(s, big) for e, s in sums.items() if s}
+    return ints, {e: r for e, s in sums.items() if (r := s % fld)}
 
 
 def reference_certified_images(bases, images, fld, negative):
-    """Every row's X-image by ``reference_x_image``, or None if one has a
-    key in ``negative``."""
-    out = {d: [reference_x_image(row, images, fld) for row in rows] for d, rows in bases.items()}
-    if any(not negative.isdisjoint(img) for imgs in out.values() for img in imgs):
+    """Every row as integers and its X-image by ``reference_x_image``, both
+    by degree, or None if an image has a key in ``negative``."""
+    pairs = {d: [reference_x_image(row, images, fld) for row in rows] for d, rows in bases.items()}
+    if any(not negative.isdisjoint(img) for ps in pairs.values() for _, img in ps):
         return None
-    return out
+    return tuple({d: [pair[i] for pair in ps] for d, ps in pairs.items()} for i in (0, 1))
 
 
 def assert_same_images(got, expected, fld):
     assert got == expected
     if got is not None:
-        assert all(canonical(fld, c) for imgs in got.values() for img in imgs for c in img.values())
+        assert all(type(m) is int for rows in got[0].values() for row in rows for m in row.values())
+        assert all(canonical(fld, c) for imgs in got[1].values() for img in imgs for c in img.values())
 
 
 IMAGE_FIELDS = (QQ, 2, 3, 5, 32003)
@@ -925,7 +934,7 @@ class TestPacking:
         assert (min(keys), max(keys)) == (box.key(box.lo), box.key((2 * dmax, dmax)))
         bases = graded_intersection(gens, gens, weights, dmax)
         assert {d: len(bs) for d, bs in bases.items()} == {d: d + 1 for d in range(dmax + 1)}
-        assert minimal_generator_degrees(bases) == oracle_new_generators(bases) == [(1, 2)]
+        assert count_basis(bases) == oracle_new_generators(bases) == [(1, 2)]
         assert {(-dmax, -2 * dmax), (2 * dmax, dmax)} <= set().union(*(b.support() for b in bases[dmax]))
 
     @pytest.mark.parametrize("field", [2, 5], ids=["F2", "F5"])
@@ -958,13 +967,35 @@ class TestPacking:
         size = lambda t: sum(map(len, t.values()))
         assert size(packed) < size(table(QQ)[4])
 
-    @pytest.mark.parametrize("field", [QQ, 32003])
-    def test_count_products_leave_the_box_of_single_basis_elements(self, field):
-        # the basis spans only [0, 1]^2, where (0, 2) and (1, 0) would share a
-        # key; y^2 is tried at degree 2, so the count needs the wider box
-        x, y = (LaurentPoly.variable(2, i, field) for i in range(2))
-        bases = {0: [LaurentPoly.constant(2, 1, field)], 1: [y], 2: [x]}
-        assert minimal_generator_degrees(bases) == oracle_new_generators(bases) == [(1, 1), (2, 1)]
+    @pytest.mark.parametrize("name, field", [(name, field) for name in ("OFF3", "ONES", "n3-linked")
+                                             for field in ("Q", "Fp:5", "Fp:32003")])
+    def test_the_count_reads_the_certified_rows_in_the_engine_box(self, monkeypatch, name, field):
+        # the pi-engine counts the integer rows of its certificate, keyed by
+        # beta in [0, dmax]^k: a label-e row holds pi-monomials of degree <= e
+        # only, so the sum of a label-e and a label-l key, e + l <= dmax, is
+        # the key of the vector sum, again in the box
+        inst, dmax = order_case(name, field), 8
+        calls, count = [], intersect.minimal_generator_degrees
+        monkeypatch.setattr(intersect, "minimal_generator_degrees",
+                            lambda rows, fld: calls.append((rows, fld)) or count(rows, fld))
+        rep = kuroda_intersection_basis(inst, dmax)
+        [(rows, fld)] = calls
+        k = len(inst.pis)
+        box = intersect._Packing((0,) * k, (dmax,) * k)
+        assert fld == inst.field and rows.keys() == rep.bases.keys()
+        for d, bs in rep.bases.items():
+            dens = [lcm(*(c.denominator for c in b.terms.values())) for b in bs]
+            assert rows[d] == [{box.key(e): c.numerator * (den // c.denominator) for e, c in b.terms.items()}
+                               for b, den in zip(bs, dens)]
+            assert all(type(m) is int for row in rows[d] for m in row.values())
+        keys = {d: set().union(*rs) for d, rs in rows.items()}
+        tried = 0
+        for e, l in itertools.combinations_with_replacement(keys, 2):
+            for a, b in itertools.product(keys[e], keys[l]) if e + l <= dmax else ():
+                total = tuple(map(add, box.vector(a), box.vector(b)))
+                assert box.vector(a + b) == total and max(total) <= dmax
+                tried += 1
+        assert tried
 
 
 class TestProductTable:
@@ -1320,18 +1351,18 @@ ORACLE_CASES = (
 class TestMinimalGeneratorDegrees:
     def test_constants_only_report(self):
         rep = kuroda_intersection_basis(ONES, 4)
-        assert minimal_generator_degrees(rep.bases) == []
+        assert count_basis(rep.bases) == []
 
     def test_off3_nonempty(self):
         rep = kuroda_intersection_basis(OFF3, 6)
-        degs = minimal_generator_degrees(rep.bases)
+        degs = count_basis(rep.bases)
         assert degs and all(d >= 3 for d, _ in degs)
 
     @pytest.mark.parametrize("build", [b for _, b in ORACLE_CASES], ids=[i for i, _ in ORACLE_CASES])
     def test_agrees_with_all_products_oracle(self, build):
         bases, carried = build()
         expected = oracle_new_generators(bases)
-        assert minimal_generator_degrees(bases) == expected
+        assert count_basis(bases) == expected
         # the pi-engine's report carries the same count
         assert carried is None or carried == tuple(expected)
 
@@ -1339,7 +1370,7 @@ class TestMinimalGeneratorDegrees:
         # every case but ONES has a nonconstant intersection element to count
         for name, build in ORACLE_CASES:
             bases, _ = build()
-            assert bool(minimal_generator_degrees(bases)) == (not name.startswith("ONES")), name
+            assert bool(count_basis(bases)) == (not name.startswith("ONES")), name
 
     @pytest.mark.parametrize("field", [QQ, 32003])
     def test_off3_paper_signal(self, field):
@@ -1347,13 +1378,12 @@ class TestMinimalGeneratorDegrees:
         assert rep.new_generators == ((3, 1),) + tuple((d, 3) for d in range(4, 13))
 
     def test_monomial_algebra_generators_in_degree_two_only(self):
-        assert minimal_generator_degrees(monomial_algebra(10)) == [(2, 3)]
+        assert count_basis(monomial_algebra(10)) == [(2, 3)]
 
     def test_the_graded_engine_never_counts(self, monkeypatch):
         # no command reads a graded count; a caller that wants one calls it
         calls = []
         monkeypatch.setattr(intersect, "minimal_generator_degrees", lambda *args: calls.append(args) or [])
-        monkeypatch.setattr(intersect, "_generator_degrees", lambda *args: calls.append(args) or [])
         for case in GRADED_CASES:
             graded_intersection(*case)
         assert calls == []
@@ -1429,15 +1459,6 @@ def count_case(name):
     return bases, oracle_new_generators(bases)
 
 
-def count_mod(bases, p):
-    """The one-pass count mod p on the integer-scaled basis, projected on its
-    pivots like every count: a count over Q run mod p, which no check
-    corrects."""
-    box = intersect._Packing.around([b for bs in bases.values() for b in bs], max(bases) + 1)
-    ints = {d: [box.pack(intersect._integer_scaled(b).terms) for b in bs] for d, bs in bases.items()}
-    return intersect._generator_degrees(ints, p)
-
-
 def count_calls(monkeypatch):
     """Every call of ``linalg.residues`` and ``linalg.lift``, by name."""
     calls = []
@@ -1463,11 +1484,11 @@ class TestModularGeneratorCount:
     def test_real_prime_matches_fraction_path_without_fallback(self, monkeypatch, name):
         # one exact pass over Q: nothing is reduced mod P, lifted or redone
         bases, expected = count_case(name)
-        passes, count = [], intersect._generator_degrees
-        monkeypatch.setattr(intersect, "_generator_degrees",
-                            lambda bases, field: passes.append(field) or count(bases, field))
+        passes, count = [], intersect.minimal_generator_degrees
+        monkeypatch.setattr(intersect, "minimal_generator_degrees",
+                            lambda rows, field: passes.append(field) or count(rows, field))
         calls = count_calls(monkeypatch)
-        assert minimal_generator_degrees(bases) == expected
+        assert count_basis(bases) == expected
         assert passes == [QQ] and calls == []
 
     @pytest.mark.parametrize("prime", [3, 5])
@@ -1477,7 +1498,7 @@ class TestModularGeneratorCount:
         # adversarial fixtures (test_fixtures_defeat_a_count_mod_p)
         bases, expected = count_case(name)
         monkeypatch.setattr(linalg, "P", prime)
-        assert minimal_generator_degrees(bases) == expected
+        assert count_basis(bases) == expected
 
     @pytest.mark.parametrize(
         "name, prime, expected, modular",
@@ -1495,19 +1516,21 @@ class TestModularGeneratorCount:
         ],
     )
     def test_fixtures_defeat_a_count_mod_p(self, name, prime, expected, modular):
+        # the count over Q run mod p on the integer-scaled basis, projected on
+        # its pivots like every count: no check corrects it
         bases, oracle = count_case(name)
-        assert oracle == expected and count_mod(bases, prime) == modular
-        assert minimal_generator_degrees(bases) == expected
+        assert oracle == expected and count_basis(bases, prime) == modular
+        assert count_basis(bases) == expected
 
     def test_the_pass_reads_the_integer_scaled_basis(self, monkeypatch):
         # the rank-drop basis has the rows z + x/15 and y + x/15: the one
         # pass over Q reads them scaled to 15z + x and 15y + x
         bases, expected = count_case("rank-drop")
         calls = []
-        count = intersect._generator_degrees
-        monkeypatch.setattr(intersect, "_generator_degrees",
-                            lambda bases, field: calls.append((bases, field)) or count(bases, field))
-        assert minimal_generator_degrees(bases) == expected
+        count = intersect.minimal_generator_degrees
+        monkeypatch.setattr(intersect, "minimal_generator_degrees",
+                            lambda rows, field: calls.append((rows, field)) or count(rows, field))
+        assert count_basis(bases) == expected
         [(packed, field)] = calls
         assert field == QQ and all(type(c) is int for rows in packed.values() for row in rows for c in row.values())
         assert sorted(packed[1][0].values()) == [1, 15]
@@ -1518,7 +1541,7 @@ class TestModularGeneratorCount:
         rep = kuroda_intersection_basis(inst, dmax)
         assert rep.new_generators
         calls = count_calls(monkeypatch)
-        assert minimal_generator_degrees(rep.bases) == list(rep.new_generators)
+        assert count_basis(rep.bases) == list(rep.new_generators)
         assert no_monomial_units_check(inst, dmax) is monomial_units_oracle(inst, dmax)
         assert calls == []
         kuroda_intersection_basis(inst, dmax)  # the spy sees the pi-engine's lifts
@@ -1531,7 +1554,7 @@ class TestModularGeneratorCount:
         x, y = (LaurentPoly.variable(2, i, field) for i in range(2))
         bases = {0: [LaurentPoly.constant(2, 1, field)], 1: [y + x, y + 2 * x]}
         with pytest.raises(ValueError, match="share a pivot"):
-            minimal_generator_degrees(bases)
+            count_basis(bases)
 
 
 def reference_generator_degrees(bases):
@@ -1607,7 +1630,7 @@ class TestProjectedCount:
         bases, _, expected = projection_case(name, field)
         if prime is not None:
             monkeypatch.setattr(linalg, "P", prime)
-        assert minimal_generator_degrees(bases) == expected
+        assert count_basis(bases) == expected
 
     def test_generators_times_basis_rows_are_tried_on_the_pivots_only(self, monkeypatch):
         # OFF3 at dmax 12 over Q: 153 products are tried, each a generator
@@ -1616,21 +1639,21 @@ class TestProjectedCount:
         # constant
         bases, _, expected = projection_case("OFF3-12", QQ)
         pivots, added, built = set(), [], []
-        count, times = intersect._generator_degrees, intersect._times
+        count, times = intersect.minimal_generator_degrees, intersect._times
 
         class Spied(SparseRREF):
             def add(self, vec):
                 added.append((vec, super().add(vec)))
                 return added[-1][1]
 
-        def spy(bases, field):
-            pivots.update(min(r) for rs in bases.values() for r in rs)
-            return count(bases, field)
+        def spy(rows, field):
+            pivots.update(min(r) for rs in rows.values() for r in rs)
+            return count(rows, field)
 
-        monkeypatch.setattr(intersect, "_generator_degrees", spy)
+        monkeypatch.setattr(intersect, "minimal_generator_degrees", spy)
         monkeypatch.setattr(intersect, "SparseRREF", Spied)
         monkeypatch.setattr(intersect, "_times", lambda f, g, p: built.append(p) or times(f, g, p))
-        assert minimal_generator_degrees(bases) == expected
+        assert count_basis(bases) == expected
         generators = sum(c for _, c in expected)
         # every add is a tried product or one of the generators and the constant
         assert len(added) == 153 + generators + 1 and all(q.keys() <= pivots for q, _ in added)
@@ -1649,7 +1672,7 @@ class TestProjectedCount:
             return axpy(terms, c, row, field)
 
         monkeypatch.setattr(linalg, "_axpy", counted)
-        assert minimal_generator_degrees(bases) == expected and 0 < sum(entries) <= 6000
+        assert count_basis(bases) == expected and 0 < sum(entries) <= 6000
 
     def test_cases_count_generators_and_nothing(self):
         # 25 of the 36 cases count a new generator over Q, 11 none
@@ -1716,7 +1739,7 @@ class TestRandomCount:
     @example((3, *N3_LINKED, 8, "Q-P3")).via("the linked n = 3 instance")
     def test_matches_the_report_and_the_unprojected_pass(self, case):
         rep = random_count_report(*case)
-        count = minimal_generator_degrees(rep.bases)
+        count = count_basis(rep.bases)
         assert count == list(rep.new_generators) == reference_generator_degrees(rep.bases)
 
     @settings(max_examples=60, deadline=None)
@@ -1726,6 +1749,22 @@ class TestRandomCount:
         rep = random_count_report(*case)
         count = dict(rep.new_generators)
         assert all(count.get(d, 0) <= bound for d, bound in pivot_bound(rep.bases).items())
+
+    def test_a_count_above_the_pivot_bound_raises(self, monkeypatch):
+        # a span that keeps nothing takes every nonconstant basis row for a
+        # new generator: OFF3 at dmax 8 has 4 rows at degree 6, where the
+        # pivot bound is 3 (and 1, 3, 3 rows at degrees 3, 4, 5, at the bound)
+        rep = kuroda_intersection_basis(OFF3, 8)
+        assert [rep.dims[d] for d in (3, 4, 5, 6)] == [1, 3, 3, 4]
+        assert [pivot_bound(rep.bases)[d] for d in (3, 4, 5, 6)] == [1, 3, 3, 3]
+
+        class Forgetful(SparseRREF):
+            def add(self, vec):
+                return None
+
+        monkeypatch.setattr(intersect, "SparseRREF", Forgetful)
+        with pytest.raises(ArithmeticError, match=r"^4 new generators at degree 6 exceed the pivot bound 3$"):
+            kuroda_intersection_basis(OFF3, 8)
 
     @pytest.mark.parametrize("field", [QQ, 32003], ids=["Q", "F32003"])
     def test_pivot_bound_is_the_off3_count(self, field):
